@@ -56,28 +56,21 @@ CRITERIA = (
 )
 
 
-def _row_permuted(g: Groupoid, f: Mapping) -> Groupoid:
-    if len(f) != g.order or not is_involution(f):
-        raise NotInvolution(f"{f!r} is not an involution on 0..{g.order - 1}")
-    return Groupoid(tuple(g.rows[f[x]] for x in range(g.order)))
-
-
 def twist(star: Groupoid, f: Mapping) -> Groupoid:
     """The derived product ``x·y = f(x) * y`` as a full table.
 
     ``f`` must be an involution on the carrier; raises
-    :class:`NotInvolution` otherwise.
+    :class:`NotInvolution` otherwise.  Because ``f`` is self-inverse the
+    row permutation is its own inverse, so this is also :func:`untwist`.
     """
-    return _row_permuted(star, f)
+    if len(f) != star.order or not is_involution(f):
+        raise NotInvolution(f"{f!r} is not an involution on 0..{star.order - 1}")
+    return Groupoid(tuple(star.rows[f[x]] for x in range(star.order)))
 
 
-def untwist(g: Groupoid, f: Mapping) -> Groupoid:
-    """Invert :func:`twist`: the base product ``x*y = g(f(x), y)``.
-
-    Because ``f`` is self-inverse this is the same row permutation, so
-    ``untwist(twist(s, f), f) == s`` and ``twist(untwist(g, f), f) == g``.
-    """
-    return _row_permuted(g, f)
+#: Invert :func:`twist`: the base product ``x*y = g(f(x), y)``, so
+#: ``untwist(twist(s, f), f) == s`` and ``twist(untwist(g, f), f) == g``.
+untwist = twist
 
 
 def is_semilattice_of_groups(g: Groupoid) -> bool:
@@ -112,7 +105,7 @@ def ad_membership_direct(g: Groupoid, variety: str) -> Mapping | None:
     if variety not in VARIETIES:
         raise ValueError(f"unknown variety tag {variety!r}")
     for f in involutions(g.order):
-        star = _row_permuted(g, f)
+        star = untwist(g, f)
         if in_semigroup_class(star, variety) and is_homomorphism(f, star, star):
             return f
     return None
@@ -130,7 +123,7 @@ def ad_membership_profile(g: Groupoid) -> dict[str, Mapping | None]:
     for f in involutions(g.order):
         if not missing:
             break
-        star = _row_permuted(g, f)
+        star = untwist(g, f)
         if not star.is_associative() or not is_homomorphism(f, star, star):
             continue
         for tag in sorted(missing):
@@ -430,7 +423,7 @@ def check_class_relations(g: Groupoid) -> dict:
 
     ``ok`` aggregates all booleans.
     """
-    membership = {tag: ad_membership_direct(g, tag) for tag in VARIETIES}
+    membership = ad_membership_profile(g)
     report: dict = {
         "membership": {tag: membership[tag] is not None for tag in VARIETIES},
         "inclusion_chain": {},
@@ -439,6 +432,7 @@ def check_class_relations(g: Groupoid) -> dict:
         "twist_isomorphism": {},
     }
     squares, _ = square_subgroupoid(g)
+    square_membership = ad_membership_profile(squares)
     for base, inflation, generalized in DESCENT_PAIRS:
         chain_ok = True
         if membership[base] is not None and membership[inflation] is None:
@@ -448,7 +442,7 @@ def check_class_relations(g: Groupoid) -> dict:
         report["inclusion_chain"][base] = chain_ok
         report["square_descent"][base] = (
             membership[generalized] is None
-            or ad_membership_direct(squares, base) is not None
+            or square_membership[base] is not None
         )
 
     associative = g.is_associative()
@@ -461,7 +455,7 @@ def check_class_relations(g: Groupoid) -> dict:
             continue
         report["semigroup_identity"][tag] = satisfies_variety(g, tag)
         if surjective or tag in ISOMORPHISM_CLASSES:
-            star = _row_permuted(g, witness)
+            star = untwist(g, witness)
             report["twist_isomorphism"][tag] = is_homomorphism(witness, star, g)
         else:
             report["twist_isomorphism"][tag] = None

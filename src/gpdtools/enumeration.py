@@ -21,7 +21,7 @@ import multiprocessing
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from .clifford import (
@@ -111,6 +111,17 @@ def stream_value(seed: int, index: int) -> int:
     return _mix64((seed + (index + 1) * _GOLDEN) & MASK64)
 
 
+def _table(flat: tuple[int, ...], order: int) -> Groupoid:
+    """The table whose row ``r`` is cells ``r*order .. r*order+order-1``."""
+    return Groupoid(tuple(flat[r * order : (r + 1) * order] for r in range(order)))
+
+
+def _sample_cells(order: int, seed: int, i: int) -> tuple[int, ...]:
+    """The cells of sample table ``i`` of the stream for ``seed``."""
+    base = i * order * order
+    return tuple([stream_value(seed, base + j) % order for j in range(order * order)])
+
+
 def enumerate_groupoids(order: int, allow_large: bool = False):
     """Yield every table of the given order in lexicographic order.
 
@@ -125,9 +136,7 @@ def enumerate_groupoids(order: int, allow_large: bool = False):
             f" ({order ** (order * order)} tables)"
         )
     for flat in itertools.product(range(order), repeat=order * order):
-        yield Groupoid(
-            tuple(flat[i * order : (i + 1) * order] for i in range(order))
-        )
+        yield _table(flat, order)
 
 
 def random_groupoids(order: int, count: int, seed: int):
@@ -139,13 +148,8 @@ def random_groupoids(order: int, count: int, seed: int):
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    cells = order * order
     for i in range(count):
-        base = i * cells
-        flat = [stream_value(seed, base + j) % order for j in range(cells)]
-        yield Groupoid(
-            tuple(tuple(flat[r * order : (r + 1) * order]) for r in range(order))
-        )
+        yield _table(_sample_cells(order, seed, i), order)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +299,15 @@ def _derived_homs(
     return homs
 
 
+def _check_family_limits(max_semilattice_order: int, max_group_order: int):
+    if not 1 <= max_semilattice_order <= MAX_SEMILATTICE_ORDER:
+        raise LimitsTooLarge(
+            f"semilattice order limit must be 1..{MAX_SEMILATTICE_ORDER}"
+        )
+    if not 1 <= max_group_order <= MAX_GROUP_ORDER:
+        raise LimitsTooLarge(f"group order limit must be 1..{MAX_GROUP_ORDER}")
+
+
 def enumerate_specs(max_semilattice_order: int = 3, max_group_order: int = 4):
     """Yield every construction spec within the size limits, in a fixed
     deterministic order.
@@ -306,12 +319,7 @@ def enumerate_specs(max_semilattice_order: int = 3, max_group_order: int = 4):
     comparable pairs by composition, which at these sizes produces exactly
     the transitive compatible systems.
     """
-    if not 1 <= max_semilattice_order <= MAX_SEMILATTICE_ORDER:
-        raise LimitsTooLarge(
-            f"semilattice order limit must be 1..{MAX_SEMILATTICE_ORDER}"
-        )
-    if not 1 <= max_group_order <= MAX_GROUP_ORDER:
-        raise LimitsTooLarge(f"group order limit must be 1..{MAX_GROUP_ORDER}")
+    _check_family_limits(max_semilattice_order, max_group_order)
     choices: list[tuple[tuple[tuple[int, ...], ...], Mapping]] = []
     for m in range(1, max_group_order + 1):
         for rows in enumerate_group_tables(m):
@@ -362,6 +370,17 @@ class SweepConfig:
     max_group_order: int = 4
     suites: tuple[str, ...] = ()
     allow_large_exhaustive: bool = False
+
+    def __post_init__(self):
+        if self.max_exhaustive_order < 0:
+            raise ValueError("max_exhaustive_order must be at least 0")
+        if self.sample_order < 1:
+            raise ValueError("sample_order must be at least 1")
+        if self.sample_count < 0:
+            raise ValueError("sample_count must be at least 0")
+        if not 0 <= self.seed <= MASK64:
+            raise ValueError(f"seed must be in 0..{MASK64}")
+        _check_family_limits(self.max_semilattice_order, self.max_group_order)
 
     def active_suites(self) -> tuple[str, ...]:
         names = self.suites or tuple(SUITES)
@@ -450,44 +469,36 @@ class _BuiltSpec(NamedTuple):
 
 @dataclass(frozen=True)
 class _Chunk:
-    """One worker's share of the instance space."""
+    """One worker's share of the instance space: every ``chunks``-th
+    instance of each source, starting at ``index``."""
 
     config: SweepConfig
     index: int
+    chunks: int
     tables: tuple[tuple[str, Groupoid], ...]
-    specs: tuple[_BuiltSpec, ...]
+
+    @cached_property
+    def specs(self) -> tuple[_BuiltSpec, ...]:
+        """This chunk's share of the construction family, built on first
+        read so that suites which never read it never pay for it."""
+        family = enumerate_specs(
+            self.config.max_semilattice_order, self.config.max_group_order
+        )
+        return tuple(
+            _BuiltSpec(spec, build_strong_slg(spec), *build_determined(spec))
+            for spec in itertools.islice(family, self.index, None, self.chunks)
+        )
 
 
 def _chunk_tables(config: SweepConfig, chunk: int, chunks: int):
-    idx = 0
+    """Only this chunk's tables are built: each source is strided by index."""
     for n in range(1, config.max_exhaustive_order + 1):
-        for flat in itertools.product(range(n), repeat=n * n):
-            if idx % chunks == chunk:
-                yield (
-                    "exhaustive",
-                    Groupoid(tuple(flat[i * n : (i + 1) * n] for i in range(n))),
-                )
-            idx += 1
+        cells = itertools.product(range(n), repeat=n * n)
+        for flat in itertools.islice(cells, chunk, None, chunks):
+            yield "exhaustive", _table(flat, n)
     n = config.sample_order
-    cells = n * n
-    for i in range(config.sample_count):
-        if i % chunks == chunk:
-            base = i * cells
-            flat = [stream_value(config.seed, base + j) % n for j in range(cells)]
-            yield (
-                "sample",
-                Groupoid(tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n))),
-            )
-
-
-def _chunk_specs(config: SweepConfig, chunk: int, chunks: int):
-    for idx, spec in enumerate(
-        enumerate_specs(config.max_semilattice_order, config.max_group_order)
-    ):
-        if idx % chunks == chunk:
-            strong = build_strong_slg(spec)
-            determined, alpha = build_determined(spec)
-            yield _BuiltSpec(spec, strong, determined, alpha)
+    for i in range(chunk, config.sample_count, chunks):
+        yield "sample", _table(_sample_cells(n, config.seed, i), n)
 
 
 def _table_id(g: Groupoid) -> str:
@@ -519,14 +530,7 @@ def _suite_goldens(chunk: _Chunk, rec: _Recorder):
     rec.check("band3.swap_absorption", absorption_law(g, a), "band3")
     rec.check(
         "band3.swap_shift_both_forms",
-        all(
-            g.product(g.product(x, y), z)
-            == g.product(a[x], g.product(y, z))
-            == g.product(x, g.product(y, z))
-            for x in g
-            for y in g
-            for z in g
-        ),
+        shifted_associativity(g, a) and g.is_associative(),
         "band3",
     )
     rec.check("band3.swap_not_left_translation", not in_lt(g, a), "band3")
@@ -1021,31 +1025,15 @@ for _name, _runner in (
 ):
     register_suite(_name, _runner)
 
-#: Suites that consume the construction-data family.
-_SPEC_SUITES = frozenset(
-    {
-        "class_relations",
-        "involution_laws",
-        "inverse_laws",
-        "slg_conclusions",
-        "decision_coherence",
-        "construction_roundtrip",
-    }
-)
-
 
 def _run_chunk(
     config: SweepConfig, chunk_index: int, chunks: int
 ) -> tuple[Counter, list[Counterexample]]:
-    names = config.active_suites()
     tables = tuple(_chunk_tables(config, chunk_index, chunks))
-    specs: tuple[_BuiltSpec, ...] = ()
-    if any(name in _SPEC_SUITES for name in names):
-        specs = tuple(_chunk_specs(config, chunk_index, chunks))
-    chunk = _Chunk(config, chunk_index, tables, specs)
+    chunk = _Chunk(config, chunk_index, chunks, tables)
     counts: Counter = Counter()
     failures: list[Counterexample] = []
-    for name in names:
+    for name in config.active_suites():
         SUITES[name](chunk, _Recorder(name, counts, failures))
     return counts, failures
 

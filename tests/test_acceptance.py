@@ -5,6 +5,7 @@ frozen; the sweeps must reproduce them exactly, with zero counterexamples,
 inside the stated time budgets.
 """
 
+import hashlib
 import json
 import time
 
@@ -294,3 +295,6 @@ def test_c9_determinism():
     assert first.passed
     for jobs in (1, 2):
         assert run_sweep(config, jobs=jobs).to_json() == first.to_json()
+    # The canonical report is frozen: refactors must leave it byte-identical.
+    digest = hashlib.sha256(first.to_json().encode()).hexdigest()
+    assert digest == "d664f7546f78ad91bd5520b6bc6f5fa29bde9615422405a2cc8f2797323807a8"

@@ -311,6 +311,12 @@ def test_sweep_bad_jobs(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_sweep_negative_samples(capsys):
+    code, out, err = _run(capsys, ["sweep", "--samples", "-5"])
+    assert code == 2 and err.startswith("error:")
+    assert out == ""
+
+
 def test_sweep_large_order_needs_flag(capsys):
     code, _, err = _run(capsys, ["sweep", "--max-order", "4", "--samples", "0"])
     assert code == 2 and err.startswith("error:")

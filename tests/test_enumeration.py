@@ -308,6 +308,59 @@ def test_sweep_detects_corrupted_property():
     assert "all_tables_commute" in report.to_json()
 
 
+def test_registered_suite_alone_reads_specs():
+    # A user suite that reads chunk.specs sees the construction family even
+    # when no built-in suite that also reads it is active.
+    def spec_counter(chunk, rec):
+        for built in chunk.specs:
+            rec.check("instances", True, "x")
+
+    register_suite("spec_counter", spec_counter)
+    config = SweepConfig(
+        max_exhaustive_order=1,
+        sample_count=0,
+        max_semilattice_order=1,
+        max_group_order=2,
+        suites=("spec_counter",),
+    )
+    try:
+        counts = [run_sweep(config, jobs=jobs).counts for jobs in (1, 2)]
+    finally:
+        del SUITES["spec_counter"]
+    assert counts == [{"spec_counter.instances": 2}] * 2
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("sample_count", -5, ValueError),
+        ("max_exhaustive_order", -1, ValueError),
+        ("sample_order", 0, ValueError),
+        ("seed", -1, ValueError),
+        ("seed", 1 + 2**64, ValueError),
+        ("max_semilattice_order", 0, LimitsTooLarge),
+        ("max_semilattice_order", 4, LimitsTooLarge),
+        ("max_group_order", 0, LimitsTooLarge),
+        ("max_group_order", 7, LimitsTooLarge),
+    ],
+)
+def test_sweep_config_rejects_invalid_values(field, value, error):
+    with pytest.raises(error):
+        SweepConfig(**{field: value})
+
+
+def test_sweep_config_accepts_bounds():
+    SweepConfig(
+        max_exhaustive_order=0,
+        sample_order=1,
+        sample_count=0,
+        seed=MASK64,
+        max_semilattice_order=3,
+        max_group_order=6,
+    )
+    SweepConfig(seed=0, max_semilattice_order=1, max_group_order=1)
+
+
 def test_register_suite_rejects_duplicates():
     with pytest.raises(ValueError):
         register_suite("goldens", lambda chunk, rec: None)
