@@ -776,62 +776,94 @@ def _suite_involution_laws(chunk: _Chunk, rec: _Recorder):
         _involution_laws_for(built.strong, built.alpha, rec, inst)
 
 
-def _inverse_laws_for(g: Groupoid, f: Mapping, rec: _Recorder, inst: str):
-    try:
-        inv = inverse_table(g)
-    except NotInverse:
-        return
-    idem = g.idempotents()
-    if not is_homomorphism(f, g, g):
+class _InverseFacts:
+    """One table's inverse table and the predicates the ``inverse_laws``
+    suite reads, each computed at most once and only when first read."""
+
+    def __init__(self, g: Groupoid):
+        self.g = g
+        try:
+            self.inv: Mapping | None = inverse_table(g)
+        except NotInverse:
+            self.inv = None
+
+    @cached_property
+    def idempotents(self) -> frozenset[int]:
+        return self.g.idempotents()
+
+    @cached_property
+    def products_idem(self) -> bool:
+        inv = self.inv
+        return all(self.g.product(a, inv[a]) in self.idempotents for a in self.g)
+
+    @cached_property
+    def e_semilattice(self) -> bool:
+        return idempotents_form_semilattice(self.g)
+
+    @cached_property
+    def right_bol(self) -> bool:
+        return is_right_bol(self.g)
+
+    @cached_property
+    def strongly_regular(self) -> bool:
+        return strongly_regular_witness(self.g) is not None
+
+    @cached_property
+    def completely_inverse(self) -> bool:
+        return self.inv is not None and is_completely_inverse(self.g)
+
+
+def _inverse_laws_for(facts: _InverseFacts, f: Mapping, rec: _Recorder, inst: str):
+    g, inv = facts.g, facts.inv
+    if inv is None or not is_homomorphism(f, g, g):
         return
     detail = f"mapping={f}"
-    products_idem = all(g.product(a, inv[a]) in idem for a in g)
-    e_fixed = all(f[e] == e for e in idem)
+    e_fixed = all(f[e] == e for e in facts.idempotents)
     canonical = all(
         f[a] == g.product(a, g.product(inv[a], a)) for a in g
     )
-    e_semilattice = idempotents_form_semilattice(g)
     antihom = inverse_antihomomorphism_law(g, f)
-    if products_idem and untwist(g, f).is_associative():
+    if facts.products_idem and untwist(g, f).is_associative():
         rec.check(
             "unique_inverses_shift_efixed_iff_canonical",
             e_fixed == canonical,
             inst,
             detail,
         )
-    if is_right_bol(g) and e_fixed and antihom:
+    if facts.right_bol and e_fixed and antihom:
         rec.check(
             "right_bol_antihomomorphism_forces_semilattice",
-            e_semilattice,
+            facts.e_semilattice,
             inst,
             detail,
         )
-    if products_idem and shifted_associativity(g, f):
+    if facts.products_idem and shifted_associativity(g, f):
         rec.check("shift_fixes_idempotents", e_fixed, inst, detail)
         rec.check("shift_forces_canonical_formula", canonical, inst, detail)
         rec.check(
             "shift_semilattice_iff_antihomomorphism",
-            e_semilattice == antihom,
+            facts.e_semilattice == antihom,
             inst,
             detail,
         )
     if (
-        strongly_regular_witness(g) is not None
-        and e_semilattice
+        facts.strongly_regular
+        and facts.e_semilattice
         and e_fixed
         and shifted_associativity(g, f)
     ):
         rec.check(
             "strong_regularity_shift_forces_completely_inverse",
-            is_completely_inverse(g),
+            facts.completely_inverse,
             inst,
             detail,
         )
 
 
-def _canonical_law_for(g: Groupoid, rec: _Recorder, inst: str):
-    if not is_completely_inverse(g):
+def _canonical_law_for(facts: _InverseFacts, rec: _Recorder, inst: str):
+    if not facts.completely_inverse:
         return
+    g = facts.g
     try:
         c = canonical_twist(g)
     except NotInverse:  # unreachable given unique inverses
@@ -840,11 +872,11 @@ def _canonical_law_for(g: Groupoid, rec: _Recorder, inst: str):
     if (
         is_involution(c)
         and is_homomorphism(c, g, g)
-        and (idempotents_form_semilattice(g) or inverse_antihomomorphism_law(g, c))
+        and (facts.e_semilattice or inverse_antihomomorphism_law(g, c))
     ):
         rec.check(
             "canonical_shift_iff_right_bol",
-            shifted_associativity(g, c) == is_right_bol(g),
+            shifted_associativity(g, c) == facts.right_bol,
             inst,
             f"canonical={c}",
         )
@@ -858,15 +890,19 @@ def _suite_inverse_laws(chunk: _Chunk, rec: _Recorder):
     for src, g in chunk.tables:
         if src != "exhaustive":
             continue
+        facts = _InverseFacts(g)
+        if facts.inv is None:
+            continue
         inst = _table_id(g)
         for f in involutions(g.order):
-            _inverse_laws_for(g, f, rec, inst)
-        _canonical_law_for(g, rec, inst)
+            _inverse_laws_for(facts, f, rec, inst)
+        _canonical_law_for(facts, rec, inst)
     for built in chunk.specs:
         inst = _spec_id(built.spec)
-        _inverse_laws_for(built.determined, built.alpha, rec, inst)
-        _inverse_laws_for(built.strong, built.alpha, rec, inst)
-        _canonical_law_for(built.determined, rec, inst)
+        determined = _InverseFacts(built.determined)
+        _inverse_laws_for(determined, built.alpha, rec, inst)
+        _inverse_laws_for(_InverseFacts(built.strong), built.alpha, rec, inst)
+        _canonical_law_for(determined, rec, inst)
 
 
 def _suite_slg_conclusions(chunk: _Chunk, rec: _Recorder):

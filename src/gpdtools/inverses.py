@@ -57,16 +57,26 @@ def is_completely_inverse(g: Groupoid) -> bool:
 
 
 def is_right_bol(g: Groupoid) -> bool:
-    """Exhaustively test ``((x*y)*z)*w == x*((y*z)*w)``."""
+    """Exhaustively test ``((x*y)*z)*w == x*((y*z)*w)``.
+
+    Makes O(n³) row comparisons on a table of order n.  Over all w, the
+    left side is the row of ``(x*y)*z`` and the right side is the row of
+    ``u = y*z`` composed with the row of ``x``, which depends on ``x`` and
+    ``u`` only.  That composite is built the first time the pair ``(x, u)``
+    occurs and reused for every later ``(y, z)`` with ``y*z == u``.
+    """
     rows = g.rows
-    n = g.order
-    for x, rx in enumerate(rows):
-        for y in range(n):
+    n = len(rows)
+    for rx in rows:
+        # composed[u]: the row of x*(u*_), once built.
+        composed: list[tuple[int, ...] | None] = [None] * n
+        for y, ry in enumerate(rows):
             rxy = rows[rx[y]]
-            ry = rows[y]
-            for z in range(n):
-                # ((x*y)*z)*w over all w vs x*((y*z)*w) over all w.
-                if rows[rxy[z]] != tuple(map(rx.__getitem__, rows[ry[z]])):
+            for z, u in enumerate(ry):
+                row = composed[u]
+                if row is None:
+                    row = composed[u] = tuple(map(rx.__getitem__, rows[u]))
+                if rows[rxy[z]] != row:
                     return False
     return True
 

@@ -279,6 +279,15 @@ def test_decide_fixtures():
     )
 
 
+def test_decide_large_negation_twist():
+    n = 64
+    g = Groupoid(tuple(tuple((y - x) % n for y in range(n)) for x in range(n)))
+    rep = decide(g)
+    assert rep.determined
+    assert all(v.passed for v in rep.criteria.values())
+    assert twist(rep.witness.star, rep.witness.alpha) == g
+
+
 def test_decide_report_json():
     rep = decide(Z3_TWIST)
     text = rep.to_json()

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -328,6 +329,46 @@ def test_registered_suite_alone_reads_specs():
     finally:
         del SUITES["spec_counter"]
     assert counts == [{"spec_counter.instances": 2}] * 2
+
+
+def test_inverse_laws_computes_table_facts_once(monkeypatch):
+    # Each per-table predicate runs at most once per table, however many
+    # mappings reach it; NotInverse tables are skipped after one attempt.
+    import gpdtools.enumeration as enumeration
+
+    calls = Counter()
+    seen = []  # keeps every table alive so that id() stays unique
+
+    def counted(name, fn):
+        def wrapper(g):
+            seen.append(g)
+            calls[name, id(g)] += 1
+            return fn(g)
+
+        return wrapper
+
+    facts = (
+        "inverse_table",
+        "idempotents_form_semilattice",
+        "is_right_bol",
+        "strongly_regular_witness",
+        "is_completely_inverse",
+    )
+    for name in facts:
+        fn = getattr(enumeration, name)
+        monkeypatch.setattr(enumeration, name, counted(name, fn))
+    config = SweepConfig(
+        max_exhaustive_order=3,
+        sample_count=0,
+        max_semilattice_order=2,
+        max_group_order=2,
+        suites=("inverse_laws",),
+    )
+    report = run_sweep(config, jobs=1)
+    assert report.passed
+    assert report.counts["inverse_laws.canonical_shift_iff_right_bol"] > 0
+    assert max(calls.values()) == 1
+    assert {name for name, _ in calls} == set(facts)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,11 @@ import pytest
 from gpdtools import (
     Groupoid,
     NotInverse,
+    build_determined,
+    build_strong_slg,
     canonical_twist,
+    enumerate_groupoids,
+    enumerate_specs,
     idempotents_form_semilattice,
     inverse_antihomomorphism_law,
     inverse_table,
@@ -97,6 +101,64 @@ def test_right_bol_against_oracle():
     assert is_right_bol(Z3_TWIST)
     for g in itertools.islice(random_groupoids(3, 300, seed=41), 300):
         assert is_right_bol(g) == brute(g)
+
+
+def _reference_right_bol(g):
+    """The row-based O(n^4) kernel: composes the row of x with the row of
+    y*z afresh for every triple (x, y, z)."""
+    rows = g.rows
+    n = g.order
+    for x, rx in enumerate(rows):
+        for y in range(n):
+            rxy = rows[rx[y]]
+            ry = rows[y]
+            for z in range(n):
+                if rows[rxy[z]] != tuple(map(rx.__getitem__, rows[ry[z]])):
+                    return False
+    return True
+
+
+def _negation_twist(n):
+    """Z_n twisted by negation, ``x*y = y - x (mod n)``: right-Bol."""
+    return Groupoid(tuple(tuple((y - x) % n for y in range(n)) for x in range(n)))
+
+
+def test_right_bol_agrees_with_reference_on_small_tables():
+    exhaustive = itertools.chain.from_iterable(
+        enumerate_groupoids(n) for n in (1, 2, 3)
+    )
+    samples = random_groupoids(4, 2000, seed=43)
+    verdicts = [0, 0]
+    for g in itertools.chain(exhaustive, samples):
+        expected = _reference_right_bol(g)
+        assert is_right_bol(g) == expected, g.rows
+        verdicts[expected] += 1
+    assert sum(verdicts) == 19_700 + 2000
+    assert verdicts[True] > 0
+
+
+def test_right_bol_agrees_with_reference_on_built_tables():
+    specs = itertools.chain(enumerate_specs(2, 4), enumerate_specs(3, 3))
+    tables = 0
+    for spec in specs:
+        for g in (build_determined(spec)[0], build_strong_slg(spec)):
+            assert is_right_bol(g) == _reference_right_bol(g), g.rows
+            tables += 1
+    assert tables == 948
+
+
+def test_right_bol_large_tables():
+    for n in (16, 32, 64):
+        assert is_right_bol(_negation_twist(n))
+    # One-cell changes in the last row and column of the Z_32 twist break
+    # the law only for late triples, after many composites were reused.
+    n = 32
+    base = _negation_twist(n).rows
+    cells = [(n - 1, w) for w in range(n)] + [(w, n - 1) for w in range(n - 1)]
+    for x, y in cells:
+        rows = [list(row) for row in base]
+        rows[x][y] = (rows[x][y] + 1) % n
+        assert not is_right_bol(Groupoid.from_rows(rows)), (x, y)
 
 
 def test_strongly_regular_witness():

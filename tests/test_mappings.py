@@ -12,6 +12,7 @@ from gpdtools import (
     e_fixed_involutive_automorphisms,
     find_isomorphism,
     identity_mapping,
+    inverse_table,
     in_lt,
     in_rt,
     involutions,
@@ -87,6 +88,16 @@ def test_involutive_automorphisms_fixture_facts():
     assert involutive_automorphisms(Z3_TWIST) == (identity_mapping(3), (0, 2, 1))
     assert involutive_automorphisms(Z3) == (identity_mapping(3), (0, 2, 1))
     assert FLIP2_SWAP in involutive_automorphisms(FLIP2)
+
+
+def test_memoised_kernels_expose_cache_controls():
+    # The benchmark (perfbench/rep.py) clears these caches for cold passes
+    # and reads their hit ratios.
+    for fn in (inverse_table, automorphisms, involutive_automorphisms, involutions):
+        fn.cache_clear()
+        assert fn.cache_info().currsize == 0
+    automorphisms(Z3)
+    assert automorphisms.cache_info().currsize == 1
 
 
 def test_e_fixed_involutive_automorphisms():
