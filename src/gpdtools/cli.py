@@ -37,7 +37,6 @@ from .fixtures import FIXTURES
 from .groupoid import (
     VARIETIES,
     Groupoid,
-    in_semigroup_class,
     parse_groupoid,
     satisfies_variety,
     serialize_groupoid,
@@ -50,6 +49,7 @@ from .inverses import (
     strongly_regular_witness,
 )
 from .mappings import (
+    Mapping,
     absorption_law,
     in_lt,
     in_rt,
@@ -96,7 +96,20 @@ def _emit(report: dict, fmt: str):
         print("\n".join(_render_text(report)))
 
 
+def _load(table: str, mapping: str | None) -> tuple[Groupoid, Mapping | None]:
+    """Read a ``.gpd`` table and, when a path is given, a ``.map`` of its order."""
+    g = parse_groupoid(Path(table).read_text())
+    if mapping is None:
+        return g, None
+    f = parse_mapping(Path(mapping).read_text())
+    if len(f) != g.order:
+        raise ValueError(f"mapping size {len(f)} does not match table order {g.order}")
+    return g, f
+
+
 def _check_report(g: Groupoid, mapping) -> dict:
+    associative = g.is_associative()
+    identities = {t: satisfies_variety(g, t) for t in VARIETIES}
     try:
         inverse_table(g)
         has_inverses = True
@@ -106,17 +119,17 @@ def _check_report(g: Groupoid, mapping) -> dict:
         "schema": "check_report@1",
         "groupoid": {
             "order": g.order,
-            "associative": g.is_associative(),
+            "associative": associative,
             "idempotents": sorted(g.idempotents()),
-            "band": g.is_associative() and satisfies_variety(g, "B"),
+            "band": associative and identities["B"],
             "idempotents_form_semilattice": idempotents_form_semilattice(g),
             "inverse": has_inverses,
             "completely_inverse": is_completely_inverse(g),
             "right_bol": is_right_bol(g),
             "strongly_regular": strongly_regular_witness(g) is not None,
             "semilattice_of_groups": is_semilattice_of_groups(g),
-            "identity_classes": {t: satisfies_variety(g, t) for t in VARIETIES},
-            "semigroup_classes": {t: in_semigroup_class(g, t) for t in VARIETIES},
+            "identity_classes": identities,
+            "semigroup_classes": {t: associative and identities[t] for t in VARIETIES},
             "involutive_automorphisms": [
                 list(f) for f in involutive_automorphisms(g)
             ],
@@ -139,21 +152,14 @@ def _check_report(g: Groupoid, mapping) -> dict:
             "right_translation": in_rt(g, f),
             "absorption": absorption_law(g, f),
             "shifted_associativity": shifted,
-            "shift_both_forms": shifted and g.is_associative(),
+            "shift_both_forms": shifted and associative,
         }
     return report
 
 
 def cmd_check(args) -> int:
     try:
-        g = parse_groupoid(Path(args.table).read_text())
-        mapping = None
-        if args.mapping is not None:
-            mapping = parse_mapping(Path(args.mapping).read_text())
-            if len(mapping) != g.order:
-                return _fail(
-                    f"mapping size {len(mapping)} does not match table order {g.order}"
-                )
+        g, mapping = _load(args.table, args.mapping)
     except _INPUT_ERRORS as exc:
         return _fail(str(exc))
     _emit(_check_report(g, mapping), args.format)
@@ -162,7 +168,7 @@ def cmd_check(args) -> int:
 
 def cmd_decide(args) -> int:
     try:
-        g = parse_groupoid(Path(args.table).read_text())
+        g, _ = _load(args.table, None)
     except _INPUT_ERRORS as exc:
         return _fail(str(exc))
     try:
@@ -195,14 +201,7 @@ def cmd_build(args) -> int:
 
 def cmd_decompose(args) -> int:
     try:
-        g = parse_groupoid(Path(args.table).read_text())
-        alpha = None
-        if args.mapping is not None:
-            alpha = parse_mapping(Path(args.mapping).read_text())
-            if len(alpha) != g.order:
-                return _fail(
-                    f"mapping size {len(alpha)} does not match table order {g.order}"
-                )
+        g, alpha = _load(args.table, args.mapping)
     except _INPUT_ERRORS as exc:
         return _fail(str(exc))
     try:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidSpec, MalformedInput, NotDetermined, NotInverse
-from .groupoid import Groupoid, _numbered_content_lines
+from .errors import InvalidSpec, NotDetermined, NotInverse
+from .groupoid import Groupoid, _ContentLines
 from .inverses import inverse_table
 from .mappings import Mapping, is_homomorphism, is_involution
 
@@ -457,85 +457,21 @@ def parse_cspec(text: str) -> ConstructionSpec:
     exactly the strictly comparable pairs in lexicographic order, and no
     trailing content is allowed.
     """
-    lines = _numbered_content_lines(text)
-    pos = 0
-
-    def take(what: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
-            raise MalformedInput(f"unexpected end of input, expected {what}")
-        entry = lines[pos]
-        pos += 1
-        return entry
-
-    def take_ints(count: int, bound: int, what: str) -> tuple[int, ...]:
-        lineno, line = take(what)
-        parts = line.split()
-        if len(parts) != count:
-            raise MalformedInput(
-                f"expected {count} entries for {what}, got {len(parts)}", lineno
-            )
-        values = []
-        for part in parts:
-            try:
-                v = int(part)
-            except ValueError:
-                raise MalformedInput(f"bad entry {part!r} in {what}", lineno) from None
-            if not 0 <= v < bound:
-                raise MalformedInput(
-                    f"entry {v} outside 0..{bound - 1} in {what}", lineno
-                )
-            values.append(v)
-        return tuple(values)
-
-    def take_header(expected: str):
-        lineno, line = take(f"header {expected!r}")
-        if line != expected:
-            raise MalformedInput(f"expected {expected!r}, got {line!r}", lineno)
-
-    lineno, head = take("semilattice header")
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "semilattice":
-        raise MalformedInput(f"expected 'semilattice <k>', got {head!r}", lineno)
-    try:
-        k = int(parts[1])
-    except ValueError:
-        raise MalformedInput(f"bad semilattice order {parts[1]!r}", lineno) from None
-    if k <= 0:
-        raise MalformedInput(f"semilattice order must be positive, got {k}", lineno)
-    meet = tuple(take_ints(k, k, "meet row") for _ in range(k))
-    semilattice = MeetSemilattice(meet)
-
+    lines = _ContentLines(text)
+    k = lines.size("order", "semilattice")
+    semilattice = MeetSemilattice(tuple(lines.ints(k, k, "meet row") for _ in range(k)))
     groups = []
     for e in range(k):
-        lineno, head = take("group header")
-        parts = head.split()
-        if len(parts) != 3 or parts[0] != "group":
-            raise MalformedInput(f"expected 'group {e} <m>', got {head!r}", lineno)
-        if parts[1] != str(e):
-            raise MalformedInput(
-                f"expected group section for block {e}, got {parts[1]!r}", lineno
-            )
-        try:
-            m = int(parts[2])
-        except ValueError:
-            raise MalformedInput(f"bad group order {parts[2]!r}", lineno) from None
-        if m <= 0:
-            raise MalformedInput(f"group order must be positive, got {m}", lineno)
-        rows = tuple(take_ints(m, m, f"group {e} row") for _ in range(m))
-        take_header(f"alpha {e}")
-        involution = take_ints(m, m, f"alpha {e} images")
-        groups.append(GroupSpec(rows, involution))
-
+        m = lines.size("order", f"group {e}")
+        rows = tuple(lines.ints(m, m, f"group {e} row") for _ in range(m))
+        lines.header(f"alpha {e}")
+        groups.append(GroupSpec(rows, lines.ints(m, m, f"alpha {e} images")))
     homs = []
     for f, e in semilattice.strict_pairs():
-        take_header(f"hom {f} {e}")
-        images = take_ints(groups[f].order, groups[e].order, f"hom {f} {e} images")
+        lines.header(f"hom {f} {e}")
+        images = lines.ints(groups[f].order, groups[e].order, f"hom {f} {e} images")
         homs.append(((f, e), images))
-
-    if pos != len(lines):
-        lineno, line = lines[pos]
-        raise MalformedInput(f"unexpected trailing content {line!r}", lineno)
+    lines.end()
     return ConstructionSpec(
         semilattice=semilattice, groups=tuple(groups), homs=tuple(homs)
     )

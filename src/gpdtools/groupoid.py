@@ -13,23 +13,6 @@ from typing import Iterator
 
 from .errors import MalformedInput, NotClosed
 
-#: Tags for the twelve product identities handled by :func:`satisfies_variety`,
-#: in their fixed canonical order.
-VARIETIES = (
-    "B",
-    "L0",
-    "R0",
-    "RB",
-    "IB",
-    "IL0",
-    "IR0",
-    "IRB",
-    "GB",
-    "GL0",
-    "GR0",
-    "GRB",
-)
-
 
 @dataclass(frozen=True)
 class Groupoid:
@@ -260,6 +243,10 @@ _CHECKERS = {
     "GRB": _sat_GRB,
 }
 
+#: Tags for the twelve product identities handled by :func:`satisfies_variety`,
+#: in their fixed canonical order.
+VARIETIES = tuple(_CHECKERS)
+
 
 def satisfies_variety(g: Groupoid, variety: str) -> bool:
     """Exhaustively test one of the twelve product identities.
@@ -290,40 +277,11 @@ def parse_groupoid(text: str) -> Groupoid:
     Each row is one line of ``n`` whitespace-separated integers in
     ``0..n-1``.  Blank lines and lines starting with ``#`` are ignored.
     """
-    lines = _numbered_content_lines(text)
-    if not lines:
-        raise MalformedInput("empty input, expected an order line")
-    lineno, head = lines[0]
-    try:
-        n = int(head)
-    except ValueError:
-        raise MalformedInput(f"expected integer order, got {head!r}", lineno) from None
-    if n <= 0:
-        raise MalformedInput(f"order must be positive, got {n}", lineno)
-    if len(lines) - 1 > n:
-        extra_lineno = lines[1 + n][0]
-        raise MalformedInput("unexpected trailing content", extra_lineno)
-    if len(lines) - 1 < n:
-        raise MalformedInput(
-            f"expected {n} rows after the order line, got {len(lines) - 1}",
-            lines[-1][0] + 1,
-        )
-    rows = []
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != n:
-            raise MalformedInput(f"expected {n} entries, got {len(parts)}", lineno)
-        row = []
-        for part in parts:
-            try:
-                v = int(part)
-            except ValueError:
-                raise MalformedInput(f"bad entry {part!r}", lineno) from None
-            if not 0 <= v < n:
-                raise MalformedInput(f"entry {v} outside 0..{n - 1}", lineno)
-            row.append(v)
-        rows.append(tuple(row))
-    return Groupoid(tuple(rows))
+    lines = _ContentLines(text)
+    n = lines.size("order")
+    rows = tuple(lines.ints(n, n, "row") for _ in range(n))
+    lines.end()
+    return Groupoid(rows)
 
 
 def serialize_groupoid(g: Groupoid) -> str:
@@ -333,11 +291,73 @@ def serialize_groupoid(g: Groupoid) -> str:
     return "\n".join(out) + "\n"
 
 
-def _numbered_content_lines(text: str) -> list[tuple[int, str]]:
-    """Non-blank, non-comment lines with their 1-based line numbers."""
-    result = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            result.append((i, line))
-    return result
+class _ContentLines:
+    """The content lines of a ``.gpd``, ``.map`` or ``.cspec`` text, read in order.
+
+    Blank lines and lines starting with ``#`` are skipped.  Every error
+    names a line: the offending one, or, when content is missing, the line
+    after the last content line (line 1 for an empty input).
+    """
+
+    def __init__(self, text: str):
+        self._lines = [
+            (i, line)
+            for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
+            if line and not line.startswith("#")
+        ]
+        self._pos = 0
+
+    def _take(self, what: str) -> tuple[int, str]:
+        if self._pos == len(self._lines):
+            lineno = self._lines[-1][0] + 1 if self._lines else 1
+            raise MalformedInput(f"unexpected end of input, expected {what}", lineno)
+        self._pos += 1
+        return self._lines[self._pos - 1]
+
+    def ints(self, count: int, bound: int, what: str) -> tuple[int, ...]:
+        """One line of ``count`` integers in ``0..bound-1``."""
+        lineno, line = self._take(what)
+        parts = line.split()
+        if len(parts) != count:
+            raise MalformedInput(
+                f"expected {count} entries in {what}, got {len(parts)}", lineno
+            )
+        values = []
+        for part in parts:
+            try:
+                v = int(part)
+            except ValueError:
+                raise MalformedInput(f"bad entry {part!r} in {what}", lineno) from None
+            if not 0 <= v < bound:
+                raise MalformedInput(
+                    f"entry {v} outside 0..{bound - 1} in {what}", lineno
+                )
+            values.append(v)
+        return tuple(values)
+
+    def size(self, what: str, label: str = "") -> int:
+        """A positive integer, alone on its line or after the words of ``label``."""
+        form = repr(f"{label} <{what}>") if label else what
+        lineno, line = self._take(form)
+        *words, field = line.split()
+        if words != label.split():
+            raise MalformedInput(f"expected {form}, got {line!r}", lineno)
+        try:
+            n = int(field)
+        except ValueError:
+            raise MalformedInput(f"bad {what} {field!r}", lineno) from None
+        if n <= 0:
+            raise MalformedInput(f"{what} must be positive, got {n}", lineno)
+        return n
+
+    def header(self, expected: str) -> None:
+        """A line that reads exactly ``expected``."""
+        lineno, line = self._take(repr(expected))
+        if line != expected:
+            raise MalformedInput(f"expected {expected!r}, got {line!r}", lineno)
+
+    def end(self) -> None:
+        """No content left."""
+        if self._pos < len(self._lines):
+            lineno, line = self._lines[self._pos]
+            raise MalformedInput(f"unexpected trailing content {line!r}", lineno)

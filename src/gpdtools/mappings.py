@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import MalformedInput
-from .groupoid import Groupoid
+from .groupoid import Groupoid, _ContentLines
 
 Mapping = tuple[int, ...]
 
@@ -201,36 +200,11 @@ def parse_mapping(text: str) -> Mapping:
     The second content line holds ``n`` whitespace-separated integers in
     ``0..n-1``.  Blank lines and ``#`` comments are ignored.
     """
-    from .groupoid import _numbered_content_lines
-
-    lines = _numbered_content_lines(text)
-    if not lines:
-        raise MalformedInput("empty input, expected a size line")
-    lineno, head = lines[0]
-    try:
-        n = int(head)
-    except ValueError:
-        raise MalformedInput(f"expected integer size, got {head!r}", lineno) from None
-    if n <= 0:
-        raise MalformedInput(f"size must be positive, got {n}", lineno)
-    if len(lines) != 2:
-        raise MalformedInput(
-            f"expected exactly one image line after the size line, got {len(lines) - 1}"
-        )
-    lineno, line = lines[1]
-    parts = line.split()
-    if len(parts) != n:
-        raise MalformedInput(f"expected {n} images, got {len(parts)}", lineno)
-    images = []
-    for part in parts:
-        try:
-            v = int(part)
-        except ValueError:
-            raise MalformedInput(f"bad image {part!r}", lineno) from None
-        if not 0 <= v < n:
-            raise MalformedInput(f"image {v} outside 0..{n - 1}", lineno)
-        images.append(v)
-    return tuple(images)
+    lines = _ContentLines(text)
+    n = lines.size("size")
+    images = lines.ints(n, n, "images")
+    lines.end()
+    return images
 
 
 def serialize_mapping(f: Mapping) -> str:

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior, driven through ``main(argv)``."""
 
+import hashlib
 import json
 
 import pytest
 
 from gpdtools.cli import main
+from gpdtools.groupoid import Groupoid
 
 # ---------------------------------------------------------------------------
 # Helpers.
@@ -132,6 +134,52 @@ def test_check_mapping_size_mismatch(examples_dir, capsys):
     assert "mapping size 2 does not match table order 3" in err
 
 
+def test_check_reports_are_pinned(examples_dir, capsys):
+    # sha256 of every bundled fixture's check report, with and without its
+    # mapping, in both formats: the report must stay byte-identical when the
+    # way its keys are computed changes.
+    pins = {
+        ("band3", False, "json"): "de6a9fa1b22b4d19f4d62845a41072c9be81a6fbf9b14fefb0552496386fa1d1",
+        ("band3", False, "text"): "070dc4da8ab2e8751be9d26f510a00ace04205d563a50c7eb949b0cb080ab06b",
+        ("band3", True, "json"): "b2fed69a76c3b3e8b7af269d2cc53117dc18c7f9c79ba9cf7a2448a708653cab",
+        ("band3", True, "text"): "1199745f2dbd800940f2b9a6933d37c6bca06b306433969328377cc5dd829333",
+        ("flip2", False, "json"): "8f066cd948d624ad4ffde420f71ffa48ec0644f1bad8fb67621210d8ef7f7bc1",
+        ("flip2", False, "text"): "ebe8c01b4aa8ffd4247127451b8a024e2c867e750ab262b15c4a79335a5d687b",
+        ("flip2", True, "json"): "4aae93caa827427b0e0c5bb279b8bec4a1d187629bb96bb2db41ef38a05c65b9",
+        ("flip2", True, "text"): "2c9e52e95a2726ed0f81702e2485cb384a665c2eeaa146ebacad00c516978599",
+        ("z3twist", False, "json"): "cc1c2816193ebf2f7247245a9bb574ee12823fe4882f7f6bc5644715b6fa629c",
+        ("z3twist", False, "text"): "2d3f186964874d143276ddb8e32737ff4401153811891bec68ddff12daabb4ce",
+        ("z3twist", True, "json"): "ce425e6440af71da0d1c8ed2b9161ec098000b1b31473092e28717a2c8a7d8f3",
+        ("z3twist", True, "text"): "8767dfbf4f56cdeec793038407fb0b727bc64cc616fdc897157031b7c0da31c5",
+    }
+    for (name, with_map, fmt), digest in pins.items():
+        argv = ["check", str(examples_dir / f"{name}.gpd")]
+        if with_map:
+            argv.append(str(examples_dir / f"{name}.map"))
+        code, out, _ = _run(capsys, argv + ["--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, with_map, fmt)
+
+
+def test_check_tests_associativity_twice(examples_dir, capsys, monkeypatch):
+    # Once for the report's associativity-derived keys and once inside
+    # is_semilattice_of_groups.
+    calls = []
+    original = Groupoid.is_associative
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(Groupoid, "is_associative", counted)
+    code, _, _ = _run(
+        capsys,
+        ["check", str(examples_dir / "band3.gpd"), str(examples_dir / "band3.map")],
+    )
+    assert code == 0
+    assert len(calls) == 2
+
+
 def test_check_missing_file(tmp_path, capsys):
     code, _, err = _run(capsys, ["check", str(tmp_path / "absent.gpd")])
     assert code == 2 and err.startswith("error:")
@@ -233,6 +281,14 @@ def test_decompose_with_mapping(examples_dir, tmp_path, capsys):
     assert (
         tmp_path / "dec.cspec"
     ).read_text() == (examples_dir / "z3twist.cspec").read_text()
+
+
+def test_decompose_mapping_size_mismatch(examples_dir, capsys):
+    paths = [str(examples_dir / "band3.gpd"), str(examples_dir / "flip2.map")]
+    _, _, check_err = _run(capsys, ["check", *paths])
+    code, out, err = _run(capsys, ["decompose", *paths])
+    assert code == 2 and out == ""
+    assert err == check_err == "error: mapping size 2 does not match table order 3\n"
 
 
 def test_decompose_uses_decision_witness(examples_dir, capsys):

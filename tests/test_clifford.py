@@ -245,22 +245,29 @@ def test_parse_cspec_with_comments():
     assert spec.groups[0].order == 1
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "semilattice 1\n0\n",  # missing group section
-        "semilattice 1\n0\ngroup 1 1\n0\nalpha 1\n0\n",  # wrong block label
-        "semilattice 1\n0\ngroup 0 1\n0\nalpha 0\n0\nhom 0 0\n0\n",  # stray hom
+_CSPEC_ERRORS = [
+    ("", 1),
+    ("semilattice 1\n0\n", 3),  # missing group section
+    ("semilattice 1\n0\ngroup 1 1\n0\nalpha 1\n0\n", 3),  # wrong block label
+    ("semilattice 1\n0\ngroup 0 1\n0\nalpha 0\n0\nhom 0 0\n0\n", 7),  # stray hom
+    (
         "semilattice 2\n0 0\n0 1\ngroup 0 1\n0\nalpha 0\n0\n"
-        "group 1 1\n0\nalpha 1\n0\n",  # missing hom section
-        "semilattice 1\n0\ngroup 0 1\n0\nalpha 0\n0\nextra\n",  # trailing junk
-        "group 0 1\n0\nalpha 0\n0\n",  # wrong leading section
-    ],
+        "group 1 1\n0\nalpha 1\n0\n",
+        12,
+    ),  # missing hom section
+    ("semilattice 1\n0\ngroup 0 1\n0\nalpha 0\n0\nextra\n", 7),  # trailing junk
+    ("group 0 1\n0\nalpha 0\n0\n", 1),  # wrong leading section
+    ("semilattice 1\n0\ngroup 0 1\n0\nalpha 0\n", 6),  # missing alpha images
+]
+
+
+@pytest.mark.parametrize(
+    "text, line", _CSPEC_ERRORS, ids=[text for text, _ in _CSPEC_ERRORS]
 )
-def test_parse_cspec_errors(text):
-    with pytest.raises(MalformedInput):
+def test_parse_cspec_errors(text, line):
+    with pytest.raises(MalformedInput) as err:
         parse_cspec(text)
+    assert err.value.line == line
 
 
 def test_parse_cspec_error_line_numbers():

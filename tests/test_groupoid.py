@@ -158,16 +158,17 @@ def test_parse_comments_and_blanks():
 @pytest.mark.parametrize(
     "text, line",
     [
-        ("", None),  # empty input
+        ("", 1),  # empty input
         ("x\n0\n", 1),  # size not a number
         ("2\n0 1\n", 3),  # missing row reported at its expected position
         ("2\n0 1 1\n1 0\n", 2),  # wrong row width
         ("2\n0 2\n1 0\n", 2),  # entry out of range
         ("1\n0\nextra\n", 3),  # trailing content
+        ("2\n0 9\n1 0\nextra\n", 2),  # first problem in reading order
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(MalformedInput) as err:
         parse_groupoid(text)
-    if line is not None:
-        assert f"line {line}:" in str(err.value)
+    assert err.value.line == line
+    assert f"line {line}:" in str(err.value)

@@ -181,20 +181,25 @@ def test_parse_serialize_mapping():
     assert parse_mapping("# c\n\n2\n1 0\n") == (1, 0)
 
 
+_MAPPING_ERRORS = [
+    ("", 1),
+    ("2\n1\n", 2),  # too few images
+    ("2\n0 1 0\n", 2),  # too many images
+    ("2\n0 2\n", 2),  # image out of range
+    ("2\n0 1\n0\n", 3),  # trailing content
+    ("q\n0 1\n", 1),  # bad size
+    ("2\n", 2),  # missing image line
+    ("2\n0 1\n1 0\n", 3),  # second image line
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "2\n1\n",  # too few images
-        "2\n0 1 0\n",  # too many images
-        "2\n0 2\n",  # image out of range
-        "2\n0 1\n0\n",  # trailing content
-        "q\n0 1\n",  # bad size
-    ],
+    "text, line", _MAPPING_ERRORS, ids=[text for text, _ in _MAPPING_ERRORS]
 )
-def test_parse_mapping_errors(text):
-    with pytest.raises(MalformedInput):
+def test_parse_mapping_errors(text, line):
+    with pytest.raises(MalformedInput) as err:
         parse_mapping(text)
+    assert err.value.line == line
 
 
 def test_parse_mapping_error_line_numbers():
