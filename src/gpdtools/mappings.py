@@ -69,18 +69,29 @@ def is_homomorphism(f: Mapping, g: Groupoid, h: Groupoid) -> bool:
     )
 
 
-def _isomorphisms(g: Groupoid, h: Groupoid, first_only: bool):
+def _isomorphisms(
+    g: Groupoid, h: Groupoid, first_only: bool, involutive: bool = False
+):
     """Backtracking search for bijective homomorphisms ``g -> h``.
 
     Images are assigned to 0, 1, 2, ... in ascending candidate order, so the
     complete output is lexicographically sorted.  After assigning the image
     of ``k`` we check every product constraint whose three participants
-    (both factors and the product) are all assigned, and that involves ``k``:
-    pairs ``(i, k)`` and ``(k, i)`` with ``i <= k`` whose product is ``<= k``,
-    plus older pairs ``(i, j)`` with ``i, j < k`` whose product equals ``k``.
-    Every pair ``(i, j)`` is thus checked exactly once, at step
-    ``max(i, j, i*j)``, which makes accepted full assignments genuine
-    homomorphisms.
+    (both factors and the product) are all at positions ``<= k``, and that
+    involves ``k``: pairs ``(i, k)`` and ``(k, i)`` with ``i <= k`` whose
+    product is ``<= k``, plus older pairs ``(i, j)`` with ``i, j < k`` whose
+    product equals ``k``.  Every pair ``(i, j)`` is thus checked exactly
+    once, at step ``max(i, j, i*j)``, which makes accepted full assignments
+    genuine homomorphisms.
+
+    With ``involutive`` (and ``h`` equal to ``g``) only self-inverse maps
+    are searched.  Choosing ``image[k] = c`` with ``c > k`` forces
+    ``image[c] = k``; a position whose image is already forced has that one
+    candidate, and a free position ``k`` takes only candidates ``c >= k``
+    whose own image is unassigned.  Any self-inverse map agreeing with the
+    assigned prefix meets these rules, so the search still yields every
+    involutive automorphism, in the same lexicographic order, without
+    visiting the other automorphisms.
     """
     n = g.order
     if h.order != n:
@@ -103,11 +114,18 @@ def _isomorphisms(g: Groupoid, h: Groupoid, first_only: bool):
         if k == n:
             found.append(tuple(image))
             return first_only
-        for cand in range(n):
-            if used[cand]:
-                continue
+        forced = image[k]
+        if forced != -1:
+            candidates = (forced,)
+        else:
+            # In the involutive mode, used[c] for c >= k means image[c] is
+            # forced.
+            candidates = [c for c in range(k if involutive else 0, n) if not used[c]]
+        for cand in candidates:
             image[k] = cand
             used[cand] = True
+            if involutive:
+                image[cand] = k
             ok = True
             for i in range(k + 1):
                 p = grows[i][k]
@@ -126,7 +144,9 @@ def _isomorphisms(g: Groupoid, h: Groupoid, first_only: bool):
             if ok and extend(k + 1):
                 return True
             used[cand] = False
-        image[k] = -1
+            if involutive and cand > k:
+                image[cand] = -1
+        image[k] = forced
         return False
 
     extend(0)
@@ -148,9 +168,14 @@ def automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
 
 @lru_cache(maxsize=4096)
 def involutive_automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
-    """All self-inverse automorphisms of ``g`` (includes the identity map
-    whenever it is an automorphism, i.e. always)."""
-    return tuple(f for f in automorphisms(g) if is_involution(f))
+    """All self-inverse automorphisms of ``g`` in lexicographic order
+    (includes the identity map, which is always one).
+
+    Searched directly: the automorphisms that are not self-inverse are
+    never built, so the cost follows the number of involutions that fit
+    the table rather than the size of its automorphism group.
+    """
+    return tuple(_isomorphisms(g, g, first_only=False, involutive=True))
 
 
 def e_fixed_involutive_automorphisms(g: Groupoid) -> tuple[Mapping, ...]:

@@ -15,10 +15,12 @@ from gpdtools import (
     ad_membership_characterized,
     ad_membership_direct,
     ad_membership_profile,
+    automorphisms,
     check_class_relations,
     check_twisted_semigroup,
     check_twisted_slg,
     decide,
+    enumerate_groupoids,
     identity_mapping,
     in_semigroup_class,
     involutions,
@@ -27,6 +29,7 @@ from gpdtools import (
     is_semilattice_of_groups,
     parse_groupoid,
     random_groupoids,
+    square_subgroupoid,
     twist,
     untwist,
 )
@@ -38,6 +41,8 @@ from gpdtools.fixtures import (
     Z3_NEGATION,
     Z3_TWIST,
 )
+
+from .test_mappings import _left_zero_band
 
 CHAIN2 = parse_groupoid("3\n0 0 0\n0 1 2\n0 2 1\n")  # trivial group under Z2
 
@@ -157,6 +162,21 @@ def test_direct_membership_against_oracle():
             expected = _oracle_direct(g, tag, _ORACLES[tag])
             assert ad_membership_direct(g, tag) == expected
             assert profile[tag] == expected
+
+
+def test_membership_profile_agrees_with_direct_on_small_tables():
+    tables = {}
+    exhaustive = itertools.chain.from_iterable(
+        enumerate_groupoids(n) for n in (1, 2, 3)
+    )
+    for g in itertools.chain(exhaustive, random_groupoids(4, 2000, seed=67)):
+        tables[g] = None
+        tables[square_subgroupoid(g)[0]] = None
+    for g in tables:
+        expected = {tag: ad_membership_direct(g, tag) for tag in VARIETIES}
+        assert ad_membership_profile(g) == expected, g.rows
+    # Every square subgroupoid is an exhaustive table or its own sample.
+    assert len(tables) == 19_700 + 2000
 
 
 def test_fixture_membership_profiles():
@@ -286,6 +306,31 @@ def test_decide_large_negation_twist():
     assert rep.determined
     assert all(v.passed for v in rep.criteria.values())
     assert twist(rep.witness.star, rep.witness.alpha) == g
+
+
+def _decide_left_zero_band(n):
+    """Decide the order-``n`` left-zero band (negative) and return its
+    cached involutive automorphisms, checking that the full automorphism
+    group was never listed."""
+    g = _left_zero_band(n)
+    involutive_automorphisms.cache_clear()
+    misses = automorphisms.cache_info().misses
+    assert not decide(g).determined
+    assert automorphisms.cache_info().misses == misses
+    hits = involutive_automorphisms.cache_info().hits
+    found = involutive_automorphisms(g)
+    assert involutive_automorphisms.cache_info().hits == hits + 1
+    return found
+
+
+def test_decide_left_zero_band_lists_only_involutions():
+    # 2,620 involutive automorphisms out of 9! = 362,880 automorphisms.
+    assert len(_decide_left_zero_band(9)) == 2620
+
+
+@pytest.mark.extended
+def test_decide_left_zero_band_order_twelve():
+    assert len(_decide_left_zero_band(12)) == 140_152
 
 
 def test_decide_report_json():

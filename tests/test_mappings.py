@@ -9,7 +9,11 @@ from gpdtools import (
     MalformedInput,
     absorption_law,
     automorphisms,
+    build_determined,
+    build_strong_slg,
     e_fixed_involutive_automorphisms,
+    enumerate_groupoids,
+    enumerate_specs,
     find_isomorphism,
     identity_mapping,
     inverse_table,
@@ -33,6 +37,8 @@ from gpdtools.fixtures import (
     Z3_NEGATION,
     Z3_TWIST,
 )
+
+from .test_inverses import _negation_twist
 
 
 def _oracle_automorphisms(g):
@@ -88,6 +94,39 @@ def test_involutive_automorphisms_fixture_facts():
     assert involutive_automorphisms(Z3_TWIST) == (identity_mapping(3), (0, 2, 1))
     assert involutive_automorphisms(Z3) == (identity_mapping(3), (0, 2, 1))
     assert FLIP2_SWAP in involutive_automorphisms(FLIP2)
+
+
+def _left_zero_band(n):
+    """``x*y = x``: every permutation is an automorphism."""
+    return Groupoid(tuple((x,) * n for x in range(n)))
+
+
+def test_involutive_automorphisms_agree_with_filtered_automorphisms():
+    exhaustive = itertools.chain.from_iterable(
+        enumerate_groupoids(n) for n in (1, 2, 3)
+    )
+    samples = random_groupoids(4, 2000, seed=19)
+    built = (
+        g
+        for spec in itertools.chain(enumerate_specs(2, 4), enumerate_specs(3, 3))
+        for g in (build_determined(spec)[0], build_strong_slg(spec))
+    )
+    bands = (_left_zero_band(n) for n in range(1, 9))
+    twists = (_negation_twist(n) for n in (16, 32, 64))
+    tables = 0
+    for g in itertools.chain(exhaustive, samples, built, bands, twists):
+        # Exact tuples: the lexicographic order is part of the contract.
+        expected = tuple(f for f in automorphisms(g) if is_involution(f))
+        assert involutive_automorphisms(g) == expected, g.rows
+        tables += 1
+    assert tables == 19_700 + 2000 + 948 + 8 + 3
+
+
+def test_involutive_automorphisms_of_left_zero_bands():
+    # Every involution of a left-zero band is an automorphism.
+    for n in range(1, 11):
+        assert involutive_automorphisms(_left_zero_band(n)) == involutions(n)
+    assert [len(involutions(n)) for n in (9, 10)] == [2620, 9496]
 
 
 def test_memoised_kernels_expose_cache_controls():
