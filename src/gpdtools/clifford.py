@@ -12,11 +12,12 @@ decomposes any decided-positive groupoid back into such data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import InvalidSpec, NotDetermined, NotInverse
 from .groupoid import Groupoid, _ContentLines
 from .inverses import inverse_table
-from .mappings import Mapping, is_homomorphism, is_involution
+from .mappings import Mapping, is_involution
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,8 @@ class MeetSemilattice:
     meet: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # Tuples throughout, so that the part checks can key on the value.
+        object.__setattr__(self, "meet", tuple(self.meet))
         k = len(self.meet)
         for row in self.meet:
             if not isinstance(row, tuple) or len(row) != k:
@@ -62,6 +65,8 @@ class GroupSpec:
     involution: Mapping
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "involution", tuple(self.involution))
         m = len(self.rows)
         for row in self.rows:
             if not isinstance(row, tuple) or len(row) != m:
@@ -107,39 +112,14 @@ class ConstructionSpec:
         return dict(self.homs)
 
 
-def _is_group(rows: tuple[tuple[int, ...], ...]) -> list[str]:
-    """Violation messages for the group axioms with identity at index 0."""
-    m = len(rows)
-    if m == 0:
-        return ["group is empty"]
-    problems = []
-    g = Groupoid(rows)
-    if not g.is_associative():
-        problems.append("group table is not associative")
-    if any(rows[0][x] != x or rows[x][0] != x for x in range(m)):
-        problems.append("local index 0 is not a two-sided identity")
-    for x in range(m):
-        if not any(rows[x][y] == 0 and rows[y][x] == 0 for y in range(m)):
-            problems.append(f"local element {x} has no two-sided inverse")
-    return problems
-
-
-def validate_spec(spec: ConstructionSpec) -> list[str]:
-    """All invariant violations in the construction data, as messages.
-
-    An empty list means the spec is valid.  Checked: the meet table is a
-    semilattice; each block is a group with identity at local 0 whose
-    mapping is a self-inverse identity-fixing automorphism; the connecting
-    maps cover exactly the strictly comparable pairs in order, are
-    homomorphisms of the per-block twisted tables, commute with the block
-    mappings, and compose transitively along chains; and the carrier, if
-    present, is a block-shaped partition of the combined index range.
-    """
-    problems: list[str] = []
-    sl = spec.semilattice
+@lru_cache(maxsize=4096)
+def _meet_problems(sl: MeetSemilattice) -> tuple[str, ...]:
+    """Violations of idempotence, commutativity and associativity."""
     meet = sl.meet
     k = sl.order
-
+    if k == 0:
+        return ("semilattice is empty",)
+    problems = []
     for e in range(k):
         if meet[e][e] != e:
             problems.append(f"meet not idempotent at {e}")
@@ -152,17 +132,90 @@ def validate_spec(spec: ConstructionSpec) -> list[str]:
             for h in range(k):
                 if meet[meet[e][f]][h] != meet[e][meet[f][h]]:
                     problems.append(f"meet not associative at ({e},{f},{h})")
+    return tuple(problems)
 
+
+@lru_cache(maxsize=4096)
+def _block_problems(group: GroupSpec) -> tuple[str, ...]:
+    """Violations of the group axioms (identity at local 0) and of the
+    block mapping being a self-inverse identity-fixing automorphism."""
+    rows = group.rows
+    m = group.order
+    if m == 0:
+        return ("group is empty",)
+    problems = []
+    if not Groupoid._trusted(rows).is_associative():
+        problems.append("group table is not associative")
+    if any(rows[0][x] != x or rows[x][0] != x for x in range(m)):
+        problems.append("local index 0 is not a two-sided identity")
+    for x in range(m):
+        if not any(rows[x][y] == 0 and rows[y][x] == 0 for y in range(m)):
+            problems.append(f"local element {x} has no two-sided inverse")
+    alpha = group.involution
+    if not is_involution(alpha):
+        problems.append("mapping is not an involution")
+    elif any(
+        alpha[rows[x][y]] != rows[alpha[x]][alpha[y]]
+        for x in range(m)
+        for y in range(m)
+    ):
+        problems.append("mapping is not an automorphism")
+    if alpha[0] != 0:
+        problems.append("mapping does not fix the identity")
+    return tuple(problems)
+
+
+_MISFIT = "images do not fit the blocks"
+
+
+@lru_cache(maxsize=4096)
+def _map_problems(src: GroupSpec, dst: GroupSpec, images: Mapping) -> tuple[str, ...]:
+    """Violations of one connecting map: fitting the blocks, being a
+    homomorphism of the twisted blocks, and commuting with the block
+    mappings.  A map that does not fit gets :data:`_MISFIT` alone."""
+    if len(images) != src.order or any(not 0 <= v < dst.order for v in images):
+        return (_MISFIT,)
+    problems = []
+    # Homomorphism of the twisted block tables: the twisted product in
+    # block f is alpha_f(a) + b, in block e it is alpha_e(u) ∘ v.
+    srows, drows = src.rows, dst.rows
+    sa, da = src.involution, dst.involution
+    for a in range(src.order):
+        for b in range(src.order):
+            if images[srows[sa[a]][b]] != drows[da[images[a]]][images[b]]:
+                problems.append(
+                    f"not a homomorphism of the twisted blocks at ({a},{b})"
+                )
+                break
+        else:
+            continue
+        break
+    for b in range(src.order):
+        if da[images[b]] != images[sa[b]]:
+            problems.append(f"does not commute with the block mappings at {b}")
+            break
+    return tuple(problems)
+
+
+def validate_spec(spec: ConstructionSpec) -> list[str]:
+    """All invariant violations in the construction data, as messages.
+
+    An empty list means the spec is valid.  Checked: the meet table is a
+    semilattice; each block is a group with identity at local 0 whose
+    mapping is a self-inverse identity-fixing automorphism; the connecting
+    maps cover exactly the strictly comparable pairs in order, are
+    homomorphisms of the per-block twisted tables, commute with the block
+    mappings, and compose transitively along chains; and the carrier, if
+    present, is a block-shaped partition of the combined index range.
+
+    The semilattice, block and connecting-map checks are memoised per
+    part, so validating specs that share parts pays for each part once.
+    """
+    sl = spec.semilattice
+    k = sl.order
+    problems = list(_meet_problems(sl))
     for e, group in enumerate(spec.groups):
-        for msg in _is_group(group.rows):
-            problems.append(f"block {e}: {msg}")
-        alpha = group.involution
-        if not is_involution(alpha):
-            problems.append(f"block {e}: mapping is not an involution")
-        elif not is_homomorphism(alpha, Groupoid(group.rows), Groupoid(group.rows)):
-            problems.append(f"block {e}: mapping is not an automorphism")
-        if alpha and alpha[0] != 0:
-            problems.append(f"block {e}: mapping does not fix the identity")
+        problems += [f"block {e}: {msg}" for msg in _block_problems(group)]
 
     expected_pairs = sl.strict_pairs()
     given_pairs = tuple(pair for pair, _ in spec.homs)
@@ -175,53 +228,26 @@ def validate_spec(spec: ConstructionSpec) -> list[str]:
     homs = spec.hom_map()
     bad_pairs = set()
     for (f, e), images in homs.items():
-        src, dst = spec.groups[f], spec.groups[e]
-        if len(images) != src.order or any(
-            not 0 <= v < dst.order for v in images
-        ):
-            problems.append(f"map ({f}>{e}): images do not fit the blocks")
+        found = _map_problems(spec.groups[f], spec.groups[e], tuple(images))
+        if found == (_MISFIT,):
             bad_pairs.add((f, e))
-            continue
-        # Homomorphism of the twisted block tables: the twisted product in
-        # block f is alpha_f(a) + b, in block e it is alpha_e(u) ∘ v.
-        srows, drows = src.rows, dst.rows
-        sa, da = src.involution, dst.involution
-        for a in range(src.order):
-            for b in range(src.order):
-                if images[srows[sa[a]][b]] != drows[da[images[a]]][images[b]]:
+        problems += [f"map ({f}>{e}): {msg}" for msg in found]
+
+    # Chains g > f > e, in lexicographic order of (g, f, e).
+    for g, f in expected_pairs:
+        for e in range(k):
+            if e == g or e == f or not sl.leq(e, f):
+                continue
+            if bad_pairs & {(g, f), (f, e), (g, e)}:
+                continue
+            upper, lower, direct = homs[(g, f)], homs[(f, e)], homs[(g, e)]
+            for a in range(spec.groups[g].order):
+                if lower[upper[a]] != direct[a]:
                     problems.append(
-                        f"map ({f}>{e}): not a homomorphism of the twisted "
-                        f"blocks at ({a},{b})"
+                        f"maps ({g}>{f}>{e}): composition differs from the "
+                        f"direct map at {a}"
                     )
                     break
-            else:
-                continue
-            break
-        for b in range(src.order):
-            if da[images[b]] != images[sa[b]]:
-                problems.append(
-                    f"map ({f}>{e}): does not commute with the block mappings "
-                    f"at {b}"
-                )
-                break
-
-    for g in range(k):
-        for f in range(k):
-            for e in range(k):
-                if len({g, f, e}) != 3:
-                    continue
-                if not (sl.leq(e, f) and sl.leq(f, g)):
-                    continue
-                if bad_pairs & {(g, f), (f, e), (g, e)}:
-                    continue
-                upper, lower, direct = homs[(g, f)], homs[(f, e)], homs[(g, e)]
-                for a in range(spec.groups[g].order):
-                    if lower[upper[a]] != direct[a]:
-                        problems.append(
-                            f"maps ({g}>{f}>{e}): composition differs from the "
-                            f"direct map at {a}"
-                        )
-                        break
 
     if spec.carrier is not None:
         sizes = [group.order for group in spec.groups]
@@ -236,54 +262,72 @@ def validate_spec(spec: ConstructionSpec) -> list[str]:
     return problems
 
 
-class _Layout:
-    """Global/local index bookkeeping for one construction spec."""
-
-    def __init__(self, spec: ConstructionSpec):
-        sizes = [group.order for group in spec.groups]
-        if spec.carrier is not None:
-            blocks = spec.carrier
-        else:
-            blocks, start = [], 0
-            for size in sizes:
-                blocks.append(tuple(range(start, start + size)))
-                start += size
-        self.blocks = tuple(tuple(block) for block in blocks)
-        self.total = sum(sizes)
-        self.home = [None] * self.total
-        for e, block in enumerate(self.blocks):
-            for i, gid in enumerate(block):
-                self.home[gid] = (e, i)
+def _blocks(spec: ConstructionSpec) -> tuple[tuple[int, ...], ...]:
+    """The global ids of each block, in local order."""
+    if spec.carrier is not None:
+        return spec.carrier
+    blocks, start = [], 0
+    for group in spec.groups:
+        blocks.append(tuple(range(start, start + group.order)))
+        start += group.order
+    return tuple(blocks)
 
 
 def _products(spec: ConstructionSpec, twisted: bool) -> tuple[Groupoid, Mapping]:
-    layout = _Layout(spec)
+    """The (twisted) product table of valid construction data, and the
+    glued mapping.
+
+    One pass over block pairs ``(e, f)``: row ``i`` of block ``e`` is
+    pushed into the meet block ``m`` once, its group row there is looked
+    up with labels already global, and the pushed images of block ``f``
+    read the cells of that row.  Rows are laid out block after block; a
+    carrier only permutes rows and columns at the end.
+    """
     meet = spec.semilattice.meet
-    homs = spec.hom_map()
+    groups = spec.groups
+    blocks = _blocks(spec)
+    k = len(groups)
+    # down[e][m]: local images in block m of block e's elements, for e >= m.
+    down: list[list] = [[None] * k for _ in range(k)]
+    for e, group in enumerate(groups):
+        down[e][e] = range(group.order)
+    for (e, m), images in spec.homs:
+        down[e][m] = images
+    # labelled[m][u]: row u of block m's (twisted) group table, in global ids.
+    labelled = []
+    for group, block in zip(groups, blocks):
+        rows = group.rows
+        if twisted:
+            rows = [rows[u] for u in group.involution]
+        labelled.append([tuple(map(block.__getitem__, row)) for row in rows])
 
-    def push(e: int, i: int, m: int) -> int:
-        return i if e == m else homs[(e, m)][i]
-
-    n = layout.total
-    rows = []
-    for a in range(n):
-        e, i = layout.home[a]
-        row = []
-        for b in range(n):
-            f, j = layout.home[b]
-            m = meet[e][f]
-            u = push(e, i, m)
-            v = push(f, j, m)
-            group = spec.groups[m]
-            if twisted:
-                u = group.involution[u]
-            row.append(layout.blocks[m][group.rows[u][v]])
-        rows.append(tuple(row))
-    alpha = [0] * n
-    for a in range(n):
-        e, i = layout.home[a]
-        alpha[a] = layout.blocks[e][spec.groups[e].involution[i]]
-    return Groupoid(tuple(rows)), tuple(alpha)
+    table = []
+    for e, block in enumerate(blocks):
+        # Per block f: the meet block's rows, e's pushes and f's pushes
+        # (None when f is the meet block itself, so its cells are the row).
+        plan = [
+            (labelled[m], down[e][m], None if f == m else down[f][m])
+            for f, m in enumerate(meet[e])
+        ]
+        for i in range(len(block)):
+            row: list[int] = []
+            for rows, left, right in plan:
+                cells = rows[left[i]]
+                row += cells if right is None else map(cells.__getitem__, right)
+            table.append(tuple(row))
+    alpha = [
+        block[u] for group, block in zip(groups, blocks) for u in group.involution
+    ]
+    if spec.carrier is None:
+        return Groupoid._trusted(tuple(table)), tuple(alpha)
+    # table[p] is the row of the element at layout position p, its cells in
+    # layout order; reorder both to the carrier's global ids.
+    layout = [gid for block in blocks for gid in block]
+    position = [0] * len(layout)
+    for p, gid in enumerate(layout):
+        position[gid] = p
+    rows = tuple(tuple(map(table[p].__getitem__, position)) for p in position)
+    return Groupoid._trusted(rows), tuple(alpha[p] for p in position)
 
 
 def _validated(spec: ConstructionSpec) -> ConstructionSpec:

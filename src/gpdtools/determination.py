@@ -65,7 +65,7 @@ def twist(star: Groupoid, f: Mapping) -> Groupoid:
     """
     if len(f) != star.order or not is_involution(f):
         raise NotInvolution(f"{f!r} is not an involution on 0..{star.order - 1}")
-    return Groupoid(tuple(star.rows[f[x]] for x in range(star.order)))
+    return Groupoid._trusted(tuple(star.rows[f[x]] for x in range(star.order)))
 
 
 #: Invert :func:`twist`: the base product ``x*y = g(f(x), y)``, so

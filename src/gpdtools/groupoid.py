@@ -38,6 +38,18 @@ class Groupoid:
         """Build a groupoid from any iterable of iterables of ints."""
         return Groupoid(tuple(tuple(row) for row in rows))
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "Groupoid":
+        """A table derived from valid data, made without re-validating it.
+
+        Only for rows that are a non-empty square tuple of tuples with
+        entries in range by construction; anything read from outside goes
+        through the validating constructor.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "rows", rows)
+        return g
+
     @property
     def order(self) -> int:
         return len(self.rows)
@@ -90,7 +102,7 @@ def square_subgroupoid(g: Groupoid) -> tuple[Groupoid, tuple[int, ...]]:
                 )
             row.append(index[p])
         rows.append(tuple(row))
-    return Groupoid(tuple(rows)), members
+    return Groupoid._trusted(tuple(rows)), members
 
 
 def _sat_B(g: Groupoid) -> bool:

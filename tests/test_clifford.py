@@ -1,5 +1,7 @@
 """Block construction data: validation, build, decompose, .cspec format."""
 
+import random
+
 import pytest
 
 from gpdtools import (
@@ -14,11 +16,20 @@ from gpdtools import (
     build_strong_slg,
     decide,
     decompose,
+    enumerate_specs,
+    is_homomorphism,
+    is_involution,
     is_semilattice_of_groups,
     parse_cspec,
     serialize_cspec,
     twist,
     validate_spec,
+)
+from gpdtools.clifford import (
+    _block_problems,
+    _map_problems,
+    _meet_problems,
+    _products,
 )
 from gpdtools.fixtures import BAND3, FLIP2, Z3, Z3_TWIST, Z3_TWIST_SPEC
 
@@ -67,36 +78,56 @@ def test_validate_spec_bad_meet():
         MeetSemilattice(((1, 0), (0, 1))), (Z1, Z1), (((1, 0), (0,)),)
     )
     assert "idempotent" in _problems(not_idem)
+    assert validate_spec(not_idem) == ["meet not idempotent at 0"]
     # commutativity violation: meet[0][1] != meet[1][0]
     bad = MeetSemilattice(((0, 1, 0), (0, 1, 1), (0, 1, 2)))
     spec = ConstructionSpec(bad, (Z1, Z1, Z1), tuple())
     assert "commutative" in _problems(spec) or "associative" in _problems(spec)
+    assert validate_spec(spec) == [
+        "meet not commutative at (0,1)",
+        "connecting maps cover pairs (), expected ((2, 0), (2, 1))",
+    ]
 
 
 def test_validate_spec_bad_group():
     not_group = GroupSpec(((0, 1), (0, 1)), (0, 1))
     spec = ConstructionSpec(POINT, (not_group,), ())
     assert _problems(spec) != ""
+    assert validate_spec(spec) == [
+        "block 0: local index 0 is not a two-sided identity",
+        "block 0: local element 1 has no two-sided inverse",
+    ]
 
 
 def test_validate_spec_bad_involution():
     # The swap is not an automorphism of Z2 (it moves the identity).
     bad = ConstructionSpec(POINT, (GroupSpec(((0, 1), (1, 0)), (1, 0)),), ())
     assert "automorphism" in _problems(bad) or "identity" in _problems(bad)
+    assert validate_spec(bad) == [
+        "block 0: mapping is not an automorphism",
+        "block 0: mapping does not fix the identity",
+    ]
 
 
 def test_validate_spec_hom_pair_coverage():
     missing = ConstructionSpec(CHAIN, (Z1, Z2), ())
     assert "pair" in _problems(missing)
+    assert validate_spec(missing) == [
+        "connecting maps cover pairs (), expected ((1, 0),)"
+    ]
     extra = ConstructionSpec(
         POINT, (Z1,), (((0, 0), (0,)),)
     )
     assert "pair" in _problems(extra)
+    assert validate_spec(extra) == [
+        "connecting maps cover pairs ((0, 0),), expected ()"
+    ]
 
 
 def test_validate_spec_bad_hom_images():
     out_of_range = ConstructionSpec(CHAIN, (Z1, Z2), (((1, 0), (0, 5)),))
     assert "image" in _problems(out_of_range) or "outside" in _problems(out_of_range)
+    assert validate_spec(out_of_range) == ["map (1>0): images do not fit the blocks"]
     # x -> x is not a homomorphism Z2 -> Z1 (images escape the block), use a
     # genuine non-homomorphism instead: Z2 -> Z2 swapping only one value is
     # not even well-formed; send both elements to 1 instead.
@@ -104,6 +135,9 @@ def test_validate_spec_bad_hom_images():
         CHAIN, (Z2, Z2), (((1, 0), (1, 1)),)
     )
     assert "homomorphism" in _problems(not_hom)
+    assert validate_spec(not_hom) == [
+        "map (1>0): not a homomorphism of the twisted blocks at (0,0)"
+    ]
 
 
 def test_validate_spec_involution_compat():
@@ -130,8 +164,56 @@ def test_validate_spec_transitivity():
 def test_validate_spec_bad_carrier():
     spec = ConstructionSpec(POINT, (Z2,), (), carrier=((0, 0),))
     assert _problems(spec) != ""
+    assert validate_spec(spec) == ["carrier is not a partition of the combined range"]
     spec = ConstructionSpec(POINT, (Z2,), (), carrier=((0, 2),))
     assert _problems(spec) != ""
+    assert validate_spec(spec) == ["carrier is not a partition of the combined range"]
+
+
+def test_validate_spec_empty_parts_and_list_fields():
+    # Empty parts are reported rather than built into an empty table.
+    empty = ConstructionSpec(MeetSemilattice(()), (), ())
+    assert validate_spec(empty) == ["semilattice is empty"]
+    with pytest.raises(InvalidSpec):
+        build_determined(empty)
+    hollow = ConstructionSpec(POINT, (GroupSpec((), ()),), ())
+    assert validate_spec(hollow) == ["block 0: group is empty"]
+    # Lists are stored as tuples, so every part stays hashable.
+    listed = ConstructionSpec(
+        MeetSemilattice([(0, 0), (0, 1)]), (Z1, GroupSpec([(0, 1), (1, 0)], [0, 1])),
+        (((1, 0), [0, 0]),),
+    )
+    assert listed == ConstructionSpec(CHAIN, (Z1, Z2), (((1, 0), [0, 0]),))
+    assert validate_spec(listed) == []
+    assert build_determined(listed) == build_determined(CHAIN_SPEC)
+
+
+def test_validate_spec_returns_a_fresh_list():
+    spec = ConstructionSpec(POINT, (GroupSpec(((0, 1), (1, 0)), (1, 0)),), ())
+    first = validate_spec(spec)
+    first.append("changed by the caller")
+    first[0] = "also changed"
+    assert validate_spec(spec) == [
+        "block 0: mapping is not an automorphism",
+        "block 0: mapping does not fix the identity",
+    ]
+    clean = validate_spec(CHAIN_SPEC)
+    clean.append("changed by the caller")
+    assert validate_spec(CHAIN_SPEC) == []
+
+
+def test_part_checks_expose_cache_controls():
+    parts = (_meet_problems, _block_problems, _map_problems)
+    for part in parts:
+        assert callable(part.cache_clear) and callable(part.cache_info)
+    specs = _mutants(_family()[::40], 300, seed=5) + [TWISTED_CHAIN_SPEC]
+    for part in parts:
+        part.cache_clear()
+    cold = [validate_spec(spec) for spec in specs]
+    assert _block_problems.cache_info().misses > 0
+    warm = [validate_spec(spec) for spec in specs]
+    assert _block_problems.cache_info().hits > 0
+    assert warm == cold == [_reference_validate_spec(spec) for spec in specs]
 
 
 def test_build_rejects_invalid():
@@ -274,3 +356,286 @@ def test_parse_cspec_error_line_numbers():
     with pytest.raises(MalformedInput) as err:
         parse_cspec("semilattice 1\nx\n")
     assert "line 2:" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the construction kernels: the straightforward per-spec
+# validation and per-cell product loop, kept here so the memoised part
+# checks and the one-pass product build are compared against them.
+# ---------------------------------------------------------------------------
+
+
+def _reference_is_group(rows):
+    m = len(rows)
+    if m == 0:
+        return ["group is empty"]
+    problems = []
+    if not Groupoid(rows).is_associative():
+        problems.append("group table is not associative")
+    if any(rows[0][x] != x or rows[x][0] != x for x in range(m)):
+        problems.append("local index 0 is not a two-sided identity")
+    for x in range(m):
+        if not any(rows[x][y] == 0 and rows[y][x] == 0 for y in range(m)):
+            problems.append(f"local element {x} has no two-sided inverse")
+    return problems
+
+
+def _reference_validate_spec(spec):
+    problems = []
+    sl = spec.semilattice
+    meet = sl.meet
+    k = sl.order
+
+    for e in range(k):
+        if meet[e][e] != e:
+            problems.append(f"meet not idempotent at {e}")
+    for e in range(k):
+        for f in range(e + 1, k):
+            if meet[e][f] != meet[f][e]:
+                problems.append(f"meet not commutative at ({e},{f})")
+    for e in range(k):
+        for f in range(k):
+            for h in range(k):
+                if meet[meet[e][f]][h] != meet[e][meet[f][h]]:
+                    problems.append(f"meet not associative at ({e},{f},{h})")
+
+    for e, group in enumerate(spec.groups):
+        for msg in _reference_is_group(group.rows):
+            problems.append(f"block {e}: {msg}")
+        alpha = group.involution
+        if not is_involution(alpha):
+            problems.append(f"block {e}: mapping is not an involution")
+        elif not is_homomorphism(alpha, Groupoid(group.rows), Groupoid(group.rows)):
+            problems.append(f"block {e}: mapping is not an automorphism")
+        if alpha and alpha[0] != 0:
+            problems.append(f"block {e}: mapping does not fix the identity")
+
+    expected_pairs = sl.strict_pairs()
+    given_pairs = tuple(pair for pair, _ in spec.homs)
+    if given_pairs != expected_pairs:
+        problems.append(
+            f"connecting maps cover pairs {given_pairs}, expected {expected_pairs}"
+        )
+        return problems
+
+    homs = spec.hom_map()
+    bad_pairs = set()
+    for (f, e), images in homs.items():
+        src, dst = spec.groups[f], spec.groups[e]
+        if len(images) != src.order or any(not 0 <= v < dst.order for v in images):
+            problems.append(f"map ({f}>{e}): images do not fit the blocks")
+            bad_pairs.add((f, e))
+            continue
+        srows, drows = src.rows, dst.rows
+        sa, da = src.involution, dst.involution
+        for a in range(src.order):
+            for b in range(src.order):
+                if images[srows[sa[a]][b]] != drows[da[images[a]]][images[b]]:
+                    problems.append(
+                        f"map ({f}>{e}): not a homomorphism of the twisted "
+                        f"blocks at ({a},{b})"
+                    )
+                    break
+            else:
+                continue
+            break
+        for b in range(src.order):
+            if da[images[b]] != images[sa[b]]:
+                problems.append(
+                    f"map ({f}>{e}): does not commute with the block mappings "
+                    f"at {b}"
+                )
+                break
+
+    for g in range(k):
+        for f in range(k):
+            for e in range(k):
+                if len({g, f, e}) != 3:
+                    continue
+                if not (sl.leq(e, f) and sl.leq(f, g)):
+                    continue
+                if bad_pairs & {(g, f), (f, e), (g, e)}:
+                    continue
+                upper, lower, direct = homs[(g, f)], homs[(f, e)], homs[(g, e)]
+                for a in range(spec.groups[g].order):
+                    if lower[upper[a]] != direct[a]:
+                        problems.append(
+                            f"maps ({g}>{f}>{e}): composition differs from the "
+                            f"direct map at {a}"
+                        )
+                        break
+
+    if spec.carrier is not None:
+        sizes = [group.order for group in spec.groups]
+        total = sum(sizes)
+        if len(spec.carrier) != k or any(
+            len(block) != size for block, size in zip(spec.carrier, sizes)
+        ):
+            problems.append("carrier blocks do not match the group sizes")
+        elif sorted(v for block in spec.carrier for v in block) != list(range(total)):
+            problems.append("carrier is not a partition of the combined range")
+
+    return problems
+
+
+def _reference_products(spec, twisted):
+    sizes = [group.order for group in spec.groups]
+    if spec.carrier is not None:
+        blocks = spec.carrier
+    else:
+        blocks, start = [], 0
+        for size in sizes:
+            blocks.append(tuple(range(start, start + size)))
+            start += size
+    n = sum(sizes)
+    home = [None] * n
+    for e, block in enumerate(blocks):
+        for i, gid in enumerate(block):
+            home[gid] = (e, i)
+    meet = spec.semilattice.meet
+    homs = spec.hom_map()
+
+    def push(e, i, m):
+        return i if e == m else homs[(e, m)][i]
+
+    rows = []
+    for a in range(n):
+        e, i = home[a]
+        row = []
+        for b in range(n):
+            f, j = home[b]
+            m = meet[e][f]
+            u = push(e, i, m)
+            v = push(f, j, m)
+            group = spec.groups[m]
+            if twisted:
+                u = group.involution[u]
+            row.append(blocks[m][group.rows[u][v]])
+        rows.append(tuple(row))
+    alpha = [0] * n
+    for a in range(n):
+        e, i = home[a]
+        alpha[a] = blocks[e][spec.groups[e].involution[i]]
+    return Groupoid(tuple(rows)), tuple(alpha)
+
+
+def _outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the oracle and the kernel must fail alike
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _family():
+    return list(enumerate_specs(3, 4))
+
+
+def _mutants(specs, count, seed):
+    """One small change per spec: a meet cell, a group cell, an involution
+    image, a connecting-map image (possibly out of range), or a carrier
+    that is shuffled (valid) or has a duplicated id (invalid)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        spec = rng.choice(specs)
+        kind = rng.choice(("meet", "group", "involution", "hom", "shuffle", "dup"))
+        sl, groups, homs = spec.semilattice, list(spec.groups), list(spec.homs)
+        carrier = spec.carrier
+        if kind == "meet":
+            k = sl.order
+            if k < 2:
+                continue
+            meet = [list(row) for row in sl.meet]
+            e, f = rng.randrange(k), rng.randrange(k)
+            meet[e][f] = rng.choice([v for v in range(k) if v != meet[e][f]])
+            sl = MeetSemilattice(tuple(map(tuple, meet)))
+        elif kind in ("group", "involution"):
+            e = rng.randrange(len(groups))
+            group = groups[e]
+            m = group.order
+            if m < 2:
+                continue
+            rows, alpha = [list(row) for row in group.rows], list(group.involution)
+            if kind == "group":
+                x, y = rng.randrange(m), rng.randrange(m)
+                rows[x][y] = rng.choice([v for v in range(m) if v != rows[x][y]])
+            else:
+                x = rng.randrange(m)
+                alpha[x] = rng.choice([v for v in range(m) if v != alpha[x]])
+            groups[e] = GroupSpec(tuple(map(tuple, rows)), tuple(alpha))
+        elif kind == "hom":
+            if not homs:
+                continue
+            h = rng.randrange(len(homs))
+            (f, e), images = homs[h]
+            images = list(images)
+            x = rng.randrange(len(images))
+            images[x] = rng.choice(
+                [v for v in range(groups[e].order + 1) if v != images[x]]
+            )
+            homs[h] = ((f, e), tuple(images))
+        else:
+            ids = list(range(sum(group.order for group in groups)))
+            rng.shuffle(ids)
+            if kind == "dup":
+                if len(ids) < 2:
+                    continue
+                ids[rng.randrange(len(ids))] = ids[rng.randrange(len(ids))]
+            carrier, start = [], 0
+            for group in groups:
+                carrier.append(tuple(ids[start : start + group.order]))
+                start += group.order
+            carrier = tuple(carrier)
+        out.append(ConstructionSpec(sl, tuple(groups), tuple(homs), carrier))
+    return out
+
+
+def test_validate_spec_matches_reference_on_family():
+    for spec in _family():
+        assert validate_spec(spec) == _reference_validate_spec(spec) == []
+
+
+def test_validate_spec_matches_reference_on_mutants():
+    mutants = _mutants(_family(), 6_000, seed=2026)
+    invalid = 0
+    for spec in mutants:
+        expected = _outcome(_reference_validate_spec, spec)
+        assert _outcome(validate_spec, spec) == expected, spec
+        invalid += expected != []
+    # The corpus exercises both sides of every check.
+    assert 2_000 < invalid < len(mutants)
+
+
+def test_products_match_reference_on_family():
+    for spec in _family():
+        for twisted in (False, True):
+            table, alpha = _products(spec, twisted)
+            ref_table, ref_alpha = _reference_products(spec, twisted)
+            assert (table.rows, alpha) == (ref_table.rows, ref_alpha)
+
+
+def test_products_match_reference_with_carriers():
+    # Carriers from decomposing relabelled built tables, plus the shuffled
+    # carriers of the mutant corpus that leave the spec valid.
+    rng = random.Random(7)
+    family = _family()
+    specs = []
+    for spec in rng.sample(family, 400):
+        g, alpha = build_determined(spec)
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        h = _relabel(g, perm)
+        inv = [perm.index(i) for i in range(g.order)]
+        specs.append(decompose(h, tuple(perm[alpha[inv[x]]] for x in range(g.order))))
+    specs += [
+        spec
+        for spec in _mutants(family, 3_000, seed=11)
+        if spec.carrier is not None and not _reference_validate_spec(spec)
+    ]
+    assert sum(spec.carrier is not None for spec in specs) > 500
+    for spec in specs:
+        for twisted in (False, True):
+            table, alpha = _products(spec, twisted)
+            ref_table, ref_alpha = _reference_products(spec, twisted)
+            assert (table.rows, alpha) == (ref_table.rows, ref_alpha)

@@ -3,6 +3,7 @@
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -329,6 +330,42 @@ def test_registered_suite_alone_reads_specs():
     finally:
         del SUITES["spec_counter"]
     assert counts == [{"spec_counter.instances": 2}] * 2
+
+
+def test_suite_reading_no_instances_builds_no_table(monkeypatch):
+    # chunk.tables, like chunk.specs, is built on first read.
+    import gpdtools.enumeration as enumeration
+
+    built = Counter()
+
+    def counted_table(flat, order):
+        built[order] += 1
+        return real_table(flat, order)
+
+    real_table = enumeration._table
+    monkeypatch.setattr(enumeration, "_table", counted_table)
+
+    def no_reads(chunk, rec):
+        rec.check("ran", True, "x")
+
+    def table_reads(chunk, rec):
+        for _src, _g in chunk.tables:
+            rec.check("instances", True, "x")
+
+    register_suite("no_reads", no_reads)
+    register_suite("table_reads", table_reads)
+    config = SweepConfig(max_exhaustive_order=2, sample_count=3, suites=("no_reads",))
+    try:
+        assert run_sweep(config).counts == {"no_reads.ran": 1}
+        assert not built
+        config = replace(config, suites=("no_reads", "table_reads"))
+        assert run_sweep(config).counts == {
+            "no_reads.ran": 1,
+            "table_reads.instances": 1 + 16 + 3,
+        }
+    finally:
+        del SUITES["no_reads"], SUITES["table_reads"]
+    assert built == {1: 1, 2: 16, 4: 3}
 
 
 def test_inverse_laws_computes_table_facts_once(monkeypatch):

@@ -172,3 +172,34 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_groupoid(text)
     assert err.value.line == line
     assert f"line {line}:" in str(err.value)
+
+
+def _validated_copy_equals(g):
+    # The full validation of the public constructor, on a table that a
+    # trusted construction site made without it.
+    return type(g) is Groupoid and Groupoid(g.rows) == g
+
+
+def test_trusted_construction_sites_make_valid_tables():
+    from gpdtools import (
+        build_determined,
+        build_strong_slg,
+        enumerate_groupoids,
+        enumerate_specs,
+        involutions,
+        twist,
+    )
+
+    tables = [g for n in (1, 2, 3) for g in enumerate_groupoids(n)]
+    tables += random_groupoids(4, 2_000, 4242)
+    for spec in enumerate_specs(3, 3):
+        strong = build_strong_slg(spec)
+        determined, alpha = build_determined(spec)
+        assert _validated_copy_equals(twist(strong, alpha))
+        tables += [strong, determined]
+    assert len(tables) == 19_700 + 2_000 + 2 * 251
+    for g in tables:
+        assert _validated_copy_equals(g)
+        assert _validated_copy_equals(square_subgroupoid(g)[0])
+        for f in involutions(g.order)[:4]:
+            assert _validated_copy_equals(twist(g, f))
