@@ -38,8 +38,10 @@ from .inverses import (
 )
 from .mappings import (
     Mapping,
+    _idempotents_fixed,
+    _isomorphisms,
+    _shift_images,
     absorption_law,
-    e_fixed_involutive_automorphisms,
     identity_mapping,
     involutions,
     involutive_automorphisms,
@@ -525,14 +527,29 @@ def _criterion_completely_inverse(g: Groupoid) -> CriterionVerdict:
     failed = []
     if not is_completely_inverse(g):
         failed.append("completely_inverse")
-    e_semilattice = idempotents_form_semilattice(g)
+    # The shift candidates are the involutive automorphisms f with
+    # f[x] in domain[x] for every x (the shifted triple law).
+    domain = _shift_images(g)
     alpha = None
     shift_seen = False
-    for f in _shift_candidates(g):
-        shift_seen = True
-        if e_semilattice or inverse_antihomomorphism_law(g, f):
-            alpha = f
-            break
+    if domain is not None:
+        e_semilattice = idempotents_form_semilattice(g)
+        # f matters only when the idempotents are no semilattice and an
+        # inverse table exists (without one, the antihomomorphism law fails
+        # for every f); otherwise the first candidate settles the verdict.
+        walk_all = False
+        if not e_semilattice:
+            try:
+                inverse_table(g)
+            except NotInverse:
+                pass
+            else:
+                walk_all = True
+        for f in _isomorphisms(g, g, not walk_all, involutive=True, domain=domain):
+            shift_seen = True
+            if e_semilattice or (walk_all and inverse_antihomomorphism_law(g, f)):
+                alpha = f
+                break
     if alpha is None:
         failed.append(
             "shifted_associativity"
@@ -549,10 +566,10 @@ def _criterion_strongly_regular(g: Groupoid) -> CriterionVerdict:
     if not idempotents_form_semilattice(g):
         failed.append("idempotent_semilattice")
     alpha = None
-    for f in e_fixed_involutive_automorphisms(g):
-        if shifted_associativity(g, f):
-            alpha = f
-            break
+    domain = _shift_images(g)
+    if domain is not None:
+        domain = _idempotents_fixed(g, domain)
+        alpha = next(_isomorphisms(g, g, True, involutive=True, domain=domain), None)
     if alpha is None:
         failed.append("shifted_associativity")
     return CriterionVerdict(not failed, alpha, tuple(failed))

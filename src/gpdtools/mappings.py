@@ -70,7 +70,11 @@ def is_homomorphism(f: Mapping, g: Groupoid, h: Groupoid) -> bool:
 
 
 def _isomorphisms(
-    g: Groupoid, h: Groupoid, first_only: bool, involutive: bool = False
+    g: Groupoid,
+    h: Groupoid,
+    first_only: bool,
+    involutive: bool = False,
+    domain: tuple[tuple[int, ...], ...] | None = None,
 ):
     """Backtracking search for bijective homomorphisms ``g -> h``.
 
@@ -92,6 +96,14 @@ def _isomorphisms(
     assigned prefix meets these rules, so the search still yields every
     involutive automorphism, in the same lexicographic order, without
     visiting the other automorphisms.
+
+    ``domain`` (involutive mode only) holds, per position, the ascending
+    tuple of images that position may take.  A free position ``k`` then
+    takes only candidates ``c`` in ``domain[k]`` with ``k`` in
+    ``domain[c]``, so the image it forces is admissible too; a position
+    with an empty domain takes none.  The output is exactly the involutive
+    automorphisms ``f`` with ``f[k] in domain[k]`` for every ``k``, still
+    in lexicographic order.
     """
     n = g.order
     if h.order != n:
@@ -108,6 +120,7 @@ def _isomorphisms(
             if p > max(i, j):
                 late[p].append((i, j))
 
+    admits = None if domain is None else [set(d) for d in domain]
     found: list[Mapping] = []
 
     def extend(k: int) -> bool:
@@ -115,12 +128,15 @@ def _isomorphisms(
             found.append(tuple(image))
             return first_only
         forced = image[k]
+        # In the involutive mode, used[c] for c >= k means image[c] is forced.
         if forced != -1:
             candidates = (forced,)
-        else:
-            # In the involutive mode, used[c] for c >= k means image[c] is
-            # forced.
+        elif admits is None:
             candidates = [c for c in range(k if involutive else 0, n) if not used[c]]
+        else:
+            candidates = [
+                c for c in domain[k] if c >= k and not used[c] and k in admits[c]
+            ]
         for cand in candidates:
             image[k] = cand
             used[cand] = True
@@ -178,12 +194,23 @@ def involutive_automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
     return tuple(_isomorphisms(g, g, first_only=False, involutive=True))
 
 
-def e_fixed_involutive_automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
-    """Self-inverse automorphisms fixing every idempotent pointwise."""
+def _idempotents_fixed(
+    g: Groupoid, domain: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """``domain`` with each idempotent e restricted to ``(e,)``, or to
+    ``()`` when e is not in its own domain."""
     idem = g.idempotents()
     return tuple(
-        f for f in involutive_automorphisms(g) if all(f[e] == e for e in idem)
+        ((k,) if k in images else ()) if k in idem else images
+        for k, images in enumerate(domain)
     )
+
+
+def e_fixed_involutive_automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
+    """Self-inverse automorphisms fixing every idempotent pointwise, in
+    lexicographic order; each idempotent's only candidate is itself."""
+    domain = _idempotents_fixed(g, (tuple(range(g.order)),) * g.order)
+    return tuple(_isomorphisms(g, g, False, involutive=True, domain=domain))
 
 
 def in_lt(g: Groupoid, f: Mapping) -> bool:
@@ -217,6 +244,43 @@ def shifted_associativity(g: Groupoid, f: Mapping) -> bool:
             if rows[rx[y]] != tuple(map(rfx.__getitem__, ry)):
                 return False
     return True
+
+
+def _shift_images(g: Groupoid) -> tuple[tuple[int, ...], ...] | None:
+    """Per element x, the ascending tuple of all a with
+    ``(x*y)*z == a*(y*z)`` for all y, z; ``None`` when some x has no such
+    a (returned at the first x whose law fails for every a).
+
+    Such an a sends each product ``u = y*z`` to ``(x*y)*z``, so its row on
+    the product set is a vector ``v`` fixed by x, read off one
+    representative pair per product.  The law then holds for x exactly
+    when ``rows[x*y] == v o rows[y]`` for every y (one row comparison per
+    y), and the a's are the elements whose row restricted to the product
+    set equals ``v``.  So ``shifted_associativity(g, f)`` holds iff
+    ``f[x]`` is in the returned tuple of every x, and the whole test costs
+    O(n^2) row comparisons.
+    """
+    rows = g.rows
+    pair: dict[int, tuple[int, int]] = {}
+    for y, ry in enumerate(rows):
+        for z, u in enumerate(ry):
+            pair.setdefault(u, (y, z))
+    products = sorted(pair)
+    v = [0] * len(rows)
+    wanted = []
+    for rx in rows:
+        for u, (y, z) in pair.items():
+            v[u] = rows[rx[y]][z]
+        for y, ry in enumerate(rows):
+            if rows[rx[y]] != tuple(map(v.__getitem__, ry)):
+                return None
+        wanted.append(tuple(map(v.__getitem__, products)))
+    # Elements grouped by their row restricted to the product set.
+    by_restriction: dict[tuple[int, ...], list[int]] = {}
+    for a, ra in enumerate(rows):
+        by_restriction.setdefault(tuple(map(ra.__getitem__, products)), []).append(a)
+    images = tuple(tuple(by_restriction.get(w, ())) for w in wanted)
+    return None if () in images else images
 
 
 def parse_mapping(text: str) -> Mapping:

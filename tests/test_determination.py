@@ -1,9 +1,12 @@
 """Twisting, membership scans, conclusion batteries, and the decision."""
 
+import hashlib
 import itertools
 
 import pytest
 
+import gpdtools.determination as det
+import gpdtools.mappings as mappings
 from gpdtools import (
     CRITERIA,
     SLG_CONCLUSIONS,
@@ -21,15 +24,20 @@ from gpdtools import (
     check_twisted_slg,
     decide,
     enumerate_groupoids,
+    idempotents_form_semilattice,
     identity_mapping,
     in_semigroup_class,
+    inverse_antihomomorphism_law,
     involutions,
     involutive_automorphisms,
+    is_completely_inverse,
     is_homomorphism,
     is_semilattice_of_groups,
     parse_groupoid,
     random_groupoids,
+    shifted_associativity,
     square_subgroupoid,
+    strongly_regular_witness,
     twist,
     untwist,
 )
@@ -42,7 +50,12 @@ from gpdtools.fixtures import (
     Z3_TWIST,
 )
 
-from .test_mappings import _left_zero_band
+from .test_mappings import (
+    SHIFT_CORPUS_SIZE,
+    _left_zero_band,
+    _null_semigroup,
+    _shift_corpus,
+)
 
 CHAIN2 = parse_groupoid("3\n0 0 0\n0 1 2\n0 2 1\n")  # trivial group under Z2
 
@@ -85,8 +98,6 @@ def test_shift_law_matches_base_associativity():
     # exactly associativity of the base.
     for g in itertools.islice(random_groupoids(3, 200, seed=53), 200):
         for f in involutive_automorphisms(g):
-            from gpdtools import shifted_associativity
-
             t = twist(g, f)
             assert shifted_associativity(t, f) == g.is_associative()
 
@@ -308,29 +319,152 @@ def test_decide_large_negation_twist():
     assert twist(rep.witness.star, rep.witness.alpha) == g
 
 
-def _decide_left_zero_band(n):
-    """Decide the order-``n`` left-zero band (negative) and return its
-    cached involutive automorphisms, checking that the full automorphism
-    group was never listed."""
-    g = _left_zero_band(n)
-    involutive_automorphisms.cache_clear()
-    misses = automorphisms.cache_info().misses
-    assert not decide(g).determined
-    assert automorphisms.cache_info().misses == misses
-    hits = involutive_automorphisms.cache_info().hits
-    found = involutive_automorphisms(g)
-    assert involutive_automorphisms.cache_info().hits == hits + 1
-    return found
+def _reference_criterion_completely_inverse(g):
+    """Criterion 1 as a filter over the full involutive-automorphism list."""
+    failed = []
+    if not is_completely_inverse(g):
+        failed.append("completely_inverse")
+    alpha = None
+    shift_seen = False
+    for f in involutive_automorphisms(g):
+        if not shifted_associativity(g, f):
+            continue
+        shift_seen = True
+        if idempotents_form_semilattice(g) or inverse_antihomomorphism_law(g, f):
+            alpha = f
+            break
+    if alpha is None:
+        failed.append(
+            "shifted_associativity"
+            if not shift_seen
+            else "idempotent_semilattice_or_inverse_antihomomorphism"
+        )
+    return det.CriterionVerdict(not failed, alpha, tuple(failed))
+
+
+def _reference_criterion_strongly_regular(g):
+    """Criterion 2 as a filter over the full involutive-automorphism list."""
+    failed = []
+    if strongly_regular_witness(g) is None:
+        failed.append("strongly_regular")
+    if not idempotents_form_semilattice(g):
+        failed.append("idempotent_semilattice")
+    idem = g.idempotents()
+    alpha = next(
+        (
+            f
+            for f in involutive_automorphisms(g)
+            if all(f[e] == e for e in idem) and shifted_associativity(g, f)
+        ),
+        None,
+    )
+    if alpha is None:
+        failed.append("shifted_associativity")
+    return det.CriterionVerdict(not failed, alpha, tuple(failed))
+
+
+def test_pruned_criteria_agree_with_filtered_reference():
+    tables = 0
+    for g in _shift_corpus():
+        pruned = (
+            det._criterion_completely_inverse(g),
+            det._criterion_strongly_regular(g),
+        )
+        reference = (
+            _reference_criterion_completely_inverse(g),
+            _reference_criterion_strongly_regular(g),
+        )
+        assert pruned == reference, g.rows
+        tables += 1
+    assert tables == SHIFT_CORPUS_SIZE
+
+
+def test_completely_inverse_criterion_walks_candidates_only_when_needed(
+    monkeypatch,
+):
+    laws = []
+
+    def counted_law(g, f):
+        laws.append(f)
+        return False
+
+    monkeypatch.setattr(det, "inverse_antihomomorphism_law", counted_law)
+    # Idempotents a semilattice: the first candidate settles the verdict.
+    assert det._criterion_completely_inverse(Z3_TWIST).passed
+    # No inverse table: the law fails for every f and is never consulted.
+    det._criterion_completely_inverse(_left_zero_band(4))
+    assert laws == []
+    # Otherwise every shift candidate goes through the law.
+    monkeypatch.setattr(det, "idempotents_form_semilattice", lambda g: False)
+    verdict = det._criterion_completely_inverse(Z3_TWIST)
+    assert laws == [Z3_NEGATION]
+    assert verdict.failed_conditions == (
+        "idempotent_semilattice_or_inverse_antihomomorphism",
+    )
+
+
+def test_decide_reports_are_pinned():
+    # sha256 of the concatenated decide(g).to_json() over the corpus,
+    # measured before the shift-law domain entered the search.
+    digest = hashlib.sha256()
+    for g in _shift_corpus():
+        digest.update(decide(g).to_json().encode())
+    assert digest.hexdigest() == (
+        "2ff23abba247b6184996344426c7954f4635091de1f1c52f7fe70fae088dc5fa"
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_left_zero_band(9), _left_zero_band(12), _null_semigroup(12)],
+    ids=["band9", "band12", "null12"],
+)
+def test_decide_stops_at_first_witness(g, monkeypatch):
+    """Neither automorphism list is built, the shifted law is never tested
+    map by map, and each shift-law search yields at most one map."""
+    shifted_calls = []
+    searched = []
+
+    def counted_shift(*args):
+        shifted_calls.append(args)
+        return shifted_associativity(*args)
+
+    def counted_search(*args, **kwargs):
+        maps = tuple(det_isomorphisms(*args, **kwargs))
+        searched.append(len(maps))
+        yield from maps
+
+    det_isomorphisms = det._isomorphisms
+    monkeypatch.setattr(det, "shifted_associativity", counted_shift)
+    monkeypatch.setattr(mappings, "shifted_associativity", counted_shift)
+    monkeypatch.setattr(det, "_isomorphisms", counted_search)
+    misses = (
+        automorphisms.cache_info().misses,
+        involutive_automorphisms.cache_info().misses,
+    )
+    rep = decide(g)
+    assert not rep.determined
+    assert (
+        automorphisms.cache_info().misses,
+        involutive_automorphisms.cache_info().misses,
+    ) == misses
+    assert shifted_calls == []
+    # One search each for the first two criteria, one map at most apiece.
+    assert len(searched) <= 2 and all(count <= 1 for count in searched)
 
 
 def test_decide_left_zero_band_lists_only_involutions():
     # 2,620 involutive automorphisms out of 9! = 362,880 automorphisms.
-    assert len(_decide_left_zero_band(9)) == 2620
+    g = _left_zero_band(9)
+    assert not decide(g).determined
+    assert len(involutive_automorphisms(g)) == 2620
 
 
 @pytest.mark.extended
 def test_decide_left_zero_band_order_twelve():
-    assert len(_decide_left_zero_band(12)) == 140_152
+    g = _left_zero_band(12)
+    assert not decide(g).determined
+    assert len(involutive_automorphisms(g)) == 140_152
 
 
 def test_decide_report_json():
@@ -348,8 +482,6 @@ def test_decide_report_json():
 
 
 def test_decide_disagreement_raises(monkeypatch):
-    import gpdtools.determination as det
-
     real = det._criterion_right_bol
 
     def flipped(g):

@@ -1,6 +1,7 @@
 """Mappings: involutions, homomorphisms, translations, and .map format."""
 
 import itertools
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from gpdtools import (
     serialize_mapping,
     shifted_associativity,
 )
+from gpdtools.mappings import _isomorphisms, _shift_images
 from gpdtools.fixtures import (
     BAND3,
     BAND3_SWAP,
@@ -120,6 +122,113 @@ def test_involutive_automorphisms_agree_with_filtered_automorphisms():
         assert involutive_automorphisms(g) == expected, g.rows
         tables += 1
     assert tables == 19_700 + 2000 + 948 + 8 + 3
+
+
+def _null_semigroup(n):
+    """``x*y = 0``: every involution fixing 0 is an automorphism."""
+    return Groupoid(tuple((0,) * n for _ in range(n)))
+
+
+def _shift_corpus():
+    """Every table of order <= 3, 2,000 order-4 samples, both built tables
+    of each spec of ``enumerate_specs(3, 3)``, left-zero bands and null
+    semigroups of order <= 8, and Z_16/32/64 twisted by negation."""
+    exhaustive = itertools.chain.from_iterable(
+        enumerate_groupoids(n) for n in (1, 2, 3)
+    )
+    samples = random_groupoids(4, 2000, seed=19)
+    built = (
+        g
+        for spec in enumerate_specs(3, 3)
+        for g in (build_determined(spec)[0], build_strong_slg(spec))
+    )
+    bands = (_left_zero_band(n) for n in range(1, 9))
+    nulls = (_null_semigroup(n) for n in range(1, 9))
+    twists = (_negation_twist(n) for n in (16, 32, 64))
+    return itertools.chain(exhaustive, samples, built, bands, nulls, twists)
+
+
+SHIFT_CORPUS_SIZE = 19_700 + 2000 + 502 + 8 + 8 + 3
+
+
+def _brute_shift_images(g):
+    """The definition: every a with ``(x*y)*z == a*(y*z)`` for all y, z."""
+    rows = g.rows
+    n = g.order
+    images = tuple(
+        tuple(
+            a
+            for a in range(n)
+            if all(
+                rows[rows[x][y]][z] == rows[a][rows[y][z]]
+                for y in range(n)
+                for z in range(n)
+            )
+        )
+        for x in range(n)
+    )
+    return None if () in images else images
+
+
+def test_shift_images_agree_with_definition():
+    tables = some_missing = 0
+    for g in _shift_corpus():
+        images = _shift_images(g)
+        assert images == _brute_shift_images(g), g.rows
+        tables += 1
+        some_missing += images is None
+    assert tables == SHIFT_CORPUS_SIZE
+    assert some_missing == 21_497
+
+
+def test_shift_domain_search_agrees_with_filter():
+    several = 0
+    for g in _shift_corpus():
+        expected = tuple(
+            f for f in involutive_automorphisms(g) if shifted_associativity(g, f)
+        )
+        domain = _shift_images(g)
+        if domain is None:
+            assert expected == (), g.rows
+            continue
+        # Exact tuples: the lexicographic order is part of the contract.
+        assert tuple(_isomorphisms(g, g, False, True, domain)) == expected, g.rows
+        assert tuple(_isomorphisms(g, g, True, True, domain)) == expected[:1]
+        several += len(expected) > 1
+    assert several == 14
+
+
+def test_domain_search_keeps_exactly_the_admissible_involutions():
+    # Every involution of a left-zero band is an automorphism, so the
+    # domain alone decides which maps the search yields.
+    rng = random.Random(31)
+    n = 6
+    g = _left_zero_band(n)
+    for _ in range(300):
+        domain = tuple(
+            tuple(sorted(rng.sample(range(n), rng.randint(0, n)))) for _ in range(n)
+        )
+        expected = tuple(
+            f for f in involutions(n) if all(f[k] in domain[k] for k in range(n))
+        )
+        assert tuple(_isomorphisms(g, g, False, True, domain)) == expected, domain
+        assert tuple(_isomorphisms(g, g, True, True, domain)) == expected[:1]
+
+
+def test_e_fixed_involutive_automorphisms_agree_with_filter():
+    for g in _shift_corpus():
+        idem = g.idempotents()
+        expected = tuple(
+            f for f in involutive_automorphisms(g) if all(f[e] == e for e in idem)
+        )
+        assert e_fixed_involutive_automorphisms(g) == expected, g.rows
+
+
+def test_e_fixed_involutive_automorphisms_skip_the_full_list():
+    g = _left_zero_band(12)
+    misses = involutive_automorphisms.cache_info().misses
+    assert e_fixed_involutive_automorphisms(g) == (identity_mapping(12),)
+    assert involutive_automorphisms.cache_info().misses == misses
 
 
 def test_involutive_automorphisms_of_left_zero_bands():
