@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     NotInverse,
@@ -44,7 +45,6 @@ from .mappings import (
     absorption_law,
     identity_mapping,
     involutions,
-    involutive_automorphisms,
     is_homomorphism,
     is_involution,
     shifted_associativity,
@@ -116,19 +116,19 @@ def ad_membership_direct(g: Groupoid, variety: str) -> Mapping | None:
 def ad_membership_profile(g: Groupoid) -> dict[str, Mapping | None]:
     """Definition-level membership for all twelve classes in one pass.
 
-    Equivalent to calling :func:`ad_membership_direct` once per tag, but
-    only the involutive automorphisms of ``g`` are untwisted, each once,
-    and each untwisted table is associativity-checked once.
+    Equivalent to calling :func:`ad_membership_direct` once per tag.  A
+    witness f is an involutive automorphism of ``untwist(g, f)``, hence of
+    ``g``, whose untwisted table is associative; for such f that is
+    exactly the shifted triple law on ``g``.  So only the
+    :func:`_shift_candidates` are untwisted, each once, in lexicographic
+    order, and no untwisted table needs an associativity check.
     """
     found: dict[str, Mapping | None] = {tag: None for tag in VARIETIES}
     missing = set(VARIETIES)
-    # An involution is an automorphism of untwist(g, f) iff it is one of g.
-    for f in involutive_automorphisms(g):
+    for f in _shift_candidates(g):
         if not missing:
             break
         star = untwist(g, f)
-        if not star.is_associative():
-            continue
         for tag in sorted(missing):
             if satisfies_variety(star, tag):
                 found[tag] = f
@@ -136,11 +136,20 @@ def ad_membership_profile(g: Groupoid) -> dict[str, Mapping | None]:
     return found
 
 
-def _shift_candidates(g: Groupoid):
-    """Involutive automorphisms of ``g`` satisfying the shifted triple law."""
-    return (
-        f for f in involutive_automorphisms(g) if shifted_associativity(g, f)
-    )
+@lru_cache(maxsize=4096)
+def _shift_candidates(g: Groupoid) -> tuple[Mapping, ...]:
+    """The involutive automorphisms f of ``g`` with the shifted triple law
+    ``(xy)z = f(x)(yz)``, in lexicographic order.
+
+    For an involutive automorphism f the law holds exactly when
+    ``untwist(g, f)`` is associative.  The involutive search visits only
+    maps with each ``f[x]`` among the shift images of x
+    (:func:`_shift_images`); the tuple is empty when some x has none.
+    """
+    domain = _shift_images(g)
+    if domain is None:
+        return ()
+    return tuple(_isomorphisms(g, g, False, involutive=True, domain=domain))
 
 
 def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
@@ -157,18 +166,18 @@ def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
     rows = g.rows
     n = g.order
 
+    def first_candidate(law) -> Mapping | None:
+        return next((f for f in _shift_candidates(g) if law(f)), None)
+
     if variety == "B":
-        for f in _shift_candidates(g):
-            if absorption_law(g, f):
-                return f
-        return None
+        return first_candidate(lambda f: absorption_law(g, f))
 
     if variety == "L0":
         # x·y = f(x) for a bare involution f: rows must be constant and the
-        # row-constant map self-inverse.
-        for f in involutions(n):
-            if all(rows[x][y] == f[x] for x in range(n) for y in range(n)):
-                return f
+        # row-constant map self-inverse, so that map is the only candidate.
+        f = tuple(row[0] for row in rows)
+        if all(len(set(row)) == 1 for row in rows) and is_involution(f):
+            return f
         return None
 
     if variety == "R0":
@@ -177,77 +186,67 @@ def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
     if variety == "RB":
         if not satisfies_variety(g, "RB"):
             return None
-        for f in _shift_candidates(g):
-            if absorption_law(g, f):
-                return f
-        return None
+        return first_candidate(lambda f: absorption_law(g, f))
 
     if variety == "IB":
-        for f in _shift_candidates(g):
-            if all(
+        return first_candidate(
+            lambda f: all(
                 rows[x][y] == rows[rows[f[x]][x]][rows[f[y]][y]]
                 for x in range(n)
                 for y in range(n)
-            ):
-                return f
-        return None
+            )
+        )
 
     if variety == "IL0":
         if any(len(set(row)) != 1 for row in rows):
             return None
-        for f in _shift_candidates(g):
-            return f
-        return None
+        return first_candidate(lambda f: True)
 
     if variety == "IR0":
         return identity_mapping(n) if in_semigroup_class(g, "IR0") else None
 
     if variety == "IRB":
-        for f in _shift_candidates(g):
-            if all(
+        return first_candidate(
+            lambda f: all(
                 rows[rows[x][y]][z] == rows[f[x]][z]
                 for x in range(n)
                 for y in range(n)
                 for z in range(n)
-            ):
-                return f
-        return None
+            )
+        )
 
     if variety == "GB":
-        for f in _shift_candidates(g):
-            if all(
+        return first_candidate(
+            lambda f: all(
                 rows[x][y] == rows[f[rows[x][y]]][rows[x][y]]
                 or rows[x][y] == rows[rows[rows[x][y]][x]][y]
                 for x in range(n)
                 for y in range(n)
-            ):
-                return f
-        return None
+            )
+        )
 
     if variety == "GL0":
-        for f in _shift_candidates(g):
-            if all(
+        return first_candidate(
+            lambda f: all(
                 rows[rows[x][y]][z] == rows[f[x]][f[y]]
                 for x in range(n)
                 for y in range(n)
                 for z in range(n)
-            ):
-                return f
-        return None
+            )
+        )
 
     if variety == "GR0":
         return identity_mapping(n) if in_semigroup_class(g, "GR0") else None
 
     if variety == "GRB":
-        for f in _shift_candidates(g):
-            if all(
+        return first_candidate(
+            lambda f: all(
                 rows[x][y] == rows[rows[rows[x][y]][f[z]]][rows[x][y]]
                 for x in range(n)
                 for y in range(n)
                 for z in range(n)
-            ):
-                return f
-        return None
+            )
+        )
 
     raise ValueError(f"unknown variety tag {variety!r}")
 

@@ -37,6 +37,8 @@ from .clifford import (
 )
 from .determination import (
     DESCENT_PAIRS,
+    ad_membership_characterized,
+    ad_membership_profile,
     check_class_relations,
     check_twisted_slg,
     decide,
@@ -651,8 +653,6 @@ def _suite_ad_equivalence(chunk: _Chunk, rec: _Recorder):
     """The definition-level membership scan and the per-class
     characterizations agree on every exhaustive table, and every
     characterization witness is a valid definition-level witness."""
-    from .determination import ad_membership_characterized, ad_membership_profile
-
     for src, g in chunk.tables:
         if src != "exhaustive":
             continue

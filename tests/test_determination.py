@@ -50,6 +50,7 @@ from gpdtools.fixtures import (
     Z3_TWIST,
 )
 
+from .test_inverses import _negation_twist
 from .test_mappings import (
     SHIFT_CORPUS_SIZE,
     _left_zero_band,
@@ -412,6 +413,65 @@ def test_decide_reports_are_pinned():
     assert digest.hexdigest() == (
         "2ff23abba247b6184996344426c7954f4635091de1f1c52f7fe70fae088dc5fa"
     )
+
+
+def test_membership_reports_are_pinned():
+    # sha256 of the concatenated profile and characterized witnesses over
+    # the corpus tables of order <= 12, measured while both routes filtered
+    # the full involutive-automorphism list and L0 scanned every involution.
+    # That scan cannot finish on the Z_16/32/64 twists, so they are left out.
+    digest = hashlib.sha256()
+    tables = 0
+    for g in _shift_corpus():
+        if g.order > 12:
+            continue
+        reports = (
+            ad_membership_profile(g),
+            [ad_membership_characterized(g, tag) for tag in VARIETIES],
+        )
+        digest.update(repr(reports).encode())
+        tables += 1
+    assert tables == SHIFT_CORPUS_SIZE - 3
+    assert digest.hexdigest() == (
+        "ae7a4eb83335b3ae98a9fa5de0e8ef7b76631dc57aed53b1a3d62b603f6f427f"
+    )
+
+
+_BAND_CLASSES = {"B", "L0", "RB", "IB", "IL0", "IRB", "GB", "GL0", "GRB"}
+_NULL_CLASSES = {"IB", "IL0", "IR0", "IRB", "GB", "GL0", "GR0", "GRB"}
+
+
+@pytest.mark.parametrize(
+    "g, members",
+    [
+        (_left_zero_band(9), _BAND_CLASSES),
+        (_left_zero_band(12), _BAND_CLASSES),
+        (_null_semigroup(12), _NULL_CLASSES),
+        (_negation_twist(64), set()),
+    ],
+    ids=["band9", "band12", "null12", "z64twist"],
+)
+def test_membership_routes_never_list_involutions(g, members, monkeypatch):
+    """Both membership routes get their maps from the shift-law search
+    alone: neither the bare involutions nor the full involutive list of
+    the table is ever built."""
+
+    def refuse(*args):
+        raise AssertionError("membership route listed involutions")
+
+    monkeypatch.setattr(det, "involutions", refuse)
+    monkeypatch.setattr(det, "involutive_automorphisms", refuse, raising=False)
+    monkeypatch.setattr(mappings, "involutions", refuse)
+    monkeypatch.setattr(mappings, "involutive_automorphisms", refuse)
+    det._shift_candidates.cache_clear()
+    profile = ad_membership_profile(g)
+    characterized = {tag: ad_membership_characterized(g, tag) for tag in VARIETIES}
+    assert {tag for tag, f in characterized.items() if f is not None} == members
+    assert {tag for tag, f in profile.items() if f is not None} == members
+    if members == _BAND_CLASSES:
+        identity = identity_mapping(g.order)
+        expected = {tag: identity if tag in members else None for tag in VARIETIES}
+        assert profile == characterized == expected
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from gpdtools import (
     serialize_mapping,
     shifted_associativity,
 )
+from gpdtools.determination import _shift_candidates
 from gpdtools.mappings import _isomorphisms, _shift_images
 from gpdtools.fixtures import (
     BAND3,
@@ -187,6 +188,8 @@ def test_shift_domain_search_agrees_with_filter():
         expected = tuple(
             f for f in involutive_automorphisms(g) if shifted_associativity(g, f)
         )
+        # The membership routes read the same tuple, in the same order.
+        assert _shift_candidates(g) == expected, g.rows
         domain = _shift_images(g)
         if domain is None:
             assert expected == (), g.rows
