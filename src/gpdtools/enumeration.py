@@ -122,10 +122,20 @@ def _table(flat: tuple[int, ...], order: int) -> Groupoid:
     return Groupoid._trusted(rows)
 
 
-def _sample_cells(order: int, seed: int, i: int) -> tuple[int, ...]:
-    """The cells of sample table ``i`` of the stream for ``seed``."""
-    base = i * order * order
-    return tuple([stream_value(seed, base + j) % order for j in range(order * order)])
+def _exhaustive_tables(orders, index: int, chunks: int):
+    """Tables ``index, index + chunks, ...`` of each order, strided before building."""
+    for n in orders:
+        cells = itertools.product(range(n), repeat=n * n)
+        for flat in itertools.islice(cells, index, None, chunks):
+            yield _table(flat, n)
+
+
+def _sample_tables(order: int, seed: int, indices: range):
+    """The tables at the given indices of the stream for ``seed``."""
+    size = order * order
+    for i in indices:
+        cells = [stream_value(seed, i * size + j) % order for j in range(size)]
+        yield _table(tuple(cells), order)
 
 
 def enumerate_groupoids(order: int, allow_large: bool = False):
@@ -141,8 +151,7 @@ def enumerate_groupoids(order: int, allow_large: bool = False):
             f"exhaustive enumeration of order {order} needs allow_large=True"
             f" ({order ** (order * order)} tables)"
         )
-    for flat in itertools.product(range(order), repeat=order * order):
-        yield _table(flat, order)
+    yield from _exhaustive_tables((order,), 0, 1)
 
 
 def random_groupoids(order: int, count: int, seed: int):
@@ -154,8 +163,7 @@ def random_groupoids(order: int, count: int, seed: int):
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    for i in range(count):
-        yield _table(_sample_cells(order, seed, i), order)
+    yield from _sample_tables(order, seed, range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -476,21 +484,28 @@ class _BuiltSpec(NamedTuple):
 @dataclass(frozen=True)
 class _Chunk:
     """One worker's share of the instance space: every ``chunks``-th
-    instance of each source, starting at ``index``."""
+    instance of each source, starting at ``index``, built on first read."""
 
     config: SweepConfig
     index: int
     chunks: int
 
     @cached_property
-    def tables(self) -> tuple[tuple[str, Groupoid], ...]:
-        """This chunk's ``(source, table)`` pairs, built on first read."""
-        return tuple(_chunk_tables(self.config, self.index, self.chunks))
+    def exhaustive(self) -> tuple[Groupoid, ...]:
+        """This chunk's share of every table of order 1 to ``max_exhaustive_order``."""
+        orders = range(1, self.config.max_exhaustive_order + 1)
+        return tuple(_exhaustive_tables(orders, self.index, self.chunks))
+
+    @cached_property
+    def samples(self) -> tuple[Groupoid, ...]:
+        """This chunk's share of the seeded sample tables, by index."""
+        c = self.config
+        indices = range(self.index, c.sample_count, self.chunks)
+        return tuple(_sample_tables(c.sample_order, c.seed, indices))
 
     @cached_property
     def specs(self) -> tuple[_BuiltSpec, ...]:
-        """This chunk's share of the construction family, built on first
-        read so that suites which never read it never pay for it."""
+        """This chunk's share of the construction family, built."""
         family = enumerate_specs(
             self.config.max_semilattice_order, self.config.max_group_order
         )
@@ -498,17 +513,6 @@ class _Chunk:
             _BuiltSpec(spec, build_strong_slg(spec), *build_determined(spec))
             for spec in itertools.islice(family, self.index, None, self.chunks)
         )
-
-
-def _chunk_tables(config: SweepConfig, chunk: int, chunks: int):
-    """Only this chunk's tables are built: each source is strided by index."""
-    for n in range(1, config.max_exhaustive_order + 1):
-        cells = itertools.product(range(n), repeat=n * n)
-        for flat in itertools.islice(cells, chunk, None, chunks):
-            yield "exhaustive", _table(flat, n)
-    n = config.sample_order
-    for i in range(chunk, config.sample_count, chunks):
-        yield "sample", _table(_sample_cells(n, config.seed, i), n)
 
 
 def _table_id(g: Groupoid) -> str:
@@ -623,7 +627,7 @@ def _suite_square_classes(chunk: _Chunk, rec: _Recorder):
     tables (exhaustive and sampled): the generalized identity holds exactly
     when the product subtable satisfies the base identity, and the
     right-absorption identity forces idempotency."""
-    for _src, g in chunk.tables:
+    for g in chunk.exhaustive + chunk.samples:
         inst = _table_id(g)
         try:
             squares, _ = square_subgroupoid(g)
@@ -634,12 +638,13 @@ def _suite_square_classes(chunk: _Chunk, rec: _Recorder):
         if not g.is_associative():
             continue
         for base, _inflation, generalized in DESCENT_PAIRS:
+            holds = satisfies_variety(g, generalized)
+            square_holds = satisfies_variety(squares, base)
             rec.check(
                 f"square_equivalence.{generalized}",
-                satisfies_variety(g, generalized) == satisfies_variety(squares, base),
+                holds == square_holds,
                 inst,
-                f"generalized={satisfies_variety(g, generalized)} "
-                f"square_base={satisfies_variety(squares, base)}",
+                f"generalized={holds} square_base={square_holds}",
             )
         if satisfies_variety(g, "RB"):
             rec.check(
@@ -653,9 +658,7 @@ def _suite_ad_equivalence(chunk: _Chunk, rec: _Recorder):
     """The definition-level membership scan and the per-class
     characterizations agree on every exhaustive table, and every
     characterization witness is a valid definition-level witness."""
-    for src, g in chunk.tables:
-        if src != "exhaustive":
-            continue
+    for g in chunk.exhaustive:
         inst = _table_id(g)
         profile = ad_membership_profile(g)
         for tag in VARIETIES:
@@ -686,7 +689,7 @@ def _suite_class_relations(chunk: _Chunk, rec: _Recorder):
     witness isomorphisms between the twelve derived classes, on every
     exhaustive table and on built instances small enough for the
     membership scan."""
-    targets = [g for src, g in chunk.tables if src == "exhaustive"]
+    targets = list(chunk.exhaustive)
     targets.extend(
         built.determined
         for built in chunk.specs
@@ -772,9 +775,7 @@ def _suite_involution_laws(chunk: _Chunk, rec: _Recorder):
     and automorphism properties together, over every exhaustive table with
     every self-inverse mapping, and over built instances with their glued
     mapping."""
-    for src, g in chunk.tables:
-        if src != "exhaustive":
-            continue
+    for g in chunk.exhaustive:
         inst = _table_id(g)
         for f in involutions(g.order):
             _involution_laws_for(g, f, rec, inst)
@@ -895,9 +896,7 @@ def _suite_inverse_laws(chunk: _Chunk, rec: _Recorder):
     and the inverse-antihomomorphism condition, over every exhaustive table
     with every self-inverse mapping, and over built instances with their
     glued mapping."""
-    for src, g in chunk.tables:
-        if src != "exhaustive":
-            continue
+    for g in chunk.exhaustive:
         facts = _InverseFacts(g)
         if facts.inv is None:
             continue
@@ -917,14 +916,12 @@ def _suite_slg_conclusions(chunk: _Chunk, rec: _Recorder):
     """The full conclusion battery on every twist of a semilattice of
     groups: exhaustive bases with every idempotent-fixed self-inverse
     automorphism, plus every built instance with its glued mapping."""
-    jobs: list[tuple[str, Groupoid, Groupoid, Mapping]] = []
-    for src, star in chunk.tables:
-        if src != "exhaustive" or not is_semilattice_of_groups(star):
-            continue
-        for f in e_fixed_involutive_automorphisms(star):
-            jobs.append(
-                (f"star={star.rows} alpha={f}", twist(star, f), star, f)
-            )
+    jobs = [
+        (f"star={star.rows} alpha={f}", twist(star, f), star, f)
+        for star in chunk.exhaustive
+        if is_semilattice_of_groups(star)
+        for f in e_fixed_involutive_automorphisms(star)
+    ]
     for built in chunk.specs:
         jobs.append((_spec_id(built.spec), built.determined, built.strong, built.alpha))
     for inst, g, star, f in jobs:
@@ -942,7 +939,7 @@ def _suite_decision_coherence(chunk: _Chunk, rec: _Recorder):
     sampled), positives carry verified witnesses, and built instances with
     a small semilattice decide positive with the glued mapping satisfying
     the shifted triple law."""
-    for _src, g in chunk.tables:
+    for g in chunk.exhaustive + chunk.samples:
         inst = _table_id(g)
         try:
             report = decide(g)
@@ -1025,9 +1022,7 @@ def _suite_construction_roundtrip(chunk: _Chunk, rec: _Recorder):
             reparsed == spec and serialize_cspec(reparsed) == text,
             inst,
         )
-    for src, g in chunk.tables:
-        if src != "exhaustive":
-            continue
+    for g in chunk.exhaustive:
         try:
             report = decide(g)
         except TheoremViolation:
@@ -1050,7 +1045,9 @@ SUITES: dict[str, Callable[[_Chunk, _Recorder], None]] = {}
 
 
 def register_suite(name: str, runner: Callable[[_Chunk, _Recorder], None]):
-    """Add a property suite to the registry under a unique name."""
+    """Add a property suite to the registry under a unique name.  Its
+    ``runner(chunk, rec)`` reads ``chunk.exhaustive``, ``chunk.samples`` and
+    ``chunk.specs``, so a suite that never reads one never pays for it."""
     if name in SUITES:
         raise ValueError(f"suite {name!r} is already registered")
     SUITES[name] = runner

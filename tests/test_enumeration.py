@@ -289,7 +289,7 @@ def test_sweep_detects_corrupted_property():
     # A deliberately false law must surface as a counterexample, proving the
     # sweep machinery can actually fail.
     def bad_suite(chunk, rec):
-        for _src, g in chunk.tables:
+        for g in chunk.exhaustive:
             rec.check("all_tables_commute", g.rows == tuple(zip(*g.rows)), "x")
 
     register_suite("deliberately_wrong", bad_suite)
@@ -332,40 +332,91 @@ def test_registered_suite_alone_reads_specs():
     assert counts == [{"spec_counter.instances": 2}] * 2
 
 
-def test_suite_reading_no_instances_builds_no_table(monkeypatch):
-    # chunk.tables, like chunk.specs, is built on first read.
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the sweep tables built per order."""
     import gpdtools.enumeration as enumeration
 
-    built = Counter()
+    counts = Counter()
+    real_table = enumeration._table
 
     def counted_table(flat, order):
-        built[order] += 1
+        counts[order] += 1
         return real_table(flat, order)
 
-    real_table = enumeration._table
     monkeypatch.setattr(enumeration, "_table", counted_table)
+    return counts
 
+
+def test_suite_reading_no_instances_builds_no_table(built):
+    # chunk.exhaustive and chunk.samples, like chunk.specs, are each built on
+    # first read.
     def no_reads(chunk, rec):
         rec.check("ran", True, "x")
 
     def table_reads(chunk, rec):
-        for _src, _g in chunk.tables:
+        for _g in chunk.exhaustive + chunk.samples:
             rec.check("instances", True, "x")
+
+    def sample_reads(chunk, rec):
+        for _g in chunk.samples:
+            rec.check("samples", True, "x")
 
     register_suite("no_reads", no_reads)
     register_suite("table_reads", table_reads)
+    register_suite("sample_reads", sample_reads)
     config = SweepConfig(max_exhaustive_order=2, sample_count=3, suites=("no_reads",))
     try:
         assert run_sweep(config).counts == {"no_reads.ran": 1}
         assert not built
+        config = replace(config, suites=("sample_reads",))
+        assert run_sweep(config).counts == {"sample_reads.samples": 3}
+        assert built == {4: 3}
+        built.clear()
         config = replace(config, suites=("no_reads", "table_reads"))
         assert run_sweep(config).counts == {
             "no_reads.ran": 1,
             "table_reads.instances": 1 + 16 + 3,
         }
     finally:
-        del SUITES["no_reads"], SUITES["table_reads"]
+        del SUITES["no_reads"], SUITES["table_reads"], SUITES["sample_reads"]
     assert built == {1: 1, 2: 16, 4: 3}
+
+
+#: Tables each built-in suite builds per order on the tiny config below: the
+#: suites whose docstrings name sampled tables read both table sources, the
+#: rest read only the exhaustive tables, and goldens reads neither.
+_BUILT_BY_SUITE = {
+    "goldens": {},
+    "square_classes": {1: 1, 2: 16, 4: 3},
+    "decision_coherence": {1: 1, 2: 16, 4: 3},
+}
+
+
+@pytest.mark.parametrize("name", tuple(SUITES))
+def test_suite_builds_only_the_table_sources_it_reads(built, name):
+    config = SweepConfig(
+        max_exhaustive_order=2,
+        sample_order=4,
+        sample_count=3,
+        max_semilattice_order=1,
+        max_group_order=2,
+        suites=(name,),
+    )
+    assert run_sweep(config).passed
+    assert built == _BUILT_BY_SUITE.get(name, {1: 1, 2: 16})
+
+
+def test_benchmark_sweep_covers_every_suite():
+    # The benchmark's sweep workload runs a hard-coded tuple of suite names.
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "metrics.py"
+    spec = importlib.util.spec_from_file_location("perfbench_metrics", path)
+    metrics = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(metrics)
+    assert metrics.SUITE_NAMES == tuple(SUITES)
 
 
 def test_inverse_laws_computes_table_facts_once(monkeypatch):
