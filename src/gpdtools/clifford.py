@@ -79,6 +79,21 @@ class GroupSpec:
         ):
             raise ValueError("involution images must lie in the group carrier")
 
+    @classmethod
+    def _trusted(
+        cls, rows: tuple[tuple[int, ...], ...], involution: Mapping
+    ) -> "GroupSpec":
+        """A block derived from valid data, made without re-validating it.
+
+        Only for a square tuple of tuples and a tuple of images of the same
+        length, all entries in range by construction; anything read from
+        outside goes through the validating constructor.
+        """
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "rows", rows)
+        object.__setattr__(spec, "involution", involution)
+        return spec
+
     @property
     def order(self) -> int:
         return len(self.rows)
@@ -435,7 +450,7 @@ def decompose(g: Groupoid, alpha: Mapping) -> ConstructionSpec:
             if home is None or home[0] != e:
                 raise NotDetermined(f"mapping does not preserve block {e}")
             images.append(home[1])
-        groups.append(GroupSpec(tuple(table), tuple(images)))
+        groups.append(GroupSpec._trusted(tuple(table), tuple(images)))
 
     homs = []
     for f, e in semilattice.strict_pairs():
@@ -509,7 +524,8 @@ def parse_cspec(text: str) -> ConstructionSpec:
         m = lines.size("order", f"group {e}")
         rows = tuple(lines.ints(m, m, f"group {e} row") for _ in range(m))
         lines.header(f"alpha {e}")
-        groups.append(GroupSpec(rows, lines.ints(m, m, f"alpha {e} images")))
+        images = lines.ints(m, m, f"alpha {e} images")
+        groups.append(GroupSpec._trusted(rows, images))
     homs = []
     for f, e in semilattice.strict_pairs():
         lines.header(f"hom {f} {e}")

@@ -334,17 +334,16 @@ def enumerate_specs(max_semilattice_order: int = 3, max_group_order: int = 4):
     the transitive compatible systems.
     """
     _check_family_limits(max_semilattice_order, max_group_order)
-    choices: list[tuple[tuple[tuple[int, ...], ...], Mapping]] = []
+    choices: list[GroupSpec] = []
     for m in range(1, max_group_order + 1):
         for rows in enumerate_group_tables(m):
             for alpha in involutive_automorphisms(Groupoid(rows)):
-                choices.append((rows, alpha))
+                choices.append(GroupSpec._trusted(rows, alpha))
     for k in range(1, max_semilattice_order + 1):
         for sl in enumerate_semilattices(k):
             strict = sl.strict_pairs()
             covers = _cover_pairs(sl)
-            for assignment in itertools.product(choices, repeat=k):
-                groups = tuple(GroupSpec(rows, alpha) for rows, alpha in assignment)
+            for groups in itertools.product(choices, repeat=k):
                 pools = [
                     _compatible_homs(
                         groups[f].rows,

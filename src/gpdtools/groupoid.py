@@ -9,9 +9,24 @@ over all element tuples of the relevant arity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import MalformedInput, NotClosed
+
+
+def _row_getters(rows) -> list:
+    """Per element y, the map ``v -> (v[y*0], ..., v[y*(n-1)])``, built in C.
+
+    ``at[y](v)`` is the sequence ``v`` composed with the row of y, as a
+    tuple; for ``v`` the row of x it is the row of ``x*(y*_)``.  Every
+    kernel that composes rows goes through here.
+    """
+    if len(rows) == 1:
+        # itemgetter with one index returns the bare item, not a 1-tuple.
+        return [lambda v: (v[0],)]
+    return list(starmap(itemgetter, rows))
 
 
 @dataclass(frozen=True)
@@ -60,11 +75,12 @@ class Groupoid:
     def is_associative(self) -> bool:
         """Exhaustively test ``(x*y)*z == x*(y*z)``."""
         rows = self.rows
+        at = _row_getters(rows)
         for rx in rows:
             # Row of x*(y*_) for fixed x,y is rx composed with row of y;
             # row of (x*y)*_ is the row indexed by x*y.
-            for y, ry in enumerate(rows):
-                if rows[rx[y]] != tuple(map(rx.__getitem__, ry)):
+            for y, compose in enumerate(at):
+                if rows[rx[y]] != compose(rx):
                     return False
         return True
 

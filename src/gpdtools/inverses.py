@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import NotInverse
-from .groupoid import Groupoid
+from .groupoid import Groupoid, _row_getters
 from .mappings import Mapping
 
 
@@ -59,25 +59,39 @@ def is_completely_inverse(g: Groupoid) -> bool:
 def is_right_bol(g: Groupoid) -> bool:
     """Exhaustively test ``((x*y)*z)*w == x*((y*z)*w)``.
 
-    Makes O(n³) row comparisons on a table of order n.  Over all w, the
-    left side is the row of ``(x*y)*z`` and the right side is the row of
-    ``u = y*z`` composed with the row of ``x``, which depends on ``x`` and
-    ``u`` only.  That composite is built the first time the pair ``(x, u)``
-    occurs and reused for every later ``(y, z)`` with ``y*z == u``.
+    Over all w the law says that the row of ``(x*y)*z`` is ``R(x, y*z)``,
+    where ``R(x, u)`` is the row of x composed with the row of u.  Rows are
+    compared by id: ``ids`` maps each distinct row to one element having it,
+    so equal ids mean equal rows.  For each x, in two phases:
+
+    1. For each product u, ``comp[u]`` is the id of ``R(x, u)``; the law
+       fails when that composite is no row of the table.
+    2. For each y, over all z at once: ``idrow[x*y] == comp o rows[y]``,
+       where ``idrow[a]`` is the row of a with each entry replaced by the
+       id of its row.
+
+    That is ``n*|P| + n*n`` row comparisons or lookups on a table of order
+    n with product set P, so O(n²), each composite built in C by
+    :func:`_row_getters`.  ``idrow`` is built once the first x passes
+    phase 1, so most tables that fail never pay for it.
     """
     rows = g.rows
-    n = len(rows)
+    at = _row_getters(rows)
+    ids = {row: a for a, row in enumerate(rows)}
+    products = set().union(*rows)
+    comp = [0] * len(rows)
+    idrow = None
     for rx in rows:
-        # composed[u]: the row of x*(u*_), once built.
-        composed: list[tuple[int, ...] | None] = [None] * n
-        for y, ry in enumerate(rows):
-            rxy = rows[rx[y]]
-            for z, u in enumerate(ry):
-                row = composed[u]
-                if row is None:
-                    row = composed[u] = tuple(map(rx.__getitem__, rows[u]))
-                if rows[rxy[z]] != row:
-                    return False
+        for u in products:
+            c = comp[u] = ids.get(at[u](rx))
+            if c is None:
+                return False
+        if idrow is None:
+            rid = [ids[row] for row in rows]
+            idrow = [compose(rid) for compose in at]
+        for y, compose in enumerate(at):
+            if idrow[rx[y]] != compose(comp):
+                return False
     return True
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .groupoid import Groupoid, _ContentLines
+from .groupoid import Groupoid, _ContentLines, _row_getters
 
 Mapping = tuple[int, ...]
 
@@ -238,10 +238,11 @@ def absorption_law(g: Groupoid, f: Mapping) -> bool:
 def shifted_associativity(g: Groupoid, f: Mapping) -> bool:
     """True when ``(x*y)*z == f(x)*(y*z)`` for all x, y, z."""
     rows = g.rows
+    at = _row_getters(rows)
     for x, rx in enumerate(rows):
         rfx = rows[f[x]]
-        for y, ry in enumerate(rows):
-            if rows[rx[y]] != tuple(map(rfx.__getitem__, ry)):
+        for y, compose in enumerate(at):
+            if rows[rx[y]] != compose(rfx):
                 return False
     return True
 
@@ -261,18 +262,20 @@ def _shift_images(g: Groupoid) -> tuple[tuple[int, ...], ...] | None:
     O(n^2) row comparisons.
     """
     rows = g.rows
+    at = _row_getters(rows)
     pair: dict[int, tuple[int, int]] = {}
     for y, ry in enumerate(rows):
         for z, u in enumerate(ry):
-            pair.setdefault(u, (y, z))
+            if u not in pair:
+                pair[u] = (y, z)
     products = sorted(pair)
     v = [0] * len(rows)
     wanted = []
     for rx in rows:
         for u, (y, z) in pair.items():
             v[u] = rows[rx[y]][z]
-        for y, ry in enumerate(rows):
-            if rows[rx[y]] != tuple(map(v.__getitem__, ry)):
+        for y, compose in enumerate(at):
+            if rows[rx[y]] != compose(v):
                 return None
         wanted.append(tuple(map(v.__getitem__, products)))
     # Elements grouped by their row restricted to the product set.

@@ -19,6 +19,7 @@ from gpdtools import (
     ad_membership_direct,
     ad_membership_profile,
     automorphisms,
+    build_determined,
     check_class_relations,
     check_twisted_semigroup,
     check_twisted_slg,
@@ -33,6 +34,7 @@ from gpdtools import (
     is_completely_inverse,
     is_homomorphism,
     is_semilattice_of_groups,
+    parse_cspec,
     parse_groupoid,
     random_groupoids,
     shifted_associativity,
@@ -50,7 +52,7 @@ from gpdtools.fixtures import (
     Z3_TWIST,
 )
 
-from .test_inverses import _negation_twist
+from .test_inverses import _cyclic_chain_cspec, _negation_twist
 from .test_mappings import (
     SHIFT_CORPUS_SIZE,
     _left_zero_band,
@@ -412,6 +414,24 @@ def test_decide_reports_are_pinned():
         digest.update(decide(g).to_json().encode())
     assert digest.hexdigest() == (
         "2ff23abba247b6184996344426c7954f4635091de1f1c52f7fe70fae088dc5fa"
+    )
+
+
+def test_large_positive_reports_are_pinned():
+    # sha256 of the concatenated decide(g).to_json() over five cyclic
+    # Clifford chains of order 14 to 62 and the Z_40 and Z_48 negation
+    # twists, measured while is_right_bol made O(n^3) row comparisons.
+    chains = ((2, 4, 8), (4, 8, 16), (6, 12, 24), (8, 16, 32), (2, 4, 8, 16, 32))
+    tables = [build_determined(parse_cspec(_cyclic_chain_cspec(c)))[0] for c in chains]
+    assert [g.order for g in tables] == [14, 28, 42, 56, 62]
+    tables += [_negation_twist(40), _negation_twist(48)]
+    digest = hashlib.sha256()
+    for g in tables:
+        rep = decide(g)
+        assert rep.determined
+        digest.update(rep.to_json().encode())
+    assert digest.hexdigest() == (
+        "24e0cd88c4b7c4c2fea4856b606ad47a6a75bdaaae6738f9accc5e1182ccd872"
     )
 
 

@@ -70,14 +70,36 @@ def test_identity_checkers_against_oracle_sampled_order3(tag):
 
 
 def test_associativity_against_oracle():
-    for g in _all_tables(2):
+    from gpdtools import build_strong_slg, parse_cspec
+
+    from .test_inverses import _cyclic_chain_cspec, _mutations
+
+    chain = build_strong_slg(parse_cspec(_cyclic_chain_cspec((2, 4, 8))))
+    tables = itertools.chain(
+        _all_tables(1),
+        _all_tables(2),
+        itertools.islice(random_groupoids(3, 300, seed=13), 300),
+        # The stars of the Z_n negation twists: Z_n under addition.
+        (
+            Groupoid(tuple(tuple((x + y) % n for y in range(n)) for x in range(n)))
+            for n in (16, 32, 64)
+        ),
+        [chain],
+        _mutations(chain),
+    )
+    verdicts = [0, 0]
+    for g in tables:
+        r = range(g.order)
         brute = all(
             g.product(g.product(x, y), z) == g.product(x, g.product(y, z))
-            for x in range(2)
-            for y in range(2)
-            for z in range(2)
+            for x in r
+            for y in r
+            for z in r
         )
-        assert g.is_associative() == brute
+        assert g.is_associative() == brute, g.rows
+        verdicts[brute] += 1
+    assert sum(verdicts) == 1 + 16 + 300 + 3 + 1 + 14 * 14
+    assert min(verdicts) > 0
     assert BAND3.is_associative()
     assert not FLIP2.is_associative()
     assert Z3.is_associative()
@@ -182,22 +204,34 @@ def _validated_copy_equals(g):
 
 def test_trusted_construction_sites_make_valid_tables():
     from gpdtools import (
+        GroupSpec,
         build_determined,
         build_strong_slg,
+        decompose,
         enumerate_groupoids,
         enumerate_specs,
         involutions,
+        parse_cspec,
+        serialize_cspec,
         twist,
     )
 
     tables = [g for n in (1, 2, 3) for g in enumerate_groupoids(n)]
     tables += random_groupoids(4, 2_000, 4242)
+    # Blocks from the three trusted GroupSpec sites: the spec family, the
+    # parser and the decomposition.
+    blocks = []
     for spec in enumerate_specs(3, 3):
         strong = build_strong_slg(spec)
         determined, alpha = build_determined(spec)
         assert _validated_copy_equals(twist(strong, alpha))
         tables += [strong, determined]
+        blocks += spec.groups
+        blocks += parse_cspec(serialize_cspec(spec)).groups
+        blocks += decompose(determined, alpha).groups
     assert len(tables) == 19_700 + 2_000 + 2 * 251
+    for s in blocks:
+        assert type(s) is GroupSpec and GroupSpec(s.rows, s.involution) == s
     for g in tables:
         assert _validated_copy_equals(g)
         assert _validated_copy_equals(square_subgroupoid(g)[0])

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import gpdtools.inverses as inverses
 from gpdtools import (
     Groupoid,
     NotInverse,
@@ -18,10 +19,12 @@ from gpdtools import (
     inverses_of,
     is_completely_inverse,
     is_right_bol,
+    parse_cspec,
     random_groupoids,
     strongly_regular_witness,
 )
 from gpdtools.fixtures import BAND3, FLIP2, Z3, Z3_TWIST
+from gpdtools.groupoid import _row_getters
 
 
 def _oracle_inverses(g, x):
@@ -123,6 +126,25 @@ def _negation_twist(n):
     return Groupoid(tuple(tuple((y - x) % n for y in range(n)) for x in range(n)))
 
 
+def _cyclic_chain_cspec(orders):
+    """The ``.cspec`` text of a chain ``Z_{orders[0]} < Z_{orders[1]} < ...``
+    of cyclic groups, each with negation, glued by reduction modulo the
+    lower order (meet = min on the chain positions)."""
+    k = len(orders)
+    text = [f"semilattice {k}"]
+    text += [" ".join(str(min(e, f)) for f in range(k)) for e in range(k)]
+    for e, m in enumerate(orders):
+        text.append(f"group {e} {m}")
+        text += [" ".join(str((x + y) % m) for y in range(m)) for x in range(m)]
+        text.append(f"alpha {e}")
+        text.append(" ".join(str(-x % m) for x in range(m)))
+    for f in range(k):
+        for e in range(f):
+            text.append(f"hom {f} {e}")
+            text.append(" ".join(str(x % orders[e]) for x in range(orders[f])))
+    return "\n".join(text) + "\n"
+
+
 def test_right_bol_agrees_with_reference_on_small_tables():
     exhaustive = itertools.chain.from_iterable(
         enumerate_groupoids(n) for n in (1, 2, 3)
@@ -147,6 +169,16 @@ def test_right_bol_agrees_with_reference_on_built_tables():
     assert tables == 948
 
 
+def _mutations(g):
+    """Every table that differs from ``g`` in one cell, by +1 mod n."""
+    n = g.order
+    for x in range(n):
+        for y in range(n):
+            rows = [list(row) for row in g.rows]
+            rows[x][y] = (rows[x][y] + 1) % n
+            yield Groupoid.from_rows(rows)
+
+
 def test_right_bol_large_tables():
     for n in (16, 32, 64):
         assert is_right_bol(_negation_twist(n))
@@ -159,6 +191,60 @@ def test_right_bol_large_tables():
         rows = [list(row) for row in base]
         rows[x][y] = (rows[x][y] + 1) % n
         assert not is_right_bol(Groupoid.from_rows(rows)), (x, y)
+    # Tables whose rows coincide (right-zero bands x*y = y, null semigroups
+    # x*y = 0), so many elements share one row id, and their mutations.
+    verdicts = [0, 0]
+    for n in range(5, 13):
+        for g in (
+            Groupoid(tuple(tuple(range(n)) for _ in range(n))),
+            Groupoid(tuple((0,) * n for _ in range(n))),
+        ):
+            assert is_right_bol(g) and _reference_right_bol(g)
+            for h in _mutations(g):
+                expected = _reference_right_bol(h)
+                assert is_right_bol(h) == expected, h.rows
+                verdicts[expected] += 1
+    assert verdicts[False] > 0 and verdicts[True] > 0
+    # The Z_32 twist with two rows swapped: its rows are still all the
+    # translations, so every composite of two rows is a row of the table
+    # and only the comparison per pair (y, z) can reject it.
+    for a, b in ((0, 1), (5, 17), (30, 31)):
+        rows = list(base)
+        rows[a], rows[b] = rows[b], rows[a]
+        g = Groupoid(tuple(rows))
+        assert {tuple(rx[w] for w in ru) for rx in rows for ru in rows} == set(rows)
+        assert not _reference_right_bol(g)
+        assert not is_right_bol(g), (a, b)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _negation_twist(64),
+        build_determined(parse_cspec(_cyclic_chain_cspec((2, 4, 8, 16, 32))))[0],
+    ],
+    ids=["z64twist", "chain62"],
+)
+def test_right_bol_makes_quadratically_many_row_compositions(g, monkeypatch):
+    """Per x: one composite per product, then one per y; plus one per
+    element to build the row ids.  Both tables are right-Bol, so every
+    phase runs to the end."""
+    calls = [0]
+
+    def counted_getters(rows):
+        def counted(compose):
+            def call(v):
+                calls[0] += 1
+                return compose(v)
+
+            return call
+
+        return [counted(compose) for compose in _row_getters(rows)]
+
+    monkeypatch.setattr(inverses, "_row_getters", counted_getters)
+    n = g.order
+    assert is_right_bol(g)
+    assert n * n <= calls[0] <= n * len(g.products()) + n * n + n
 
 
 def test_strongly_regular_witness():

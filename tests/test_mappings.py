@@ -297,15 +297,25 @@ def test_translation_and_absorption_facts():
 
 
 def test_shifted_associativity_against_oracle():
-    for g in itertools.islice(random_groupoids(3, 150, seed=23), 150):
-        for f in involutions(3):
-            brute = all(
-                g.product(g.product(x, y), z) == g.product(f[x], g.product(y, z))
-                for x in range(3)
-                for y in range(3)
-                for z in range(3)
-            )
-            assert shifted_associativity(g, f) == brute
+    z32 = _negation_twist(32)
+    cases = [(g, f) for g in enumerate_groupoids(1) for f in involutions(1)]
+    cases += [
+        (g, f)
+        for g in itertools.islice(random_groupoids(3, 150, seed=23), 150)
+        for f in involutions(3)
+    ]
+    cases += [(z32, tuple(-x % 32 for x in range(32))), (z32, identity_mapping(32))]
+    for g, f in cases:
+        r = range(g.order)
+        brute = all(
+            g.product(g.product(x, y), z) == g.product(f[x], g.product(y, z))
+            for x in r
+            for y in r
+            for z in r
+        )
+        assert shifted_associativity(g, f) == brute
+    assert shifted_associativity(*cases[-2])
+    assert not shifted_associativity(*cases[-1])
 
 
 def test_lt_rt_against_oracle():
