@@ -28,7 +28,6 @@ from .errors import (
     MalformedInput,
     InvalidSpec,
     NotDetermined,
-    NotInverse,
     NotInvolution,
     OrderTooLarge,
     TheoremViolation,
@@ -41,13 +40,7 @@ from .groupoid import (
     satisfies_variety,
     serialize_groupoid,
 )
-from .inverses import (
-    idempotents_form_semilattice,
-    inverse_table,
-    is_completely_inverse,
-    is_right_bol,
-    strongly_regular_witness,
-)
+from .inverses import _Facts
 from .mappings import (
     Mapping,
     absorption_law,
@@ -110,23 +103,19 @@ def _load(table: str, mapping: str | None) -> tuple[Groupoid, Mapping | None]:
 def _check_report(g: Groupoid, mapping) -> dict:
     associative = g.is_associative()
     identities = {t: satisfies_variety(g, t) for t in VARIETIES}
-    try:
-        inverse_table(g)
-        has_inverses = True
-    except NotInverse:
-        has_inverses = False
+    facts = _Facts(g)
     report: dict = {
         "schema": "check_report@1",
         "groupoid": {
             "order": g.order,
             "associative": associative,
-            "idempotents": sorted(g.idempotents()),
+            "idempotents": sorted(facts.idempotents),
             "band": associative and identities["B"],
-            "idempotents_form_semilattice": idempotents_form_semilattice(g),
-            "inverse": has_inverses,
-            "completely_inverse": is_completely_inverse(g),
-            "right_bol": is_right_bol(g),
-            "strongly_regular": strongly_regular_witness(g) is not None,
+            "idempotents_form_semilattice": facts.e_semilattice,
+            "inverse": facts.inv is not None,
+            "completely_inverse": facts.completely_inverse,
+            "right_bol": facts.right_bol,
+            "strongly_regular": facts.strongly_regular,
             "semilattice_of_groups": is_semilattice_of_groups(g),
             "identity_classes": identities,
             "semigroup_classes": {t: associative and identities[t] for t in VARIETIES},
@@ -147,7 +136,7 @@ def _check_report(g: Groupoid, mapping) -> dict:
             "endomorphism": endo,
             "automorphism": endo and len(set(f)) == g.order,
             "involutive_automorphism": endo and invol,
-            "idempotent_fixed": all(f[e] == e for e in g.idempotents()),
+            "idempotent_fixed": all(f[e] == e for e in facts.idempotents),
             "left_translation": in_lt(g, f),
             "right_translation": in_rt(g, f),
             "absorption": absorption_law(g, f),

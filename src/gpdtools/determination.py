@@ -15,12 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    NotInverse,
-    NotInvolution,
-    PreconditionViolated,
-    TheoremViolation,
-)
+from .errors import NotInvolution, PreconditionViolated, TheoremViolation
 from .groupoid import (
     VARIETIES,
     Groupoid,
@@ -29,13 +24,11 @@ from .groupoid import (
     square_subgroupoid,
 )
 from .inverses import (
-    canonical_twist,
+    _antihomomorphism,
+    _canonical_twist,
+    _Facts,
     idempotents_form_semilattice,
-    inverse_antihomomorphism_law,
-    inverse_table,
-    is_completely_inverse,
     is_right_bol,
-    strongly_regular_witness,
 )
 from .mappings import (
     Mapping,
@@ -121,13 +114,25 @@ def ad_membership_profile(g: Groupoid) -> dict[str, Mapping | None]:
     ``g``, whose untwisted table is associative; for such f that is
     exactly the shifted triple law on ``g``.  So only the
     :func:`_shift_candidates` are untwisted, each once, in lexicographic
-    order, and no untwisted table needs an associativity check.
+    order, and no untwisted table needs an associativity check.  Two
+    candidates with the same untwisted table satisfy the same classes, so
+    only the first of them is checked; the first witness per class stays
+    the same.
     """
     found: dict[str, Mapping | None] = {tag: None for tag in VARIETIES}
     missing = set(VARIETIES)
+    ids = {row: a for a, row in enumerate(g.rows)}
+    rid = [ids[row] for row in g.rows]
+    seen = set()
     for f in _shift_candidates(g):
         if not missing:
             break
+        # The classes f satisfies depend only on its untwisted table, whose
+        # row x is the row of f[x]: skip a table already seen.
+        key = tuple(map(rid.__getitem__, f))
+        if key in seen:
+            continue
+        seen.add(key)
         star = untwist(g, f)
         for tag in sorted(missing):
             if satisfies_variety(star, tag):
@@ -334,20 +339,18 @@ def check_twisted_slg(g: Groupoid, star: Groupoid, f: Mapping) -> dict[str, bool
 
     rows = g.rows
     n = g.order
-    idem = sorted(g.idempotents())
+    facts = _Facts(g)
+    idem = sorted(facts.idempotents)
+    inv = facts.inv
 
     report: dict[str, bool] = {}
-    report["completely_inverse"] = is_completely_inverse(g)
+    report["completely_inverse"] = facts.completely_inverse
     report["idempotent_semilattice_match"] = (
-        g.idempotents() == star.idempotents() and idempotents_form_semilattice(g)
+        facts.idempotents == star.idempotents() and facts.e_semilattice
     )
     report["efixed_involutive_automorphism"] = is_homomorphism(f, g, g) and all(
         f[e] == e for e in idem
     )
-    try:
-        inv = inverse_table(g)
-    except NotInverse:
-        inv = None
     if inv is None:
         for name in (
             "canonical_map",
@@ -363,7 +366,7 @@ def check_twisted_slg(g: Groupoid, star: Groupoid, f: Mapping) -> dict[str, bool
             f[a] == rows[a][rows[inv[a]][a]] == rows[a][rows[a][inv[a]]]
             for a in range(n)
         )
-        report["inverse_antihomomorphism"] = inverse_antihomomorphism_law(g, f)
+        report["inverse_antihomomorphism"] = _antihomomorphism(g, inv, f)
         report["square_inverse_cancel"] = all(
             rows[rows[a][a]][inv[a]] == a for a in range(n)
         )
@@ -375,16 +378,12 @@ def check_twisted_slg(g: Groupoid, star: Groupoid, f: Mapping) -> dict[str, bool
             for p in (rows[a][b],)
             for q in (rows[inv[b]][inv[a]],)
         )
-        try:
-            star_inv = inverse_table(star)
-        except NotInverse:
-            report["inverse_product_match"] = False
-        else:
-            report["inverse_product_match"] = all(
-                rows[a][inv[a]] == star.rows[a][star_inv[a]] for a in range(n)
-            )
+        star_inv = _Facts(star).inv
+        report["inverse_product_match"] = star_inv is not None and all(
+            rows[a][inv[a]] == star.rows[a][star_inv[a]] for a in range(n)
+        )
     report["shifted_associativity"] = shifted_associativity(g, f)
-    report["right_bol"] = is_right_bol(g)
+    report["right_bol"] = facts.right_bol
     report["idempotent_left_shift"] = all(
         rows[e][a] == rows[f[a]][e] for e in idem for a in range(n)
     )
@@ -522,31 +521,26 @@ class DecisionReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _criterion_completely_inverse(g: Groupoid) -> CriterionVerdict:
+def _criterion_completely_inverse(facts: _Facts) -> CriterionVerdict:
+    g = facts.g
     failed = []
-    if not is_completely_inverse(g):
+    if not facts.completely_inverse:
         failed.append("completely_inverse")
     # The shift candidates are the involutive automorphisms f with
     # f[x] in domain[x] for every x (the shifted triple law).
-    domain = _shift_images(g)
+    domain = facts.shift_images
     alpha = None
     shift_seen = False
     if domain is not None:
-        e_semilattice = idempotents_form_semilattice(g)
+        e_semilattice = facts.e_semilattice
         # f matters only when the idempotents are no semilattice and an
         # inverse table exists (without one, the antihomomorphism law fails
         # for every f); otherwise the first candidate settles the verdict.
-        walk_all = False
-        if not e_semilattice:
-            try:
-                inverse_table(g)
-            except NotInverse:
-                pass
-            else:
-                walk_all = True
+        inv = facts.inv
+        walk_all = not e_semilattice and inv is not None
         for f in _isomorphisms(g, g, not walk_all, involutive=True, domain=domain):
             shift_seen = True
-            if e_semilattice or (walk_all and inverse_antihomomorphism_law(g, f)):
+            if e_semilattice or (walk_all and _antihomomorphism(g, inv, f)):
                 alpha = f
                 break
     if alpha is None:
@@ -558,14 +552,15 @@ def _criterion_completely_inverse(g: Groupoid) -> CriterionVerdict:
     return CriterionVerdict(not failed, alpha, tuple(failed))
 
 
-def _criterion_strongly_regular(g: Groupoid) -> CriterionVerdict:
+def _criterion_strongly_regular(facts: _Facts) -> CriterionVerdict:
+    g = facts.g
     failed = []
-    if strongly_regular_witness(g) is None:
+    if not facts.strongly_regular:
         failed.append("strongly_regular")
-    if not idempotents_form_semilattice(g):
+    if not facts.e_semilattice:
         failed.append("idempotent_semilattice")
     alpha = None
-    domain = _shift_images(g)
+    domain = facts.shift_images
     if domain is not None:
         domain = _idempotents_fixed(g, domain)
         alpha = next(_isomorphisms(g, g, True, involutive=True, domain=domain), None)
@@ -574,24 +569,22 @@ def _criterion_strongly_regular(g: Groupoid) -> CriterionVerdict:
     return CriterionVerdict(not failed, alpha, tuple(failed))
 
 
-def _criterion_right_bol(g: Groupoid) -> CriterionVerdict:
+def _criterion_right_bol(facts: _Facts) -> CriterionVerdict:
+    g = facts.g
     failed = []
-    if not is_completely_inverse(g):
+    if not facts.completely_inverse:
         failed.append("completely_inverse")
-    if not is_right_bol(g):
+    if not facts.right_bol:
         failed.append("right_bol")
     alpha = None
-    try:
-        candidate = canonical_twist(g)
-    except NotInverse:
+    inv = facts.inv
+    if inv is None:
         failed.append("canonical_map_undefined")
     else:
+        candidate = _canonical_twist(g, inv)
         if is_involution(candidate) and is_homomorphism(candidate, g, g):
             alpha = candidate
-            if not (
-                idempotents_form_semilattice(g)
-                or inverse_antihomomorphism_law(g, candidate)
-            ):
+            if not (facts.e_semilattice or _antihomomorphism(g, inv, candidate)):
                 failed.append("idempotent_semilattice_or_inverse_antihomomorphism")
         else:
             failed.append("canonical_involutive_automorphism")
@@ -620,11 +613,16 @@ def decide(g: Groupoid) -> DecisionReport:
     it.  Any disagreement between criteria, or a witness that fails
     verification, raises :class:`TheoremViolation` — that is an alarm,
     never an expected outcome.
+
+    The table's facts (inverse table, shift images, right-Bol, ...) are
+    computed once per call and shared as inputs; each criterion still
+    derives its own verdict from them.
     """
+    facts = _Facts(g)
     criteria = {
-        "completely_inverse_automorphism": _criterion_completely_inverse(g),
-        "strong_regularity": _criterion_strongly_regular(g),
-        "right_bol_canonical": _criterion_right_bol(g),
+        "completely_inverse_automorphism": _criterion_completely_inverse(facts),
+        "strong_regularity": _criterion_strongly_regular(facts),
+        "right_bol_canonical": _criterion_right_bol(facts),
     }
     verdicts = {name: v.passed for name, v in criteria.items()}
     if len(set(verdicts.values())) != 1:

@@ -21,7 +21,7 @@ import multiprocessing
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .clifford import (
@@ -49,7 +49,6 @@ from .determination import (
 from .errors import (
     LimitsTooLarge,
     NotClosed,
-    NotInverse,
     OrderTooLarge,
     PreconditionViolated,
     TheoremViolation,
@@ -62,10 +61,10 @@ from .groupoid import (
     square_subgroupoid,
 )
 from .inverses import (
+    _antihomomorphism,
+    _canonical_twist,
+    _Facts,
     canonical_twist,
-    idempotents_form_semilattice,
-    inverse_antihomomorphism_law,
-    inverse_table,
     inverses_of,
     is_completely_inverse,
     is_right_bol,
@@ -464,9 +463,16 @@ class _Recorder:
         self._counts = counts
         self._failures = failures
 
-    def check(self, law: str, ok: bool, instance: str, detail: str = "") -> bool:
+    def check(
+        self, law: str, ok: bool, instance: str | Callable[[], str], detail: str = ""
+    ) -> bool:
+        """Count one check of ``law``; a failure is kept under ``instance``,
+        the id string or a zero-argument callable that makes it (called
+        only when the check fails)."""
         self._counts[f"{self._suite}.{law}"] += 1
         if not ok:
+            if callable(instance):
+                instance = instance()
             self._failures.append(
                 Counterexample(self._suite, law, instance, detail)
             )
@@ -627,7 +633,7 @@ def _suite_square_classes(chunk: _Chunk, rec: _Recorder):
     when the product subtable satisfies the base identity, and the
     right-absorption identity forces idempotency."""
     for g in chunk.exhaustive + chunk.samples:
-        inst = _table_id(g)
+        inst = partial(_table_id, g)
         try:
             squares, _ = square_subgroupoid(g)
         except NotClosed as exc:  # unreachable: product sets are closed
@@ -658,7 +664,7 @@ def _suite_ad_equivalence(chunk: _Chunk, rec: _Recorder):
     characterizations agree on every exhaustive table, and every
     characterization witness is a valid definition-level witness."""
     for g in chunk.exhaustive:
-        inst = _table_id(g)
+        inst = partial(_table_id, g)
         profile = ad_membership_profile(g)
         for tag in VARIETIES:
             direct = profile[tag]
@@ -695,7 +701,7 @@ def _suite_class_relations(chunk: _Chunk, rec: _Recorder):
         if built.determined.order <= _RELATION_ORDER_CAP
     )
     for g in targets:
-        inst = _table_id(g)
+        inst = partial(_table_id, g)
         report = check_class_relations(g)
         for base in (pair[0] for pair in DESCENT_PAIRS):
             rec.check(
@@ -713,7 +719,9 @@ def _suite_class_relations(chunk: _Chunk, rec: _Recorder):
                 rec.check(f"twist_isomorphism.{tag}", iso, inst)
 
 
-def _involution_laws_for(g: Groupoid, f: Mapping, rec: _Recorder, inst: str):
+def _involution_laws_for(
+    g: Groupoid, f: Mapping, rec: _Recorder, inst: Callable[[], str]
+):
     n = g.order
     shifted = shifted_associativity(g, f)
     assoc = g.is_associative()
@@ -775,53 +783,18 @@ def _suite_involution_laws(chunk: _Chunk, rec: _Recorder):
     every self-inverse mapping, and over built instances with their glued
     mapping."""
     for g in chunk.exhaustive:
-        inst = _table_id(g)
+        inst = partial(_table_id, g)
         for f in involutions(g.order):
             _involution_laws_for(g, f, rec, inst)
     for built in chunk.specs:
-        inst = _spec_id(built.spec)
+        inst = partial(_spec_id, built.spec)
         _involution_laws_for(built.determined, built.alpha, rec, inst)
         _involution_laws_for(built.strong, built.alpha, rec, inst)
 
 
-class _InverseFacts:
-    """One table's inverse table and the predicates the ``inverse_laws``
-    suite reads, each computed at most once and only when first read."""
-
-    def __init__(self, g: Groupoid):
-        self.g = g
-        try:
-            self.inv: Mapping | None = inverse_table(g)
-        except NotInverse:
-            self.inv = None
-
-    @cached_property
-    def idempotents(self) -> frozenset[int]:
-        return self.g.idempotents()
-
-    @cached_property
-    def products_idem(self) -> bool:
-        inv = self.inv
-        return all(self.g.product(a, inv[a]) in self.idempotents for a in self.g)
-
-    @cached_property
-    def e_semilattice(self) -> bool:
-        return idempotents_form_semilattice(self.g)
-
-    @cached_property
-    def right_bol(self) -> bool:
-        return is_right_bol(self.g)
-
-    @cached_property
-    def strongly_regular(self) -> bool:
-        return strongly_regular_witness(self.g) is not None
-
-    @cached_property
-    def completely_inverse(self) -> bool:
-        return self.inv is not None and is_completely_inverse(self.g)
-
-
-def _inverse_laws_for(facts: _InverseFacts, f: Mapping, rec: _Recorder, inst: str):
+def _inverse_laws_for(
+    facts: _Facts, f: Mapping, rec: _Recorder, inst: Callable[[], str]
+):
     g, inv = facts.g, facts.inv
     if inv is None or not is_homomorphism(f, g, g):
         return
@@ -830,8 +803,9 @@ def _inverse_laws_for(facts: _InverseFacts, f: Mapping, rec: _Recorder, inst: st
     canonical = all(
         f[a] == g.product(a, g.product(inv[a], a)) for a in g
     )
-    antihom = inverse_antihomomorphism_law(g, f)
-    if facts.products_idem and untwist(g, f).is_associative():
+    antihom = _antihomomorphism(g, inv, f)
+    products_idem = all(g.product(a, inv[a]) in facts.idempotents for a in g)
+    if products_idem and untwist(g, f).is_associative():
         rec.check(
             "unique_inverses_shift_efixed_iff_canonical",
             e_fixed == canonical,
@@ -845,7 +819,7 @@ def _inverse_laws_for(facts: _InverseFacts, f: Mapping, rec: _Recorder, inst: st
             inst,
             detail,
         )
-    if facts.products_idem and shifted_associativity(g, f):
+    if products_idem and shifted_associativity(g, f):
         rec.check("shift_fixes_idempotents", e_fixed, inst, detail)
         rec.check("shift_forces_canonical_formula", canonical, inst, detail)
         rec.check(
@@ -868,19 +842,15 @@ def _inverse_laws_for(facts: _InverseFacts, f: Mapping, rec: _Recorder, inst: st
         )
 
 
-def _canonical_law_for(facts: _InverseFacts, rec: _Recorder, inst: str):
+def _canonical_law_for(facts: _Facts, rec: _Recorder, inst: Callable[[], str]):
     if not facts.completely_inverse:
         return
-    g = facts.g
-    try:
-        c = canonical_twist(g)
-    except NotInverse:  # unreachable given unique inverses
-        rec.check("canonical_map_defined", False, inst)
-        return
+    g, inv = facts.g, facts.inv
+    c = _canonical_twist(g, inv)
     if (
         is_involution(c)
         and is_homomorphism(c, g, g)
-        and (facts.e_semilattice or inverse_antihomomorphism_law(g, c))
+        and (facts.e_semilattice or _antihomomorphism(g, inv, c))
     ):
         rec.check(
             "canonical_shift_iff_right_bol",
@@ -896,18 +866,18 @@ def _suite_inverse_laws(chunk: _Chunk, rec: _Recorder):
     with every self-inverse mapping, and over built instances with their
     glued mapping."""
     for g in chunk.exhaustive:
-        facts = _InverseFacts(g)
+        facts = _Facts(g)
         if facts.inv is None:
             continue
-        inst = _table_id(g)
+        inst = partial(_table_id, g)
         for f in involutions(g.order):
             _inverse_laws_for(facts, f, rec, inst)
         _canonical_law_for(facts, rec, inst)
     for built in chunk.specs:
-        inst = _spec_id(built.spec)
-        determined = _InverseFacts(built.determined)
+        inst = partial(_spec_id, built.spec)
+        determined = _Facts(built.determined)
         _inverse_laws_for(determined, built.alpha, rec, inst)
-        _inverse_laws_for(_InverseFacts(built.strong), built.alpha, rec, inst)
+        _inverse_laws_for(_Facts(built.strong), built.alpha, rec, inst)
         _canonical_law_for(determined, rec, inst)
 
 
@@ -916,13 +886,15 @@ def _suite_slg_conclusions(chunk: _Chunk, rec: _Recorder):
     groups: exhaustive bases with every idempotent-fixed self-inverse
     automorphism, plus every built instance with its glued mapping."""
     jobs = [
-        (f"star={star.rows} alpha={f}", twist(star, f), star, f)
+        (partial("star={} alpha={}".format, star.rows, f), twist(star, f), star, f)
         for star in chunk.exhaustive
         if is_semilattice_of_groups(star)
         for f in e_fixed_involutive_automorphisms(star)
     ]
     for built in chunk.specs:
-        jobs.append((_spec_id(built.spec), built.determined, built.strong, built.alpha))
+        jobs.append(
+            (partial(_spec_id, built.spec), built.determined, built.strong, built.alpha)
+        )
     for inst, g, star, f in jobs:
         try:
             results = check_twisted_slg(g, star, f)
@@ -939,7 +911,7 @@ def _suite_decision_coherence(chunk: _Chunk, rec: _Recorder):
     a small semilattice decide positive with the glued mapping satisfying
     the shifted triple law."""
     for g in chunk.exhaustive + chunk.samples:
-        inst = _table_id(g)
+        inst = partial(_table_id, g)
         try:
             report = decide(g)
         except TheoremViolation as exc:
@@ -961,7 +933,7 @@ def _suite_decision_coherence(chunk: _Chunk, rec: _Recorder):
     for built in chunk.specs:
         if built.spec.semilattice.order > 2:
             continue
-        inst = _spec_id(built.spec)
+        inst = partial(_spec_id, built.spec)
         rec.check(
             "constructed_shift_law",
             shifted_associativity(built.determined, built.alpha),
@@ -984,7 +956,7 @@ def _suite_construction_roundtrip(chunk: _Chunk, rec: _Recorder):
     decided-positive exhaustive table."""
     for built in chunk.specs:
         spec, strong, g, alpha = built
-        inst = _spec_id(spec)
+        inst = partial(_spec_id, spec)
         problems = validate_spec(spec)
         rec.check("spec_valid", not problems, inst, "; ".join(problems))
         rec.check(
@@ -1028,7 +1000,7 @@ def _suite_construction_roundtrip(chunk: _Chunk, rec: _Recorder):
             continue  # decision_coherence owns that alarm
         if not report.determined:
             continue
-        inst = _table_id(g)
+        inst = partial(_table_id, g)
         w = report.witness
         spec = decompose(g, w.alpha)
         rebuilt, rebuilt_alpha = build_determined(spec)

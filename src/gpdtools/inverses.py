@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .errors import NotInverse
 from .groupoid import Groupoid, _row_getters
-from .mappings import Mapping
+from .mappings import Mapping, _shift_images
 
 
 def inverses_of(g: Groupoid, x: int) -> frozenset[int]:
@@ -44,9 +44,12 @@ def inverse_table(g: Groupoid) -> Mapping:
 def is_completely_inverse(g: Groupoid) -> bool:
     """Each element has a unique inverse, and ``x * x' == x' * x`` is a
     fixed point of the squaring map (an idempotent)."""
-    try:
-        inv = inverse_table(g)
-    except NotInverse:
+    return _Facts(g).completely_inverse
+
+
+def _completely_inverse(g: Groupoid, inv: Mapping | None) -> bool:
+    """:func:`is_completely_inverse` given the inverse table (or ``None``)."""
+    if inv is None:
         return False
     rows = g.rows
     for x in range(g.order):
@@ -142,9 +145,13 @@ def inverse_antihomomorphism_law(g: Groupoid, f: Mapping) -> bool:
     Requires a total inverse table; returns ``False`` if some element does
     not have a unique inverse.
     """
-    try:
-        inv = inverse_table(g)
-    except NotInverse:
+    return _antihomomorphism(g, _Facts(g).inv, f)
+
+
+def _antihomomorphism(g: Groupoid, inv: Mapping | None, f: Mapping) -> bool:
+    """:func:`inverse_antihomomorphism_law` given the inverse table (or
+    ``None``)."""
+    if inv is None:
         return False
     rows = g.rows
     return all(
@@ -159,6 +166,73 @@ def canonical_twist(g: Groupoid) -> Mapping:
 
     Raises :class:`NotInverse` when some element lacks a unique inverse.
     """
-    inv = inverse_table(g)
+    return _canonical_twist(g, inverse_table(g))
+
+
+def _canonical_twist(g: Groupoid, inv: Mapping) -> Mapping:
+    """:func:`canonical_twist` given the inverse table."""
     rows = g.rows
     return tuple(rows[a][rows[a][inv[a]]] for a in range(g.order))
+
+
+class _fact:
+    """A lazily computed attribute: the first read stores the value in the
+    instance, which serves every later read.  Like
+    :class:`functools.cached_property` without the lock that Python 3.11
+    takes on every first read, which alone cost about a tenth of a
+    ``decide`` on tables of order <= 3."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, facts, owner=None):
+        value = facts.__dict__[self.name] = self.compute(facts)
+        return value
+
+
+class _Facts:
+    """The pure facts about one table that the decision criteria, ``check``
+    and the sweep read, each computed at most once and only when first read.
+
+    They are inputs, not verdicts: each decision criterion still derives
+    its own verdict from them.  An instance lives for one call, or for one
+    table's checks in a sweep suite; nothing is stored on the table itself.
+    """
+
+    def __init__(self, g: Groupoid):
+        self.g = g
+
+    @_fact
+    def inv(self) -> Mapping | None:
+        """The inverse table, or ``None`` when some element does not have
+        exactly one inverse (kept as plain data, not as the exception)."""
+        try:
+            return inverse_table(self.g)
+        except NotInverse:
+            return None
+
+    @_fact
+    def idempotents(self) -> frozenset[int]:
+        return self.g.idempotents()
+
+    @_fact
+    def e_semilattice(self) -> bool:
+        return idempotents_form_semilattice(self.g)
+
+    @_fact
+    def completely_inverse(self) -> bool:
+        return _completely_inverse(self.g, self.inv)
+
+    @_fact
+    def strongly_regular(self) -> bool:
+        return strongly_regular_witness(self.g) is not None
+
+    @_fact
+    def right_bol(self) -> bool:
+        return is_right_bol(self.g)
+
+    @_fact
+    def shift_images(self) -> tuple[tuple[int, ...], ...] | None:
+        return _shift_images(self.g)

@@ -1,16 +1,19 @@
 """Twisting, membership scans, conclusion batteries, and the decision."""
 
+import collections
 import hashlib
 import itertools
 
 import pytest
 
 import gpdtools.determination as det
+import gpdtools.inverses as inverses
 import gpdtools.mappings as mappings
 from gpdtools import (
     CRITERIA,
     SLG_CONCLUSIONS,
     Groupoid,
+    NotInverse,
     NotInvolution,
     PreconditionViolated,
     TheoremViolation,
@@ -20,19 +23,23 @@ from gpdtools import (
     ad_membership_profile,
     automorphisms,
     build_determined,
+    build_strong_slg,
     check_class_relations,
     check_twisted_semigroup,
     check_twisted_slg,
     decide,
     enumerate_groupoids,
+    enumerate_specs,
     idempotents_form_semilattice,
     identity_mapping,
     in_semigroup_class,
     inverse_antihomomorphism_law,
+    inverse_table,
     involutions,
     involutive_automorphisms,
     is_completely_inverse,
     is_homomorphism,
+    is_right_bol,
     is_semilattice_of_groups,
     parse_cspec,
     parse_groupoid,
@@ -51,8 +58,9 @@ from gpdtools.fixtures import (
     Z3_NEGATION,
     Z3_TWIST,
 )
+from gpdtools.inverses import _Facts
 
-from .test_inverses import _cyclic_chain_cspec, _negation_twist
+from .test_inverses import _cyclic_chain_cspec, _mutations, _negation_twist
 from .test_mappings import (
     SHIFT_CORPUS_SIZE,
     _left_zero_band,
@@ -191,6 +199,53 @@ def test_membership_profile_agrees_with_direct_on_small_tables():
         assert ad_membership_profile(g) == expected, g.rows
     # Every square subgroupoid is an exhaustive table or its own sample.
     assert len(tables) == 19_700 + 2000
+
+
+def _squares_to_one(n):
+    """``x*x = 1`` for ``x >= 2`` and every other product 0: each
+    involution of 2..n-1 is a shift candidate, and each untwists to a
+    different table."""
+    return Groupoid(
+        tuple(tuple(int(x >= 2 and y == x) for y in range(n)) for x in range(n))
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_null_semigroup(n) for n in range(1, 9)]
+    + [_left_zero_band(n) for n in range(1, 9)]
+    + [_squares_to_one(n) for n in range(3, 8)],
+    ids=[f"null{n}" for n in range(1, 9)]
+    + [f"band{n}" for n in range(1, 9)]
+    + [f"squares{n}" for n in range(3, 8)],
+)
+def test_membership_profile_agrees_with_direct_on_repeated_rows(g):
+    # On the null semigroups every shift candidate untwists to one table,
+    # which the profile checks once; on the square-to-one tables each
+    # candidate untwists to a table of its own.
+    expected = {tag: ad_membership_direct(g, tag) for tag in VARIETIES}
+    assert ad_membership_profile(g) == expected
+
+
+@pytest.mark.parametrize(
+    "g, tables",
+    [(_squares_to_one(8), 76), (_null_semigroup(12), 1)],
+    ids=["squares8", "null12"],
+)
+def test_membership_profile_untwists_each_distinct_table_once(g, tables, monkeypatch):
+    # Some class never gets a witness on these tables, so the profile reads
+    # every candidate; the null semigroup's 35,696 all untwist to itself.
+    untwisted = []
+
+    def counted(h, f):
+        untwisted.append(f)
+        return untwist(h, f)
+
+    monkeypatch.setattr(det, "untwist", counted)
+    profile = ad_membership_profile(g)
+    assert None in profile.values()
+    assert len({untwist(g, f).rows for f in det._shift_candidates(g)}) == tables
+    assert len({untwist(g, f).rows for f in untwisted}) == len(untwisted) == tables
 
 
 def test_fixture_membership_profiles():
@@ -369,9 +424,10 @@ def _reference_criterion_strongly_regular(g):
 def test_pruned_criteria_agree_with_filtered_reference():
     tables = 0
     for g in _shift_corpus():
+        facts = _Facts(g)
         pruned = (
-            det._criterion_completely_inverse(g),
-            det._criterion_strongly_regular(g),
+            det._criterion_completely_inverse(facts),
+            det._criterion_strongly_regular(facts),
         )
         reference = (
             _reference_criterion_completely_inverse(g),
@@ -387,19 +443,20 @@ def test_completely_inverse_criterion_walks_candidates_only_when_needed(
 ):
     laws = []
 
-    def counted_law(g, f):
+    def counted_law(g, inv, f):
         laws.append(f)
         return False
 
-    monkeypatch.setattr(det, "inverse_antihomomorphism_law", counted_law)
+    monkeypatch.setattr(det, "_antihomomorphism", counted_law)
     # Idempotents a semilattice: the first candidate settles the verdict.
-    assert det._criterion_completely_inverse(Z3_TWIST).passed
+    assert det._criterion_completely_inverse(_Facts(Z3_TWIST)).passed
     # No inverse table: the law fails for every f and is never consulted.
-    det._criterion_completely_inverse(_left_zero_band(4))
+    det._criterion_completely_inverse(_Facts(_left_zero_band(4)))
     assert laws == []
     # Otherwise every shift candidate goes through the law.
-    monkeypatch.setattr(det, "idempotents_form_semilattice", lambda g: False)
-    verdict = det._criterion_completely_inverse(Z3_TWIST)
+    facts = _Facts(Z3_TWIST)
+    facts.e_semilattice = False
+    verdict = det._criterion_completely_inverse(facts)
     assert laws == [Z3_NEGATION]
     assert verdict.failed_conditions == (
         "idempotent_semilattice_or_inverse_antihomomorphism",
@@ -561,11 +618,93 @@ def test_decide_report_json():
     assert data["witness"]["star"] == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
+def _fact_corpus():
+    """The shift corpus, then every one-cell mutation of both built tables
+    of each spec of ``enumerate_specs(3, 3)``."""
+    built = (
+        h
+        for spec in enumerate_specs(3, 3)
+        for g in (build_determined(spec)[0], build_strong_slg(spec))
+        for h in _mutations(g)
+    )
+    return itertools.chain(_shift_corpus(), built)
+
+
+def test_facts_agree_with_public_predicates():
+    tables = 0
+    kinds = set()
+    for g in _fact_corpus():
+        facts = _Facts(g)
+        try:
+            inv = inverse_table(g)
+        except NotInverse:
+            inv = None
+        assert facts.inv == inv, g.rows
+        assert facts.idempotents == g.idempotents()
+        assert facts.e_semilattice == idempotents_form_semilattice(g)
+        assert facts.completely_inverse == is_completely_inverse(g), g.rows
+        assert facts.completely_inverse == (
+            inv is not None
+            and all(
+                g.product(x, inv[x]) == g.product(inv[x], x)
+                in g.idempotents()
+                for x in g
+            )
+        ), g.rows
+        assert facts.strongly_regular == (strongly_regular_witness(g) is not None)
+        assert facts.right_bol == is_right_bol(g), g.rows
+        assert facts.shift_images == mappings._shift_images(g), g.rows
+        kinds.add((inv is None, facts.completely_inverse, facts.right_bol))
+        tables += 1
+    assert tables > SHIFT_CORPUS_SIZE
+    # Both outcomes of every fact occur, in each combination that can.
+    assert kinds == {
+        (True, False, False),
+        (True, False, True),
+        (False, False, False),
+        (False, False, True),
+        (False, True, False),
+        (False, True, True),
+    }
+
+
+@pytest.mark.parametrize(
+    "g, determined",
+    [
+        (BAND3, False),
+        (Z3_TWIST, True),
+        (_null_semigroup(12), False),
+        (_negation_twist(64), True),
+    ],
+    ids=["band3", "z3twist", "null12", "z64twist"],
+)
+def test_decide_computes_each_table_fact_once(g, determined, monkeypatch):
+    """One decide computes the shift images once and the inverse table at
+    most once, however many criteria read them."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (inverses, det, mappings):
+        for name in ("_shift_images", "inverse_table"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, counted(name, fn))
+    assert decide(g).determined == determined
+    assert calls["_shift_images"] == 1
+    assert calls["inverse_table"] <= 1
+
+
 def test_decide_disagreement_raises(monkeypatch):
     real = det._criterion_right_bol
 
-    def flipped(g):
-        verdict = real(g)
+    def flipped(facts):
+        verdict = real(facts)
         return det.CriterionVerdict(
             not verdict.passed, verdict.alpha, verdict.failed_conditions
         )

@@ -12,6 +12,7 @@ from gpdtools import (
     LimitsTooLarge,
     OrderTooLarge,
     SweepConfig,
+    TheoremViolation,
     enumerate_group_tables,
     enumerate_groupoids,
     enumerate_semilattices,
@@ -422,16 +423,18 @@ def test_benchmark_sweep_covers_every_suite():
 def test_inverse_laws_computes_table_facts_once(monkeypatch):
     # Each per-table predicate runs at most once per table, however many
     # mappings reach it; NotInverse tables are skipped after one attempt.
-    import gpdtools.enumeration as enumeration
+    # The suite reads them through _Facts, which calls these names in
+    # the inverses module.
+    import gpdtools.inverses as inverses
 
     calls = Counter()
     seen = []  # keeps every table alive so that id() stays unique
 
     def counted(name, fn):
-        def wrapper(g):
+        def wrapper(g, *args):
             seen.append(g)
             calls[name, id(g)] += 1
-            return fn(g)
+            return fn(g, *args)
 
         return wrapper
 
@@ -440,11 +443,11 @@ def test_inverse_laws_computes_table_facts_once(monkeypatch):
         "idempotents_form_semilattice",
         "is_right_bol",
         "strongly_regular_witness",
-        "is_completely_inverse",
+        "_completely_inverse",
     )
     for name in facts:
-        fn = getattr(enumeration, name)
-        monkeypatch.setattr(enumeration, name, counted(name, fn))
+        fn = getattr(inverses, name)
+        monkeypatch.setattr(inverses, name, counted(name, fn))
     config = SweepConfig(
         max_exhaustive_order=3,
         sample_count=0,
@@ -457,6 +460,66 @@ def test_inverse_laws_computes_table_facts_once(monkeypatch):
     assert report.counts["inverse_laws.canonical_shift_iff_right_bol"] > 0
     assert max(calls.values()) == 1
     assert {name for name, _ in calls} == set(facts)
+
+
+def test_instance_ids_are_formatted_only_on_failure(monkeypatch):
+    import gpdtools.enumeration as enumeration
+
+    serialized = []
+    serialize = enumeration.serialize_cspec
+
+    def counted(spec):
+        serialized.append(spec)
+        return serialize(spec)
+
+    monkeypatch.setattr(enumeration, "serialize_cspec", counted)
+    config = SweepConfig(
+        max_exhaustive_order=2,
+        sample_count=0,
+        max_semilattice_order=2,
+        max_group_order=2,
+        suites=(
+            "involution_laws",
+            "inverse_laws",
+            "slg_conclusions",
+            "decision_coherence",
+        ),
+    )
+    assert run_sweep(config).passed
+    assert serialized == []
+
+    # Forced failures still report the full instance strings.
+    def alarm(g):
+        raise TheoremViolation("forced")
+
+    monkeypatch.setattr(enumeration, "is_completely_inverse", lambda g: False)
+    monkeypatch.setattr(enumeration, "decide", alarm)
+    config = replace(config, suites=("construction_roundtrip", "decision_coherence"))
+    report = run_sweep(config)
+    failed = Counter()
+    for c in report.counterexamples:
+        failed[c.law] += 1
+    specs = list(enumerate_specs(2, 2))
+    spec_ids = sorted(
+        serialize(spec).strip().replace("\n", "; ")
+        + ("" if spec.carrier is None else f" carrier={spec.carrier}")
+        for spec in specs
+    )
+    table_ids = sorted(
+        f"order={g.order} rows={g.rows}"
+        for g in itertools.chain(enumerate_groupoids(1), enumerate_groupoids(2))
+    )
+    assert [
+        c.instance
+        for c in report.counterexamples
+        if c.law == "determined_is_completely_inverse"
+    ] == spec_ids
+    assert [
+        (c.instance, c.detail)
+        for c in report.counterexamples
+        if c.law == "criteria_agree"
+    ] == [(inst, "forced") for inst in table_ids]
+    assert failed["determined_is_completely_inverse"] == len(specs) > 0
 
 
 @pytest.mark.parametrize(
