@@ -30,7 +30,6 @@ from .errors import (
     NotDetermined,
     NotInvolution,
     OrderTooLarge,
-    TheoremViolation,
 )
 from .fixtures import FIXTURES
 from .groupoid import (
@@ -160,11 +159,7 @@ def cmd_decide(args) -> int:
         g, _ = _load(args.table, None)
     except _INPUT_ERRORS as exc:
         return _fail(str(exc))
-    try:
-        report = decide(g)
-    except TheoremViolation as exc:
-        print(f"alarm: {exc}", file=sys.stderr)
-        return 3
+    report = decide(g)
     _emit(report.to_dict(), args.format)
     return 0 if report.determined else 1
 
@@ -204,9 +199,6 @@ def cmd_decompose(args) -> int:
     except NotDetermined as exc:
         print(f"not determined: {exc}", file=sys.stderr)
         return 1
-    except TheoremViolation as exc:
-        print(f"alarm: {exc}", file=sys.stderr)
-        return 3
     text = serialize_cspec(spec)
     if args.out:
         Path(f"{args.out}.cspec").write_text(text)

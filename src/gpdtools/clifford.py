@@ -11,7 +11,7 @@ decomposes any decided-positive groupoid back into such data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .errors import InvalidSpec, NotDetermined, NotInverse
@@ -392,7 +392,7 @@ def decompose(g: Groupoid, alpha: Mapping) -> ConstructionSpec:
     if len(alpha) != n or not is_involution(alpha):
         raise NotDetermined("mapping is not an involution on the carrier")
     idem = sorted(g.idempotents())
-    if not idem and n:
+    if not idem:
         raise NotDetermined("no idempotents, so no blocks to recover")
     index_of = {label: e for e, label in enumerate(idem)}
 
@@ -421,9 +421,7 @@ def decompose(g: Groupoid, alpha: Mapping) -> ConstructionSpec:
             raise NotDetermined(f"class label {e_label} of {a} is not idempotent")
         if a != e_label:
             members[index_of[e_label]].append(a)
-    blocks = tuple(
-        (e_label, *sorted(rest)) for e_label, rest in zip(idem, members)
-    )
+    blocks = tuple((e_label, *rest) for e_label, rest in zip(idem, members))
 
     local: dict[int, tuple[int, int]] = {}
     for e, block in enumerate(blocks):
@@ -466,19 +464,11 @@ def decompose(g: Groupoid, alpha: Mapping) -> ConstructionSpec:
             images.append(home[1])
         homs.append(((f, e), tuple(images)))
 
-    canonical: list[tuple[int, ...]] = []
-    start = 0
-    for block in blocks:
-        canonical.append(tuple(range(start, start + len(block))))
-        start += len(block)
-    carrier = None if tuple(canonical) == blocks else blocks
-
     spec = ConstructionSpec(
-        semilattice=semilattice,
-        groups=tuple(groups),
-        homs=tuple(homs),
-        carrier=carrier,
+        semilattice=semilattice, groups=tuple(groups), homs=tuple(homs)
     )
+    if _blocks(spec) != blocks:
+        spec = replace(spec, carrier=blocks)
     problems = validate_spec(spec)
     if problems:
         raise NotDetermined("recovered data is invalid: " + "; ".join(problems))

@@ -280,15 +280,19 @@ def test_c8_conditional_law_sweep():
 # ---------------------------------------------------------------------------
 
 
+#: The sweep configuration of C9, whose canonical report is frozen.
+C9_SWEEP = dict(
+    max_exhaustive_order=3,
+    sample_order=4,
+    sample_count=10_000,
+    seed=1,
+    max_semilattice_order=2,
+    max_group_order=3,
+)
+
+
 def test_c9_determinism():
-    config = SweepConfig(
-        max_exhaustive_order=3,
-        sample_order=4,
-        sample_count=10_000,
-        seed=1,
-        max_semilattice_order=2,
-        max_group_order=3,
-    )
+    config = SweepConfig(**C9_SWEEP)
     first = run_sweep(config, jobs=8)
     second = run_sweep(config, jobs=8)
     assert first.to_json() == second.to_json()
@@ -298,3 +302,21 @@ def test_c9_determinism():
     # The canonical report is frozen: refactors must leave it byte-identical.
     digest = hashlib.sha256(first.to_json().encode()).hexdigest()
     assert digest == "d664f7546f78ad91bd5520b6bc6f5fa29bde9615422405a2cc8f2797323807a8"
+
+
+def test_benchmark_sweep_is_the_c9_config():
+    # The benchmark's sweep workload runs C9's configuration with its own
+    # seed; its SWEEP = dict(...) literal is read without importing the bench.
+    import ast
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    (call,) = [
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "SWEEP" for t in node.targets)
+    ]
+    assert isinstance(call, ast.Call) and call.func.id == "dict" and not call.args
+    sweep = {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
+    assert sweep == {k: v for k, v in C9_SWEEP.items() if k != "seed"}

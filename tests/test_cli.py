@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from gpdtools import cli
 from gpdtools.cli import main
+from gpdtools.errors import TheoremViolation
 from gpdtools.groupoid import Groupoid
 
 # ---------------------------------------------------------------------------
@@ -218,6 +220,17 @@ def test_decide_negative(examples_dir, capsys):
     assert report["witness"] is None
 
 
+@pytest.mark.parametrize("command", ["decide", "decompose"])
+def test_decision_alarm_exits_3(examples_dir, capsys, monkeypatch, command):
+    def alarm(g):
+        raise TheoremViolation("forced")
+
+    monkeypatch.setattr(cli, "decide", alarm)
+    code, out, err = _run(capsys, [command, str(examples_dir / "z3twist.gpd")])
+    assert code == 3 and out == ""
+    assert err == "alarm: forced\n"
+
+
 def test_decide_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.gpd"
     bad.write_text("2\n0 5\n0 0\n")
@@ -301,6 +314,11 @@ def test_decompose_not_determined(examples_dir, capsys):
     code, out, err = _run(capsys, ["decompose", str(examples_dir / "band3.gpd")])
     assert code == 1 and out == ""
     assert err.startswith("not determined")
+    # With a mapping the decomposition itself rejects the table.
+    paths = [str(examples_dir / "band3.gpd"), str(examples_dir / "band3.map")]
+    code, out, err = _run(capsys, ["decompose", *paths])
+    assert code == 1 and out == ""
+    assert err.startswith("not determined: ")
 
 
 def test_build_decompose_build_round_trip(examples_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Generators, the random stream, and the sweep engine."""
 
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -8,11 +9,16 @@ from dataclasses import replace
 import pytest
 
 from gpdtools import (
+    ConstructionSpec,
+    GroupSpec,
     Groupoid,
     LimitsTooLarge,
+    MeetSemilattice,
+    NotDetermined,
     OrderTooLarge,
     SweepConfig,
     TheoremViolation,
+    decompose,
     enumerate_group_tables,
     enumerate_groupoids,
     enumerate_semilattices,
@@ -23,6 +29,7 @@ from gpdtools import (
     random_groupoids,
     register_suite,
     run_sweep,
+    serialize_cspec,
     stream_value,
     validate_spec,
 )
@@ -124,6 +131,12 @@ def test_enumerate_semilattices():
     # bottom) and the chain.
     assert ((0, 0, 0), (0, 1, 0), (0, 0, 2)) in tables
     assert ((0, 0, 0), (0, 1, 1), (0, 1, 2)) in tables
+    # The exact representatives, each its class's least table, in order.
+    assert [[r.meet for r in enumerate_semilattices(k)] for k in (1, 2, 3)] == [
+        [((0,),)],
+        [((0, 0), (0, 1))],
+        [((0, 0, 0), (0, 1, 0), (0, 0, 2)), ((0, 0, 0), (0, 1, 1), (0, 1, 2))],
+    ]
     with pytest.raises(LimitsTooLarge):
         enumerate_semilattices(4)
     # Every representative really is one: commutative idempotent associative.
@@ -138,6 +151,43 @@ def test_enumerate_semilattices():
 
 def test_enumerate_group_tables():
     assert [len(enumerate_group_tables(m)) for m in range(1, 7)] == [1, 1, 1, 2, 1, 2]
+    # The exact representatives, in order: Z1, Z2, Z3, Z2xZ2, Z4, Z5, Z6, S3.
+    assert [enumerate_group_tables(m) for m in range(1, 7)] == [
+        (((0,),),),
+        (((0, 1), (1, 0)),),
+        (((0, 1, 2), (1, 2, 0), (2, 0, 1)),),
+        (
+            ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+            ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1)),
+        ),
+        (
+            (
+                (0, 1, 2, 3, 4),
+                (1, 2, 3, 4, 0),
+                (2, 3, 4, 0, 1),
+                (3, 4, 0, 1, 2),
+                (4, 0, 1, 2, 3),
+            ),
+        ),
+        (
+            (
+                (0, 1, 2, 3, 4, 5),
+                (1, 0, 3, 2, 5, 4),
+                (2, 3, 4, 5, 0, 1),
+                (3, 2, 5, 4, 1, 0),
+                (4, 5, 0, 1, 2, 3),
+                (5, 4, 1, 0, 3, 2),
+            ),
+            (
+                (0, 1, 2, 3, 4, 5),
+                (1, 0, 3, 2, 5, 4),
+                (2, 4, 0, 5, 1, 3),
+                (3, 5, 1, 4, 0, 2),
+                (4, 2, 5, 0, 3, 1),
+                (5, 3, 4, 1, 2, 0),
+            ),
+        ),
+    ]
     with pytest.raises(LimitsTooLarge):
         enumerate_group_tables(7)
     # Representatives are pairwise non-isomorphic genuine groups with the
@@ -236,6 +286,14 @@ def test_enumerate_specs_deterministic():
     assert a == b
     for spec in a:
         assert validate_spec(spec) == []
+    # The whole default family is frozen, spec by spec and in order.
+    digest = hashlib.sha256()
+    for spec in enumerate_specs(3, 4):
+        digest.update(serialize_cspec(spec).encode())
+    assert (
+        digest.hexdigest()
+        == "7c8b6b59955e59d074fe457d25f6a7f91b0d8ecd99778c2f676f1ad9efa5973e"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +609,60 @@ def test_sweep_config_accepts_bounds():
         max_group_order=6,
     )
     SweepConfig(seed=0, max_semilattice_order=1, max_group_order=1)
+
+
+def test_invalid_family_spec_is_a_counterexample(monkeypatch, capsys):
+    # The sweep validates each family spec once, in spec_valid, so an
+    # invalid one is reported there rather than aborting the sweep.
+    import gpdtools.enumeration as enumeration
+    from gpdtools.cli import main
+    from gpdtools.clifford import _products
+
+    # Fits its blocks but is invalid: the identity map from Z3 under
+    # negation into Z3 under the identity commutes with neither mapping.
+    z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    bad = ConstructionSpec(
+        semilattice=MeetSemilattice(((0, 0), (0, 1))),
+        groups=(GroupSpec(z3, (0, 1, 2)), GroupSpec(z3, (0, 2, 1))),
+        homs=(((1, 0), (0, 1, 2)),),
+    )
+    problems = validate_spec(bad)
+    assert problems
+    with pytest.raises(NotDetermined) as raised:
+        decompose(*_products(bad, twisted=True))
+    real = enumeration.enumerate_specs
+    monkeypatch.setattr(
+        enumeration,
+        "enumerate_specs",
+        lambda *limits: itertools.chain(real(1, 1), [bad]),
+    )
+    config = SweepConfig(
+        max_exhaustive_order=1,
+        sample_count=0,
+        max_semilattice_order=1,
+        max_group_order=1,
+        suites=(
+            "class_relations",
+            "involution_laws",
+            "inverse_laws",
+            "slg_conclusions",
+            "decision_coherence",
+            "construction_roundtrip",
+        ),
+    )
+    report = run_sweep(config, jobs=1)
+    assert not report.passed
+    details = {(c.suite, c.law): c.detail for c in report.counterexamples}
+    assert details["construction_roundtrip", "spec_valid"] == "; ".join(problems)
+    assert details["construction_roundtrip", "decompose_inverts_build"] == str(
+        raised.value
+    )
+    argv = (
+        "sweep --max-order 1 --samples 0 --max-semilattice-order 1"
+        " --max-group-order 1 --suites construction_roundtrip"
+    )
+    assert main(argv.split()) == 1
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_register_suite_rejects_duplicates():
