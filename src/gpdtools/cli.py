@@ -209,8 +209,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    suites = tuple(s for s in (args.suites or "").split(",") if s)
+    if args.suites is not None and not suites:
+        return _fail(f"--suites {args.suites!r} names no suite")
     try:
-        suites = tuple(s for s in (args.suites or "").split(",") if s) or ()
         config = SweepConfig(
             max_exhaustive_order=args.max_order,
             sample_order=args.sample_order,

@@ -380,6 +380,20 @@ def test_sweep_unknown_suite(capsys):
     assert "nonsense" in err
 
 
+@pytest.mark.parametrize("names", ["", ",", ",,"])
+def test_sweep_empty_suite_list(capsys, names):
+    # An empty list is a mistake, not a request for every suite.
+    code, out, err = _run(capsys, _TINY_SWEEP + ["--suites", names])
+    assert code == 2 and err.startswith("error:")
+    assert out == ""
+
+
+def test_sweep_duplicate_suites(capsys):
+    code, _, err = _run(capsys, _TINY_SWEEP + ["--suites", "goldens,goldens"])
+    assert code == 2 and err.startswith("error:")
+    assert "duplicate suites: goldens" in err
+
+
 def test_sweep_bad_jobs(capsys):
     code, _, err = _run(capsys, _TINY_SWEEP + ["--jobs", "0"])
     assert code == 2 and err.startswith("error:")

@@ -24,6 +24,7 @@ from gpdtools import (
     enumerate_semilattices,
     enumerate_specs,
     find_isomorphism,
+    involutions,
     involutive_automorphisms,
     is_homomorphism,
     random_groupoids,
@@ -668,3 +669,197 @@ def test_invalid_family_spec_is_a_counterexample(monkeypatch, capsys):
 def test_register_suite_rejects_duplicates():
     with pytest.raises(ValueError):
         register_suite("goldens", lambda chunk, rec: None)
+
+
+def test_sweep_config_rejects_duplicate_suites():
+    # A repeated suite would run twice and double its counts.
+    with pytest.raises(ValueError, match="duplicate suites: goldens, square_classes"):
+        SweepConfig(suites=("square_classes", "goldens", "square_classes", "goldens"))
+    SweepConfig(suites=("goldens", "square_classes"))
+
+
+_TINY_FAMILY = dict(sample_count=0, max_semilattice_order=2, max_group_order=2)
+
+
+def _counted(calls, key, fn):
+    """``fn``, appending ``key(*args)`` to ``calls`` on every call."""
+
+    def wrapper(*args):
+        calls.append(key(*args))
+        return fn(*args)
+
+    return wrapper
+
+
+def test_involution_laws_reads_table_facts_once(monkeypatch):
+    # Once per table, however many mappings it is checked with.  The lists
+    # keep every table alive, so id() tells them apart.
+    import gpdtools.enumeration as enumeration
+
+    assoc, band = [], []
+    monkeypatch.setattr(
+        Groupoid,
+        "is_associative",
+        _counted(assoc, lambda g: g, Groupoid.is_associative),
+    )
+    monkeypatch.setattr(
+        enumeration,
+        "satisfies_variety",
+        _counted(band, lambda g, tag: (g, tag), enumeration.satisfies_variety),
+    )
+    config = SweepConfig(
+        max_exhaustive_order=3, suites=("involution_laws",), **_TINY_FAMILY
+    )
+    assert run_sweep(config).passed
+    tables = 1 + 16 + 19683 + 2 * sum(1 for _ in enumerate_specs(2, 2))
+    assert len(band) == len({id(g) for g, _ in band}) == tables
+    assert {tag for _, tag in band} == {"B"}
+    # The family build also calls is_associative, on tables of its own.
+    swept = Counter(map(id, assoc))
+    assert all(swept[id(g)] == 1 for g, _ in band)
+
+
+def test_involution_laws_gates_translation_and_automorphism(monkeypatch):
+    # in_lt is read only where the shifted or the absorption law holds,
+    # is_homomorphism only where both do.
+    import gpdtools.enumeration as enumeration
+    from gpdtools.mappings import absorption_law, shifted_associativity
+
+    lt, hom = [], []
+    monkeypatch.setattr(
+        enumeration, "in_lt", _counted(lt, lambda g, f: (g, f), enumeration.in_lt)
+    )
+    monkeypatch.setattr(
+        enumeration,
+        "is_homomorphism",
+        _counted(hom, lambda f, g, h: (g, f), enumeration.is_homomorphism),
+    )
+    config = SweepConfig(
+        max_exhaustive_order=2, suites=("involution_laws",), **_TINY_FAMILY
+    )
+    report = run_sweep(config)
+    assert report.passed
+    assert lt and hom
+    for g, f in lt:
+        assert shifted_associativity(g, f) or absorption_law(g, f)
+    for g, f in hom:
+        assert shifted_associativity(g, f) and absorption_law(g, f)
+
+
+def test_roundtrip_decides_only_completely_inverse_tables(monkeypatch):
+    # The set that reaches build_inverts_decompose is exactly the set of
+    # decide-positive tables of order <= 3, found by the filtered loop.
+    import gpdtools.enumeration as enumeration
+    from gpdtools import decide, is_completely_inverse
+
+    decided = []
+    monkeypatch.setattr(enumeration, "decide", _counted(decided, lambda g: g, decide))
+    reached = []
+    check = enumeration._Recorder.check
+
+    def recording(self, law, ok, instance, detail=""):
+        if law == "build_inverts_decompose":
+            reached.append(instance())
+        return check(self, law, ok, instance, detail)
+
+    monkeypatch.setattr(enumeration._Recorder, "check", recording)
+    config = SweepConfig(
+        max_exhaustive_order=3,
+        sample_count=0,
+        max_semilattice_order=1,
+        max_group_order=1,
+        suites=("construction_roundtrip",),
+    )
+    report = run_sweep(config)
+    assert report.passed
+    tables = [g for n in (1, 2, 3) for g in enumerate_groupoids(n)]
+    assert all(map(is_completely_inverse, decided))
+    assert len(decided) == sum(map(is_completely_inverse, tables)) < len(tables)
+    positives = sorted(
+        f"order={g.order} rows={g.rows}" for g in tables if decide(g).determined
+    )
+    assert sorted(reached) == positives
+    assert len(positives) == report.counts[
+        "construction_roundtrip.build_inverts_decompose"
+    ] == 32
+
+
+def test_failure_details_keep_their_formats(monkeypatch):
+    # Forced failures report the same detail strings as formatting each
+    # detail eagerly with an f-string.
+    import gpdtools.enumeration as enumeration
+    from gpdtools import ad_membership_characterized, ad_membership_profile
+    from gpdtools.groupoid import VARIETIES, in_semigroup_class
+    from gpdtools.mappings import absorption_law, shifted_associativity
+
+    def swapped(g, tag):
+        # A witness where there is none, and none where there is one.
+        real = ad_membership_characterized(g, tag)
+        return None if real is not None else tuple(range(g.order))
+
+    real_in_rt = enumeration.in_rt
+    monkeypatch.setattr(enumeration, "ad_membership_characterized", swapped)
+    monkeypatch.setattr(enumeration, "in_rt", lambda g, f: not real_in_rt(g, f))
+    config = SweepConfig(
+        max_exhaustive_order=2,
+        sample_count=0,
+        max_semilattice_order=1,
+        max_group_order=1,
+        suites=("ad_equivalence", "involution_laws"),
+    )
+    got = sorted(
+        (c.suite, c.law, c.instance, c.detail)
+        for c in run_sweep(config).counterexamples
+        if c.instance.startswith("order=")
+    )
+    expected = []
+    for g in itertools.chain(enumerate_groupoids(1), enumerate_groupoids(2)):
+        inst = f"order={g.order} rows={g.rows}"
+        profile = ad_membership_profile(g)
+        for tag in VARIETIES:
+            direct, char = profile[tag], swapped(g, tag)
+            if (direct is None) != (char is None):
+                detail = f"direct={direct} characterized={char}"
+                expected.append(("ad_equivalence", f"match.{tag}", inst, detail))
+            if char is not None and not (
+                in_semigroup_class(g, tag) and is_homomorphism(char, g, g)
+            ):
+                detail = f"characterized={char}"
+                expected.append(("ad_equivalence", f"witness.{tag}", inst, detail))
+        for f in involutions(g.order):
+            strong_shift = shifted_associativity(g, f) and absorption_law(g, f)
+            if strong_shift and g.is_associative():
+                law = "strong_shift_right_translation_iff_identity"
+                expected.append(("involution_laws", law, inst, f"mapping={f}"))
+    assert {law.split(".")[0] for _, law, _, _ in expected} >= {"match", "witness"}
+    assert any(suite == "involution_laws" for suite, *_ in expected)
+    assert got == sorted(expected)
+
+
+def test_passing_sweep_formats_no_detail(monkeypatch):
+    import gpdtools.enumeration as enumeration
+
+    lazy, formatted = [], []
+    check = enumeration._Recorder.check
+
+    def recording(self, law, ok, instance, detail=""):
+        if callable(detail):
+            lazy.append(law)
+            make = detail
+
+            def detail():
+                formatted.append(law)
+                return make()
+
+        return check(self, law, ok, instance, detail)
+
+    monkeypatch.setattr(enumeration._Recorder, "check", recording)
+    config = SweepConfig(
+        max_exhaustive_order=2,
+        sample_count=20,
+        max_semilattice_order=2,
+        max_group_order=2,
+    )
+    assert run_sweep(config).passed
+    assert lazy
+    assert formatted == []
