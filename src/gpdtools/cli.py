@@ -9,13 +9,15 @@ witness), ``build`` (construction data -> table + mapping), ``decompose``
 Exit codes: 0 success (for ``decide``: determined; for ``sweep``: no
 counterexamples), 1 negative outcome (not determined / not decomposable /
 counterexamples found), 2 malformed input or bad arguments, 3 internal
-consistency alarm.
+consistency alarm, 141 standard output closed by its reader before the
+report was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -328,10 +330,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here so that a closed pipe is met inside this block.
+        sys.stdout.flush()
+        return code
     except GpdError as exc:  # uncaught domain error: treat as alarm
         print(f"alarm: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader left early (``| head``): send the rest of the output to
+        # the null device, so the flush at exit does not raise again, and
+        # exit as a process stopped by SIGPIPE would (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -422,7 +422,9 @@ def check_class_relations(g: Groupoid) -> dict:
       needed), the witness map is an isomorphism from the untwisted table
       onto ``g``; ``None`` = hypotheses not met, claim skipped.
 
-    ``ok`` aggregates all booleans.
+    ``ok`` aggregates all booleans.  When the product set is the whole
+    carrier, the product subtable is ``g`` itself and its membership
+    profile is reused, not computed again.
     """
     membership = ad_membership_profile(g)
     report: dict = {
@@ -433,7 +435,8 @@ def check_class_relations(g: Groupoid) -> dict:
         "twist_isomorphism": {},
     }
     squares, _ = square_subgroupoid(g)
-    square_membership = ad_membership_profile(squares)
+    surjective = squares == g
+    square_membership = membership if surjective else ad_membership_profile(squares)
     for base, inflation, generalized in DESCENT_PAIRS:
         chain_ok = True
         if membership[base] is not None and membership[inflation] is None:
@@ -447,7 +450,6 @@ def check_class_relations(g: Groupoid) -> dict:
         )
 
     associative = g.is_associative()
-    surjective = len(g.products()) == g.order
     for tag in VARIETIES:
         witness = membership[tag]
         if witness is None or not associative:

@@ -99,6 +99,8 @@ _MIX_B = 0x94D049BB133111EB
 
 
 def _mix64(z: int) -> int:
+    """The splitmix finaliser of the state ``z`` taken modulo 2**64."""
+    z &= MASK64
     z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
     return z ^ (z >> 31)
@@ -110,39 +112,44 @@ def stream_value(seed: int, index: int) -> int:
     Random access by construction: value ``i`` never depends on value
     ``j``, so any partition of the index space draws identical values.
     """
-    return _mix64((seed + (index + 1) * _GOLDEN) & MASK64)
-
-
-def _table(flat: tuple[int, ...], order: int) -> Groupoid:
-    """The table whose row ``r`` is cells ``r*order .. r*order+order-1``.
-
-    The cells are drawn from ``0..order-1``, so the table is not re-validated.
-    """
-    rows = tuple(flat[r * order : (r + 1) * order] for r in range(order))
-    return Groupoid._trusted(rows)
+    return _mix64(seed + (index + 1) * _GOLDEN)
 
 
 def _exhaustive_tables(orders, index: int, chunks: int):
-    """Tables ``index, index + chunks, ...`` of each order, strided before building."""
+    """Tables ``index, index + chunks, ...`` of each order, strided before building.
+
+    The ``n**n`` rows of order n are listed once, in lexicographic order,
+    and every table of that order is a tuple of them: the row product is
+    the lexicographic order of the flat cells, and the tables share rows.
+    """
     for n in orders:
-        cells = itertools.product(range(n), repeat=n * n)
-        for flat in itertools.islice(cells, index, None, chunks):
-            yield _table(flat, n)
+        rows = tuple(itertools.product(range(n), repeat=n))
+        tables = itertools.product(rows, repeat=n)
+        yield from map(Groupoid._trusted, itertools.islice(tables, index, None, chunks))
 
 
 def _sample_tables(order: int, seed: int, indices: range):
-    """The tables at the given indices of the stream for ``seed``."""
+    """The tables at the given indices of the stream for ``seed``.
+
+    A table's cells are one arithmetic progression of stream states, mixed
+    in one pass; equal rows drawn in one call are one tuple.
+    """
     size = order * order
+    span = size * _GOLDEN
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i in indices:
-        cells = [stream_value(seed, i * size + j) % order for j in range(size)]
-        yield _table(tuple(cells), order)
+        start = seed + (i * size + 1) * _GOLDEN
+        cells = map(order.__rmod__, map(_mix64, range(start, start + span, _GOLDEN)))
+        rows = list(zip(*[cells] * order))
+        yield Groupoid._trusted(tuple(map(shared.setdefault, rows, rows)))
 
 
 def enumerate_groupoids(order: int, allow_large: bool = False):
     """Yield every table of the given order in lexicographic order.
 
     There are ``order ** (order * order)`` of them; orders above
-    MAX_EXHAUSTIVE_ORDER need ``allow_large=True``.
+    MAX_EXHAUSTIVE_ORDER need ``allow_large=True``.  The tables share
+    their row tuples: there are ``order ** order`` distinct row objects.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -159,7 +166,8 @@ def random_groupoids(order: int, count: int, seed: int):
 
     Entry ``j`` of table ``i`` is ``stream_value(seed, i*order² + j)``
     reduced modulo ``order`` — fully reproducible and independent of how
-    the index range is split across workers.
+    the index range is split across workers.  Equal rows within one call
+    are one shared tuple.
     """
     if order < 1:
         raise ValueError("order must be at least 1")

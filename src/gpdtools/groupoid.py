@@ -101,11 +101,14 @@ def square_subgroupoid(g: Groupoid) -> tuple[Groupoid, tuple[int, ...]]:
 
     Returns the restricted table (re-numbered 0..k-1 in ascending order of
     the original labels) together with the original labels of its elements.
+    When every element is a product, the restricted table is ``g`` itself.
     Raises :class:`NotClosed` if the product set is not closed; a product
     of products is itself a product, so this cannot actually happen — the
     check is purely defensive.
     """
     members = g.products()
+    if len(members) == g.order:
+        return g, members
     index = {v: i for i, v in enumerate(members)}
     rows = []
     for x in members:

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gpdtools
 from gpdtools import cli
 from gpdtools.cli import main
 from gpdtools.errors import TheoremViolation
@@ -408,3 +413,26 @@ def test_sweep_negative_samples(capsys):
 def test_sweep_large_order_needs_flag(capsys):
     code, _, err = _run(capsys, ["sweep", "--max-order", "4", "--samples", "0"])
     assert code == 2 and err.startswith("error:")
+
+
+def test_closed_stdout_exits_quietly():
+    # `gpdtools sweep ... | head -3`: the reader closes the pipe before the
+    # report is written.  Run as `python -m gpdtools` from this source tree,
+    # with the read end closed before the process starts.
+    src = str(Path(gpdtools.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpdtools", "sweep", "--suites", "goldens",
+             "--samples", "0", "--max-order", "1"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == b""  # no traceback and no message

@@ -44,6 +44,7 @@ from gpdtools import (
     parse_cspec,
     parse_groupoid,
     random_groupoids,
+    satisfies_variety,
     shifted_associativity,
     square_subgroupoid,
     strongly_regular_witness,
@@ -325,6 +326,55 @@ def test_class_relations_fixtures():
     for g in (BAND3, FLIP2, Z3, Z3_TWIST, CHAIN2):
         report = check_class_relations(g)
         assert report["ok"], report
+
+
+def _reference_class_relations(g):
+    """check_class_relations with the product subtable relabelled and
+    profiled on every table, surjective or not."""
+    membership = ad_membership_profile(g)
+    members = g.products()
+    index = {v: i for i, v in enumerate(members)}
+    squares = Groupoid(
+        tuple(tuple(index[g.rows[x][y]] for y in members) for x in members)
+    )
+    square_membership = ad_membership_profile(squares)
+    member = {tag: membership[tag] is not None for tag in VARIETIES}
+    report = {"membership": member, "inclusion_chain": {}, "square_descent": {}}
+    for base, inflation, generalized in det.DESCENT_PAIRS:
+        report["inclusion_chain"][base] = (
+            member[inflation] or not member[base]
+        ) and (member[generalized] or not member[inflation])
+        report["square_descent"][base] = (
+            not member[generalized] or square_membership[base] is not None
+        )
+    associative = g.is_associative()
+    surjective = len(members) == g.order
+    report["semigroup_identity"], report["twist_isomorphism"] = {}, {}
+    for tag in VARIETIES:
+        witness = membership[tag]
+        if witness is None or not associative:
+            identity, iso = True, None
+        else:
+            identity = satisfies_variety(g, tag)
+            iso = None
+            if surjective or tag in det.ISOMORPHISM_CLASSES:
+                iso = is_homomorphism(witness, untwist(g, witness), g)
+        report["semigroup_identity"][tag] = identity
+        report["twist_isomorphism"][tag] = iso
+    report["ok"] = (
+        all(report["inclusion_chain"].values())
+        and all(report["square_descent"].values())
+        and all(report["semigroup_identity"].values())
+        and all(v is not False for v in report["twist_isomorphism"].values())
+    )
+    return report
+
+
+def test_class_relations_matches_reference_profiling_squares():
+    # Reusing the table's own profile for a surjective table changes nothing.
+    for n in (1, 2, 3):
+        for g in enumerate_groupoids(n):
+            assert check_class_relations(g) == _reference_class_relations(g)
 
 
 def test_decide_fixtures():

@@ -99,9 +99,59 @@ def test_random_groupoids_deterministic_and_partitionable():
         assert full[i] == Groupoid(rows)
 
 
+def _stream_tables(order, seed, indices):
+    """Sample tables built cell by cell from ``stream_value``."""
+    cells = order * order
+    for i in indices:
+        flat = [stream_value(seed, i * cells + j) % order for j in range(cells)]
+        rows = (flat[r * order : (r + 1) * order] for r in range(order))
+        yield Groupoid(tuple(map(tuple, rows)))
+
+
+def test_samples_match_stream_value_cells():
+    from gpdtools.enumeration import _sample_tables
+
+    strided = (range(1, 60, 2), range(3, 90, 7), range(10**6, 10**6 + 50, 9))
+    for order in (1, 2, 3, 5):
+        for seed in (0, 1, MASK64):
+            assert list(random_groupoids(order, 40, seed)) == list(
+                _stream_tables(order, seed, range(40))
+            )
+            for indices in strided:
+                assert list(_sample_tables(order, seed, indices)) == list(
+                    _stream_tables(order, seed, indices)
+                )
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive generators.
 # ---------------------------------------------------------------------------
+
+
+def _reference_exhaustive(orders, index, chunks):
+    """Every ``chunks``-th table from ``index``: the flat product of all
+    cells, sliced into rows."""
+    for n in orders:
+        cells = itertools.product(range(n), repeat=n * n)
+        for flat in itertools.islice(cells, index, None, chunks):
+            yield Groupoid(tuple(flat[r * n : (r + 1) * n] for r in range(n)))
+
+
+def test_exhaustive_tables_match_flat_cell_reference():
+    from gpdtools.enumeration import _exhaustive_tables
+
+    for index, chunks in ((0, 1), (1, 2), (2, 3), (4, 7)):
+        assert list(_exhaustive_tables((1, 2, 3), index, chunks)) == list(
+            _reference_exhaustive((1, 2, 3), index, chunks)
+        )
+    first = itertools.islice(enumerate_groupoids(4, allow_large=True), 5000)
+    reference = itertools.islice(_reference_exhaustive((4,), 0, 1), 5000)
+    assert list(first) == list(reference)
+
+
+def test_exhaustive_tables_share_rows():
+    tables = list(enumerate_groupoids(3))  # alive, so ids are not reused
+    assert len({id(row) for g in tables for row in g.rows}) == 27
 
 
 def test_enumerate_groupoids_counts_and_order():
@@ -398,13 +448,17 @@ def built(monkeypatch):
     import gpdtools.enumeration as enumeration
 
     counts = Counter()
-    real_table = enumeration._table
 
-    def counted_table(flat, order):
-        counts[order] += 1
-        return real_table(flat, order)
+    def counted(generate):
+        def tables(*args):
+            for g in generate(*args):
+                counts[g.order] += 1
+                yield g
 
-    monkeypatch.setattr(enumeration, "_table", counted_table)
+        return tables
+
+    for name in ("_exhaustive_tables", "_sample_tables"):
+        monkeypatch.setattr(enumeration, name, counted(getattr(enumeration, name)))
     return counts
 
 

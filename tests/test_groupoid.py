@@ -8,6 +8,9 @@ from gpdtools import (
     Groupoid,
     MalformedInput,
     VARIETIES,
+    build_determined,
+    enumerate_groupoids,
+    enumerate_specs,
     in_semigroup_class,
     parse_groupoid,
     random_groupoids,
@@ -134,14 +137,39 @@ def test_square_subgroupoid_members_and_relabeling():
     # BAND3's product set is everything: the subtable is BAND3 itself.
     sq, members = square_subgroupoid(BAND3)
     assert members == (0, 1, 2)
-    assert sq == BAND3
-    # 2*2 = 1+1 = 0 in the two-element group {1, 2} inside this chain table,
-    # so products are {0, 1, 2} minus nothing — use a table with a proper
-    # product set instead: a constant table.
+    assert sq is BAND3
+    # Element 1 is never a product; on the product set {0, 2} the table is
+    # the two-element group with identity 0, and 2 is relabelled 1.
+    g = Groupoid(((0, 2, 2), (2, 0, 0), (2, 0, 0)))
+    sq, members = square_subgroupoid(g)
+    assert members == (0, 2)
+    assert sq.rows == ((0, 1), (1, 0))
     const = Groupoid(((1, 1), (1, 1)))
     sq, members = square_subgroupoid(const)
     assert members == (1,)
     assert sq.rows == ((0,),)
+
+
+def _reference_square_subgroupoid(g):
+    """The product subtable by relabelling, on every table."""
+    members = g.products()
+    index = {v: i for i, v in enumerate(members)}
+    rows = tuple(tuple(index[g.rows[x][y]] for y in members) for x in members)
+    return Groupoid(rows), members
+
+
+def test_square_subgroupoid_matches_reference_relabelling():
+    tables = [g for n in (1, 2, 3) for g in enumerate_groupoids(n)]
+    tables += random_groupoids(4, 2000, seed=11)
+    tables += [build_determined(spec)[0] for spec in enumerate_specs(2, 3)]
+    surjective = 0
+    for g in tables:
+        sq, members = square_subgroupoid(g)
+        assert (sq, members) == _reference_square_subgroupoid(g)
+        if len(members) == g.order:
+            assert sq is g
+            surjective += 1
+    assert 0 < surjective < len(tables)
 
 
 def test_square_subgroupoid_closure_brute():
