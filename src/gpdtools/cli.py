@@ -71,6 +71,22 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _write_outputs(files: dict[str, str]) -> int:
+    """Write each text to its path, then print the paths; return 0.
+
+    A failed write is reported like a bad argument (exit code 2).  Only the
+    writes are guarded: a closed standard output while printing must still
+    reach the broken-pipe handler in :func:`main`.
+    """
+    try:
+        for path, text in files.items():
+            Path(path).write_text(text)
+    except OSError as exc:
+        return _fail(str(exc))
+    print("\n".join(files))
+    return 0
+
+
 def _render_text(data, prefix: str = "") -> list[str]:
     """Flatten a report into sorted ``path: value`` lines."""
     lines: list[str] = []
@@ -175,13 +191,10 @@ def cmd_build(args) -> int:
     table_text = serialize_groupoid(g)
     mapping_text = serialize_mapping(alpha)
     if args.out:
-        Path(f"{args.out}.gpd").write_text(table_text)
-        Path(f"{args.out}.map").write_text(mapping_text)
-        print(f"{args.out}.gpd")
-        print(f"{args.out}.map")
-    else:
-        sys.stdout.write("# table\n" + table_text)
-        sys.stdout.write("# mapping\n" + mapping_text)
+        files = {f"{args.out}.gpd": table_text, f"{args.out}.map": mapping_text}
+        return _write_outputs(files)
+    sys.stdout.write("# table\n" + table_text)
+    sys.stdout.write("# mapping\n" + mapping_text)
     return 0
 
 
@@ -203,10 +216,8 @@ def cmd_decompose(args) -> int:
         return 1
     text = serialize_cspec(spec)
     if args.out:
-        Path(f"{args.out}.cspec").write_text(text)
-        print(f"{args.out}.cspec")
-    else:
-        print(text, end="")
+        return _write_outputs({f"{args.out}.cspec": text})
+    print(text, end="")
     return 0
 
 
@@ -228,11 +239,10 @@ def cmd_sweep(args) -> int:
         report = run_sweep(config, jobs=args.jobs)
     except _INPUT_ERRORS as exc:
         return _fail(str(exc))
-    if args.out:
-        Path(args.out).write_text(report.to_json())
-        print(args.out)
-    else:
+    if not args.out:
         _emit(report.to_dict(), args.format)
+    elif _write_outputs({args.out: report.to_json()}) != 0:
+        return 2
     return 0 if report.passed else 1
 
 
@@ -308,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000,
                    help="number of sampled tables (default 100000)")
     p.add_argument("--seed", type=int, default=1, help="sample stream seed (default 1)")
-    p.add_argument("--jobs", type=int, default=1, help="worker count (default 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="chunk count, run on at most one process per CPU (default 1)")
     p.add_argument("--suites", help="comma-separated suite names (default: all)")
     p.add_argument("--max-semilattice-order", type=int, default=3,
                    help="construction family: largest semilattice (default 3)")

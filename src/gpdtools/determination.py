@@ -19,6 +19,7 @@ from .errors import NotInvolution, PreconditionViolated, TheoremViolation
 from .groupoid import (
     VARIETIES,
     Groupoid,
+    _row_getters,
     in_semigroup_class,
     satisfies_variety,
     square_subgroupoid,
@@ -78,12 +79,10 @@ def is_semilattice_of_groups(g: Groupoid) -> bool:
     if not g.is_associative():
         return False
     rows = g.rows
-    n = g.order
-    for a in range(n):
-        sq = rows[a][a]
-        if all(rows[x][sq] != a for x in range(n)):
-            return False
-        if all(rows[sq][x] != a for x in range(n)):
+    for a, row in enumerate(rows):
+        sq = row[a]
+        # a in a²S is a lookup in the row of a², a in Sa² one in its column.
+        if a not in rows[sq] or all(r[sq] != a for r in rows):
             return False
     return idempotents_form_semilattice(g)
 
@@ -194,13 +193,15 @@ def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
         return first_candidate(lambda f: absorption_law(g, f))
 
     if variety == "IB":
-        return first_candidate(
-            lambda f: all(
-                rows[x][y] == rows[rows[f[x]][x]][rows[f[y]][y]]
-                for x in range(n)
-                for y in range(n)
+        # x·y = (f(x)·x)·(f(y)·y): row x is the row of s[x] read at s.
+        def law(f):
+            s = [rows[fx][x] for x, fx in enumerate(f)]
+            return all(
+                row == tuple(map(rows[sx].__getitem__, s))
+                for row, sx in zip(rows, s)
             )
-        )
+
+        return first_candidate(law)
 
     if variety == "IL0":
         if any(len(set(row)) != 1 for row in rows):
@@ -211,12 +212,10 @@ def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
         return identity_mapping(n) if in_semigroup_class(g, "IR0") else None
 
     if variety == "IRB":
+        # (x·y)·z = f(x)·z: the row of each product in row x is row f(x).
         return first_candidate(
             lambda f: all(
-                rows[rows[x][y]][z] == rows[f[x]][z]
-                for x in range(n)
-                for y in range(n)
-                for z in range(n)
+                rows[p] == rows[f[x]] for x, row in enumerate(rows) for p in row
             )
         )
 
@@ -231,12 +230,12 @@ def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
         )
 
     if variety == "GL0":
+        # (x·y)·z = f(x)·f(y): the row of x·y is constant f(x)·f(y).
         return first_candidate(
             lambda f: all(
-                rows[rows[x][y]][z] == rows[f[x]][f[y]]
-                for x in range(n)
-                for y in range(n)
-                for z in range(n)
+                rows[p] == (rows[f[x]][f[y]],) * n
+                for x, row in enumerate(rows)
+                for y, p in enumerate(row)
             )
         )
 
@@ -244,14 +243,12 @@ def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
         return identity_mapping(n) if in_semigroup_class(g, "GR0") else None
 
     if variety == "GRB":
-        return first_candidate(
-            lambda f: all(
-                rows[x][y] == rows[rows[rows[x][y]][f[z]]][rows[x][y]]
-                for x in range(n)
-                for y in range(n)
-                for z in range(n)
-            )
-        )
+        # x·y = ((x·y)·f(z))·(x·y), and f(z) runs over every element as z
+        # does: the law is (p·w)·p = p for every product p, whatever f is.
+        f = first_candidate(lambda f: True)
+        if f is None or any(rows[q][p] != p for p in g.products() for q in rows[p]):
+            return None
+        return f
 
     raise ValueError(f"unknown variety tag {variety!r}")
 
@@ -387,11 +384,11 @@ def check_twisted_slg(g: Groupoid, star: Groupoid, f: Mapping) -> dict[str, bool
     report["idempotent_left_shift"] = all(
         rows[e][a] == rows[f[a]][e] for e in idem for a in range(n)
     )
+    # e(ab) = (ea)(eb), over all b at once: row e read at row a is the
+    # row of ea read at row e.
+    at = _row_getters(rows)
     report["idempotent_distributive"] = all(
-        rows[e][rows[a][b]] == rows[rows[e][a]][rows[e][b]]
-        for e in idem
-        for a in range(n)
-        for b in range(n)
+        at[a](rows[e]) == at[e](rows[rows[e][a]]) for e in idem for a in range(n)
     )
     return {name: report[name] for name in SLG_CONCLUSIONS}
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -1082,9 +1083,10 @@ def _run_chunk(
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     """Run the active suites over the configured instance space.
 
-    ``jobs`` both sizes the worker pool and fixes the number of chunks;
-    because every check is per-instance and the merge is order-independent,
-    the report's canonical form does not depend on it.
+    ``jobs`` fixes the number of chunks; the worker pool runs them on at
+    most one process per CPU.  Because every check is per-instance and the
+    merge is order-independent, the report's canonical form does not depend
+    on ``jobs``.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -1101,7 +1103,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
         results = [_run_chunk(resolved, 0, 1)]
     else:
         args = [(resolved, c, jobs) for c in range(jobs)]
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        workers = min(jobs, os.cpu_count() or 1)
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             results = pool.starmap(_run_chunk, args)
     counts: Counter = Counter()
     failures: list[Counterexample] = []

@@ -130,27 +130,17 @@ def _sat_B(g: Groupoid) -> bool:
 
 
 def _sat_L0(g: Groupoid) -> bool:
-    # (x*y)*z == x
+    # (x*y)*z == x: the row of each product in row x is constant x.
     rows = g.rows
     n = g.order
-    for x in range(n):
-        for y in range(n):
-            p = rows[x][y]
-            if any(rows[p][z] != x for z in range(n)):
-                return False
-    return True
+    return all(rows[p] == (x,) * n for x, row in enumerate(rows) for p in row)
 
 
 def _sat_R0(g: Groupoid) -> bool:
-    # (x*y)*z == z
+    # (x*y)*z == z: the row of each product is the identity row.
     rows = g.rows
-    n = g.order
-    for x in range(n):
-        for y in range(n):
-            p = rows[x][y]
-            if any(rows[p][z] != z for z in range(n)):
-                return False
-    return True
+    identity = tuple(range(g.order))
+    return all(rows[p] == identity for row in rows for p in row)
 
 
 def _sat_RB(g: Groupoid) -> bool:
@@ -161,57 +151,29 @@ def _sat_RB(g: Groupoid) -> bool:
 
 
 def _sat_IB(g: Groupoid) -> bool:
-    # x*y == (x*x)*(y*y)
+    # x*y == (x*x)*(y*y): row x is the row of x*x read at the squares.
     rows = g.rows
-    n = g.order
-    sq = [rows[x][x] for x in range(n)]
-    return all(rows[x][y] == rows[sq[x]][sq[y]] for x in range(n) for y in range(n))
+    sq = [row[x] for x, row in enumerate(rows)]
+    return all(row == tuple(map(rows[s].__getitem__, sq)) for row, s in zip(rows, sq))
 
 
 def _sat_IL0(g: Groupoid) -> bool:
-    # (x*y)*z == x*w : every value (x*y)*z depends only on x, and equals
-    # every product x*w.  Equivalent to: all rows are constant and
-    # row-of-anything-in-row-x is the constant of row x... checked directly.
+    # (x*y)*z == x*w: row x is constant, and the row of its constant, the
+    # only product in row x, is row x.
     rows = g.rows
     n = g.order
-    for x in range(n):
-        vals = {rows[x][w] for w in range(n)}
-        if len(vals) != 1:
-            return False
-        target = vals.pop()
-        for y in range(n):
-            p = rows[x][y]
-            if any(rows[p][z] != target for z in range(n)):
-                return False
-    return True
+    return all(row == (row[0],) * n and rows[row[0]] == row for row in rows)
 
 
 def _sat_IR0(g: Groupoid) -> bool:
-    # (x*y)*z == w*z
-    rows = g.rows
-    n = g.order
-    for z in range(n):
-        col = {rows[w][z] for w in range(n)}
-        if len(col) != 1:
-            return False
-        target = col.pop()
-        for x in range(n):
-            for y in range(n):
-                if rows[rows[x][y]][z] != target:
-                    return False
-    return True
+    # (x*y)*z == w*z: every column is constant, so all rows are equal.
+    return len(set(g.rows)) == 1
 
 
 def _sat_IRB(g: Groupoid) -> bool:
-    # (x*y)*z == x*z
+    # (x*y)*z == x*z: the row of each product in row x is row x.
     rows = g.rows
-    n = g.order
-    return all(
-        rows[rows[x][y]][z] == rows[x][z]
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
+    return all(rows[p] == row for row in rows for p in row)
 
 
 def _sat_GB(g: Groupoid) -> bool:
@@ -224,27 +186,16 @@ def _sat_GB(g: Groupoid) -> bool:
 
 
 def _sat_GL0(g: Groupoid) -> bool:
-    # (x*y)*z == x*y
+    # (x*y)*z == x*y: the row of each product p is constant p.
     rows = g.rows
     n = g.order
-    for x in range(n):
-        for y in range(n):
-            p = rows[x][y]
-            if any(rows[p][z] != p for z in range(n)):
-                return False
-    return True
+    return all(rows[p] == (p,) * n for row in rows for p in row)
 
 
 def _sat_GR0(g: Groupoid) -> bool:
-    # (x*y)*z == y*z
+    # (x*y)*z == y*z: the row of x*y is row y.
     rows = g.rows
-    n = g.order
-    return all(
-        rows[rows[x][y]][z] == rows[y][z]
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
+    return all(rows[p] == rows[y] for row in rows for y, p in enumerate(row))
 
 
 def _sat_GRB(g: Groupoid) -> bool:

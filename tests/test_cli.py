@@ -379,6 +379,23 @@ def test_sweep_report_to_file(tmp_path, capsys):
     assert json.loads(text)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "{examples}/z3twist.cspec"],
+        ["decompose", "{examples}/z3twist.gpd"],
+        _TINY_SWEEP,
+    ],
+    ids=["build", "decompose", "sweep"],
+)
+def test_unwritable_out_is_input_error(examples_dir, tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out"
+    argv = [arg.format(examples=examples_dir) for arg in argv]
+    code, out, err = _run(capsys, argv + ["--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(target) in err
+
+
 def test_sweep_unknown_suite(capsys):
     code, _, err = _run(capsys, _TINY_SWEEP + ["--suites", "nonsense"])
     assert code == 2 and err.startswith("error:")

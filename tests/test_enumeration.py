@@ -34,6 +34,7 @@ from gpdtools import (
     stream_value,
     validate_spec,
 )
+import gpdtools.enumeration as enumeration
 from gpdtools.enumeration import MASK64, SUITES
 
 # ---------------------------------------------------------------------------
@@ -378,6 +379,37 @@ def test_sweep_partition_independent():
     assert data["schema"] == "sweep_report@1"
     assert "elapsed" not in json.dumps(data)
     assert data["config"]["rng"] == "splitmix64"
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+def test_sweep_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
+    # A fake pool records its size and runs the chunks in this process, so
+    # a large jobs value starts no process at all.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, args):
+            return list(itertools.starmap(func, args))
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(
+        enumeration.multiprocessing, "get_context", lambda _: FakeContext
+    )
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+    report = run_sweep(_SMALL, jobs=500)
+    assert sizes == [workers]
+    assert report.to_json() == run_sweep(_SMALL, jobs=1).to_json()
 
 
 def test_sweep_suite_selection_and_errors():
