@@ -70,20 +70,21 @@ untwist = twist
 
 
 def is_semilattice_of_groups(g: Groupoid) -> bool:
-    """True when ``g`` is associative, every element ``a`` lies in both
-    ``S·a²`` and ``a²·S``, and the idempotents commute.
+    """True when ``g`` is associative, every element ``a`` lies in
+    ``a²·S``, and the idempotents commute.
 
-    These conditions make an associative table a union of groups whose
-    idempotents commute, i.e. a semilattice of groups.
+    This one-sided test suffices.  ``a = a²s`` gives ``a R a²``, and also
+    ``a J a·a``; a finite semigroup is stable, so ``a J a·a`` gives
+    ``a L a²`` as well, i.e. ``a`` lies in ``S·a²`` too.  Then ``a H a²``,
+    so the H-class of ``a`` is a group: the table is a union of groups,
+    and with commuting idempotents a semilattice of groups.
     """
     if not g.is_associative():
         return False
     rows = g.rows
-    for a, row in enumerate(rows):
-        sq = row[a]
-        # a in a²S is a lookup in the row of a², a in Sa² one in its column.
-        if a not in rows[sq] or all(r[sq] != a for r in rows):
-            return False
+    # a in a²S is a lookup in the row of a².
+    if any(a not in rows[row[a]] for a, row in enumerate(rows)):
+        return False
     return idempotents_form_semilattice(g)
 
 
@@ -153,7 +154,7 @@ def _shift_candidates(g: Groupoid) -> tuple[Mapping, ...]:
     domain = _shift_images(g)
     if domain is None:
         return ()
-    return tuple(_isomorphisms(g, g, False, involutive=True, domain=domain))
+    return tuple(_isomorphisms(g, g, domain))
 
 
 def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
@@ -532,15 +533,16 @@ def _criterion_completely_inverse(facts: _Facts) -> CriterionVerdict:
     shift_seen = False
     if domain is not None:
         e_semilattice = facts.e_semilattice
-        # f matters only when the idempotents are no semilattice and an
-        # inverse table exists (without one, the antihomomorphism law fails
-        # for every f); otherwise the first candidate settles the verdict.
         inv = facts.inv
-        walk_all = not e_semilattice and inv is not None
-        for f in _isomorphisms(g, g, not walk_all, involutive=True, domain=domain):
+        # The search is lazy, so it stops at the first map that passes.
+        # Without an inverse table the antihomomorphism law fails for every
+        # f, so the first map settles the verdict either way.
+        for f in _isomorphisms(g, g, domain):
             shift_seen = True
-            if e_semilattice or (walk_all and _antihomomorphism(g, inv, f)):
+            if e_semilattice or (inv is not None and _antihomomorphism(g, inv, f)):
                 alpha = f
+                break
+            if inv is None:
                 break
     if alpha is None:
         failed.append(
@@ -562,7 +564,7 @@ def _criterion_strongly_regular(facts: _Facts) -> CriterionVerdict:
     domain = facts.shift_images
     if domain is not None:
         domain = _idempotents_fixed(g, domain)
-        alpha = next(_isomorphisms(g, g, True, involutive=True, domain=domain), None)
+        alpha = next(_isomorphisms(g, g, domain), None)
     if alpha is None:
         failed.append("shifted_associativity")
     return CriterionVerdict(not failed, alpha, tuple(failed))

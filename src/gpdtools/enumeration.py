@@ -21,7 +21,7 @@ import multiprocessing
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -418,27 +418,9 @@ class SweepReport:
         return {
             "schema": SWEEP_SCHEMA,
             "passed": self.passed,
-            "config": {
-                "max_exhaustive_order": self.config.max_exhaustive_order,
-                "sample_order": self.config.sample_order,
-                "sample_count": self.config.sample_count,
-                "seed": self.config.seed,
-                "rng": "splitmix64",
-                "max_semilattice_order": self.config.max_semilattice_order,
-                "max_group_order": self.config.max_group_order,
-                "suites": list(self.config.suites),
-                "allow_large_exhaustive": self.config.allow_large_exhaustive,
-            },
+            "config": {**asdict(self.config), "rng": "splitmix64"},
             "counts": dict(sorted(self.counts.items())),
-            "counterexamples": [
-                {
-                    "suite": c.suite,
-                    "law": c.law,
-                    "instance": c.instance,
-                    "detail": c.detail,
-                }
-                for c in self.counterexamples
-            ],
+            "counterexamples": [asdict(c) for c in self.counterexamples],
         }
 
     def to_json(self) -> str:
@@ -824,6 +806,8 @@ def _inverse_laws_for(
             f[a] == g.product(a, g.product(inv[a], a)) for a in g
         )
         antihom = _antihomomorphism(g, inv, f)
+        regular_hypothesis = facts.strongly_regular and facts.e_semilattice and e_fixed
+        shifted = (products_idem or regular_hypothesis) and shifted_associativity(g, f)
         if products_idem and untwist(g, f).is_associative():
             rec.check(
                 "unique_inverses_shift_efixed_iff_canonical",
@@ -831,14 +815,14 @@ def _inverse_laws_for(
                 inst,
                 detail,
             )
-        if facts.right_bol and e_fixed and antihom:
+        if e_fixed and antihom and facts.right_bol:
             rec.check(
                 "right_bol_antihomomorphism_forces_semilattice",
                 facts.e_semilattice,
                 inst,
                 detail,
             )
-        if products_idem and shifted_associativity(g, f):
+        if products_idem and shifted:
             rec.check("shift_fixes_idempotents", e_fixed, inst, detail)
             rec.check("shift_forces_canonical_formula", canonical, inst, detail)
             rec.check(
@@ -847,12 +831,7 @@ def _inverse_laws_for(
                 inst,
                 detail,
             )
-        if (
-            facts.strongly_regular
-            and facts.e_semilattice
-            and e_fixed
-            and shifted_associativity(g, f)
-        ):
+        if regular_hypothesis and shifted:
             rec.check(
                 "strong_regularity_shift_forces_completely_inverse",
                 facts.completely_inverse,

@@ -72,38 +72,33 @@ def is_homomorphism(f: Mapping, g: Groupoid, h: Groupoid) -> bool:
 def _isomorphisms(
     g: Groupoid,
     h: Groupoid,
-    first_only: bool,
-    involutive: bool = False,
     domain: tuple[tuple[int, ...], ...] | None = None,
 ):
-    """Backtracking search for bijective homomorphisms ``g -> h``.
+    """Backtracking search for bijective homomorphisms ``g -> h``, yielding
+    each map as soon as it is found, in lexicographic order.
 
-    Images are assigned to 0, 1, 2, ... in ascending candidate order, so the
-    complete output is lexicographically sorted.  After assigning the image
-    of ``k`` we check every product constraint whose three participants
-    (both factors and the product) are all at positions ``<= k``, and that
-    involves ``k``: pairs ``(i, k)`` and ``(k, i)`` with ``i <= k`` whose
-    product is ``<= k``, plus older pairs ``(i, j)`` with ``i, j < k`` whose
-    product equals ``k``.  Every pair ``(i, j)`` is thus checked exactly
-    once, at step ``max(i, j, i*j)``, which makes accepted full assignments
-    genuine homomorphisms.
+    The search is lazy: a caller that needs one map takes ``next(...)`` and
+    the rest are never built; one that needs all takes ``tuple(...)``.
 
-    With ``involutive`` (and ``h`` equal to ``g``) only self-inverse maps
-    are searched.  Choosing ``image[k] = c`` with ``c > k`` forces
-    ``image[c] = k``; a position whose image is already forced has that one
-    candidate, and a free position ``k`` takes only candidates ``c >= k``
-    whose own image is unassigned.  Any self-inverse map agreeing with the
-    assigned prefix meets these rules, so the search still yields every
-    involutive automorphism, in the same lexicographic order, without
-    visiting the other automorphisms.
+    Images are assigned to 0, 1, 2, ... in ascending candidate order.  After
+    assigning the image of ``k`` we check every product constraint whose
+    three participants (both factors and the product) are all at positions
+    ``<= k``, and that involves ``k``: pairs ``(i, k)`` and ``(k, i)`` with
+    ``i <= k`` whose product is ``<= k``, plus older pairs ``(i, j)`` with
+    ``i, j < k`` whose product equals ``k``.  Every pair ``(i, j)`` is thus
+    checked exactly once, at step ``max(i, j, i*j)``, which makes accepted
+    full assignments genuine homomorphisms.
 
-    ``domain`` (involutive mode only) holds, per position, the ascending
-    tuple of images that position may take.  A free position ``k`` then
-    takes only candidates ``c`` in ``domain[k]`` with ``k`` in
-    ``domain[c]``, so the image it forces is admissible too; a position
-    with an empty domain takes none.  The output is exactly the involutive
-    automorphisms ``f`` with ``f[k] in domain[k]`` for every ``k``, still
-    in lexicographic order.
+    A given ``domain`` (with ``h`` equal to ``g``) asks for the self-inverse
+    automorphisms ``f`` with ``f[k] in domain[k]`` for every ``k``; it holds,
+    per position, the ascending tuple of admissible images.  Choosing
+    ``image[k] = c`` with ``c > k`` forces ``image[c] = k``; a position whose
+    image is already forced has that one candidate, and a free position
+    ``k`` takes only candidates ``c >= k`` in ``domain[k]`` whose own image
+    is unassigned and with ``k`` in ``domain[c]``, so the image it forces is
+    admissible too.  Any admissible self-inverse map agreeing with the
+    assigned prefix meets these rules, so the search yields all of them
+    without visiting the other automorphisms.
     """
     n = g.order
     if h.order != n:
@@ -120,19 +115,19 @@ def _isomorphisms(
             if p > max(i, j):
                 late[p].append((i, j))
 
+    involutive = domain is not None
     admits = None if domain is None else [set(d) for d in domain]
-    found: list[Mapping] = []
 
-    def extend(k: int) -> bool:
+    def extend(k: int):
         if k == n:
-            found.append(tuple(image))
-            return first_only
+            yield tuple(image)
+            return
         forced = image[k]
-        # In the involutive mode, used[c] for c >= k means image[c] is forced.
+        # In the involutive search, used[c] for c >= k means image[c] is forced.
         if forced != -1:
             candidates = (forced,)
         elif admits is None:
-            candidates = [c for c in range(k if involutive else 0, n) if not used[c]]
+            candidates = [c for c in range(n) if not used[c]]
         else:
             candidates = [
                 c for c in domain[k] if c >= k and not used[c] and k in admits[c]
@@ -157,29 +152,25 @@ def _isomorphisms(
                     if hrows[image[i]][image[j]] != cand:
                         ok = False
                         break
-            if ok and extend(k + 1):
-                return True
+            if ok:
+                yield from extend(k + 1)
             used[cand] = False
             if involutive and cand > k:
                 image[cand] = -1
         image[k] = forced
-        return False
 
-    extend(0)
-    yield from found
+    yield from extend(0)
 
 
 def find_isomorphism(g: Groupoid, h: Groupoid) -> Mapping | None:
     """First isomorphism ``g -> h`` in lexicographic order, or ``None``."""
-    for f in _isomorphisms(g, h, first_only=True):
-        return f
-    return None
+    return next(_isomorphisms(g, h), None)
 
 
 @lru_cache(maxsize=4096)
 def automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
     """All automorphisms of ``g`` in lexicographic order."""
-    return tuple(_isomorphisms(g, g, first_only=False))
+    return tuple(_isomorphisms(g, g))
 
 
 @lru_cache(maxsize=4096)
@@ -191,7 +182,7 @@ def involutive_automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
     never built, so the cost follows the number of involutions that fit
     the table rather than the size of its automorphism group.
     """
-    return tuple(_isomorphisms(g, g, first_only=False, involutive=True))
+    return tuple(_isomorphisms(g, g, (tuple(range(g.order)),) * g.order))
 
 
 def _idempotents_fixed(
@@ -210,7 +201,7 @@ def e_fixed_involutive_automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
     """Self-inverse automorphisms fixing every idempotent pointwise, in
     lexicographic order; each idempotent's only candidate is itself."""
     domain = _idempotents_fixed(g, (tuple(range(g.order)),) * g.order)
-    return tuple(_isomorphisms(g, g, False, involutive=True, domain=domain))
+    return tuple(_isomorphisms(g, g, domain))
 
 
 def in_lt(g: Groupoid, f: Mapping) -> bool:

@@ -153,6 +153,38 @@ def test_semilattice_of_groups_against_oracle():
     assert members == 4 + 24
 
 
+def _two_sided_slg(g):
+    """Associative, every a in both a²S and Sa², and commuting idempotents,
+    by raw loops."""
+    if not g.is_associative():
+        return False
+    n = g.order
+    for a in range(n):
+        sq = g.product(a, a)
+        if all(g.product(sq, s) != a for s in range(n)):
+            return False
+        if all(g.product(s, sq) != a for s in range(n)):
+            return False
+    idem = [e for e in range(n) if g.product(e, e) == e]
+    return all(g.product(e, f) == g.product(f, e) for e in idem for f in idem)
+
+
+def test_semilattice_of_groups_needs_only_one_side():
+    # Associative with commuting idempotents, but 1 is not in 1²S = {0}:
+    # only the a²S test rejects the order-2 null semigroup.
+    assert not is_semilattice_of_groups(_null_semigroup(2))
+    exhaustive = (g for n in (1, 2, 3) for g in enumerate_groupoids(n))
+    strong = (build_strong_slg(spec) for spec in enumerate_specs(3, 4))
+    samples = random_groupoids(4, 5000, seed=71)
+    positives = 0
+    for g in itertools.chain(exhaustive, strong, samples):
+        expected = _two_sided_slg(g)
+        assert is_semilattice_of_groups(g) == expected, g.rows
+        positives += expected
+    # Orders 1-3 have 1 + 4 + 24, every strong table is one, no sample is.
+    assert positives == 1 + 4 + 24 + 10_933
+
+
 def _oracle_direct(g, tag, oracle_identity):
     """First involution whose untwisted table is an associative member of
     the class and which is an automorphism of that table — raw loops."""
@@ -625,9 +657,11 @@ def test_decide_stops_at_first_witness(g, monkeypatch):
         return shifted_associativity(*args)
 
     def counted_search(*args, **kwargs):
-        maps = tuple(det_isomorphisms(*args, **kwargs))
-        searched.append(len(maps))
-        yield from maps
+        # Count only the maps the caller takes from the lazy search.
+        searched.append(0)
+        for f in det_isomorphisms(*args, **kwargs):
+            searched[-1] += 1
+            yield f
 
     det_isomorphisms = det._isomorphisms
     monkeypatch.setattr(det, "shifted_associativity", counted_shift)

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,6 +17,7 @@ from gpdtools import (
     NotDetermined,
     OrderTooLarge,
     SweepConfig,
+    SweepReport,
     TheoremViolation,
     decompose,
     enumerate_group_tables,
@@ -379,6 +380,15 @@ def test_sweep_partition_independent():
     assert data["schema"] == "sweep_report@1"
     assert "elapsed" not in json.dumps(data)
     assert data["config"]["rng"] == "splitmix64"
+
+
+def test_sweep_report_config_is_the_whole_sweep_config():
+    config = SweepConfig(sample_count=5, suites=("goldens",))
+    data = json.loads(SweepReport(config, {}, (), 0.0).to_json())
+    names = {field.name for field in fields(SweepConfig)}
+    assert set(data["config"]) == names | {"rng"}
+    assert data["config"]["suites"] == ["goldens"]
+    assert data["config"]["sample_count"] == 5
 
 
 @pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
