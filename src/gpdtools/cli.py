@@ -10,7 +10,8 @@ Exit codes: 0 success (for ``decide``: determined; for ``sweep``: no
 counterexamples), 1 negative outcome (not determined / not decomposable /
 counterexamples found), 2 malformed input or bad arguments, 3 internal
 consistency alarm, 141 standard output closed by its reader before the
-report was written.
+report was written.  Each command returns its verdict (0 or 1) and raises
+on failure; :func:`main` alone maps the errors to exit codes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     MalformedInput,
     InvalidSpec,
     NotDetermined,
-    NotInvolution,
     OrderTooLarge,
 )
 from .fixtures import FIXTURES
@@ -58,7 +58,6 @@ from .mappings import (
 _INPUT_ERRORS = (
     MalformedInput,
     InvalidSpec,
-    NotInvolution,
     OrderTooLarge,
     LimitsTooLarge,
     OSError,
@@ -66,25 +65,11 @@ _INPUT_ERRORS = (
 )
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _write_outputs(files: dict[str, str]) -> int:
-    """Write each text to its path, then print the paths; return 0.
-
-    A failed write is reported like a bad argument (exit code 2).  Only the
-    writes are guarded: a closed standard output while printing must still
-    reach the broken-pipe handler in :func:`main`.
-    """
-    try:
-        for path, text in files.items():
-            Path(path).write_text(text)
-    except OSError as exc:
-        return _fail(str(exc))
+def _write_outputs(files: dict[str, str]) -> None:
+    """Write each text to its path, then print the paths."""
+    for path, text in files.items():
+        Path(path).write_text(text)
     print("\n".join(files))
-    return 0
 
 
 def _render_text(data, prefix: str = "") -> list[str]:
@@ -164,108 +149,77 @@ def _check_report(g: Groupoid, mapping) -> dict:
 
 
 def cmd_check(args) -> int:
-    try:
-        g, mapping = _load(args.table, args.mapping)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc))
+    g, mapping = _load(args.table, args.mapping)
     _emit(_check_report(g, mapping), args.format)
     return 0
 
 
 def cmd_decide(args) -> int:
-    try:
-        g, _ = _load(args.table, None)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc))
+    g, _ = _load(args.table, None)
     report = decide(g)
     _emit(report.to_dict(), args.format)
     return 0 if report.determined else 1
 
 
 def cmd_build(args) -> int:
-    try:
-        spec = parse_cspec(Path(args.spec).read_text())
-        g, alpha = build_determined(spec)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc))
+    g, alpha = build_determined(parse_cspec(Path(args.spec).read_text()))
     table_text = serialize_groupoid(g)
     mapping_text = serialize_mapping(alpha)
     if args.out:
-        files = {f"{args.out}.gpd": table_text, f"{args.out}.map": mapping_text}
-        return _write_outputs(files)
-    sys.stdout.write("# table\n" + table_text)
-    sys.stdout.write("# mapping\n" + mapping_text)
+        _write_outputs({f"{args.out}.gpd": table_text, f"{args.out}.map": mapping_text})
+    else:
+        sys.stdout.write("# table\n" + table_text)
+        sys.stdout.write("# mapping\n" + mapping_text)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    try:
-        g, alpha = _load(args.table, args.mapping)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc))
-    try:
-        if alpha is None:
-            report = decide(g)
-            if not report.determined:
-                print("not determined: no witness mapping exists", file=sys.stderr)
-                return 1
-            alpha = report.witness.alpha
-        spec = decompose(g, alpha)
-    except NotDetermined as exc:
-        print(f"not determined: {exc}", file=sys.stderr)
-        return 1
-    text = serialize_cspec(spec)
+    g, alpha = _load(args.table, args.mapping)
+    if alpha is None:
+        report = decide(g)
+        if not report.determined:
+            raise NotDetermined("no witness mapping exists")
+        alpha = report.witness.alpha
+    text = serialize_cspec(decompose(g, alpha))
     if args.out:
-        return _write_outputs({f"{args.out}.cspec": text})
-    print(text, end="")
+        _write_outputs({f"{args.out}.cspec": text})
+    else:
+        print(text, end="")
     return 0
 
 
 def cmd_sweep(args) -> int:
     suites = tuple(s for s in (args.suites or "").split(",") if s)
     if args.suites is not None and not suites:
-        return _fail(f"--suites {args.suites!r} names no suite")
-    try:
-        config = SweepConfig(
-            max_exhaustive_order=args.max_order,
-            sample_order=args.sample_order,
-            sample_count=args.samples,
-            seed=args.seed,
-            max_semilattice_order=args.max_semilattice_order,
-            max_group_order=args.max_group_order,
-            suites=suites,
-            allow_large_exhaustive=args.allow_large,
-        )
-        report = run_sweep(config, jobs=args.jobs)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc))
-    if not args.out:
+        raise ValueError(f"--suites {args.suites!r} names no suite")
+    config = SweepConfig(
+        max_exhaustive_order=args.max_order,
+        sample_order=args.sample_order,
+        sample_count=args.samples,
+        seed=args.seed,
+        max_semilattice_order=args.max_semilattice_order,
+        max_group_order=args.max_group_order,
+        suites=suites,
+        allow_large_exhaustive=args.allow_large,
+    )
+    report = run_sweep(config, jobs=args.jobs)
+    if args.out:
+        _write_outputs({args.out: report.to_json()})
+    else:
         _emit(report.to_dict(), args.format)
-    elif _write_outputs({args.out: report.to_json()}) != 0:
-        return 2
     return 0 if report.passed else 1
 
 
 def cmd_examples(args) -> int:
-    try:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name, (table, mapping, spec) in sorted(FIXTURES.items()):
-            gpd = out / f"{name}.gpd"
-            gpd.write_text(serialize_groupoid(table))
-            written.append(gpd)
-            mp = out / f"{name}.map"
-            mp.write_text(serialize_mapping(mapping))
-            written.append(mp)
-            if spec is not None:
-                cs = out / f"{name}.cspec"
-                cs.write_text(serialize_cspec(spec))
-                written.append(cs)
-    except OSError as exc:
-        return _fail(str(exc))
-    for path in written:
-        print(path)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    files = {}
+    for name, (table, mapping, spec) in sorted(FIXTURES.items()):
+        files[str(out / f"{name}.gpd")] = serialize_groupoid(table)
+        files[str(out / f"{name}.map")] = serialize_mapping(mapping)
+        if spec is not None:
+            files[str(out / f"{name}.cspec")] = serialize_cspec(spec)
+    _write_outputs(files)
     return 0
 
 
@@ -339,16 +293,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and map its outcome to the exit code."""
     args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         # Flush here so that a closed pipe is met inside this block.
         sys.stdout.flush()
         return code
-    except GpdError as exc:  # uncaught domain error: treat as alarm
-        print(f"alarm: {exc}", file=sys.stderr)
-        return 3
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it must come first
         # The reader left early (``| head``): send the rest of the output to
         # the null device, so the flush at exit does not raise again, and
         # exit as a process stopped by SIGPIPE would (128 + 13).
@@ -356,6 +308,15 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NotDetermined as exc:
+        print(f"not determined: {exc}", file=sys.stderr)
+        return 1
+    except GpdError as exc:  # any other domain error is an internal fault
+        print(f"alarm: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

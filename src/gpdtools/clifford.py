@@ -17,7 +17,7 @@ from functools import lru_cache
 from .errors import InvalidSpec, NotDetermined, NotInverse
 from .groupoid import Groupoid, _ContentLines
 from .inverses import inverse_table
-from .mappings import Mapping, is_involution
+from .mappings import Mapping, is_homomorphism, is_involution
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,8 @@ def _block_problems(group: GroupSpec) -> tuple[str, ...]:
     if m == 0:
         return ("group is empty",)
     problems = []
-    if not Groupoid._trusted(rows).is_associative():
+    table = Groupoid._trusted(rows)
+    if not table.is_associative():
         problems.append("group table is not associative")
     if any(rows[0][x] != x or rows[x][0] != x for x in range(m)):
         problems.append("local index 0 is not a two-sided identity")
@@ -169,11 +170,7 @@ def _block_problems(group: GroupSpec) -> tuple[str, ...]:
     alpha = group.involution
     if not is_involution(alpha):
         problems.append("mapping is not an involution")
-    elif any(
-        alpha[rows[x][y]] != rows[alpha[x]][alpha[y]]
-        for x in range(m)
-        for y in range(m)
-    ):
+    elif not is_homomorphism(alpha, table, table):
         problems.append("mapping is not an automorphism")
     if alpha[0] != 0:
         problems.append("mapping does not fix the identity")

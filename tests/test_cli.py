@@ -12,7 +12,7 @@ import pytest
 import gpdtools
 from gpdtools import cli
 from gpdtools.cli import main
-from gpdtools.errors import TheoremViolation
+from gpdtools.errors import NotDetermined, TheoremViolation
 from gpdtools.groupoid import Groupoid
 
 # ---------------------------------------------------------------------------
@@ -236,6 +236,28 @@ def test_decision_alarm_exits_3(examples_dir, capsys, monkeypatch, command):
     assert err == "alarm: forced\n"
 
 
+@pytest.mark.parametrize(
+    "command, name, error, expected",
+    [
+        ("check", "is_semilattice_of_groups", ValueError, (2, "error: forced\n")),
+        ("decide", "decide", ValueError, (2, "error: forced\n")),
+        ("decompose", "decompose", NotDetermined, (1, "not determined: forced\n")),
+    ],
+    ids=["check", "decide", "decompose"],
+)
+def test_library_errors_map_to_exit_codes(
+    examples_dir, capsys, monkeypatch, command, name, error, expected
+):
+    # An error raised inside the library run, not only while loading the
+    # input, gets the same exit code and message from `main`.
+    def fail(*args):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, name, fail)
+    code, out, err = _run(capsys, [command, str(examples_dir / "z3twist.gpd")])
+    assert (code, err) == expected and out == ""
+
+
 def test_decide_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.gpd"
     bad.write_text("2\n0 5\n0 0\n")
@@ -385,11 +407,15 @@ def test_sweep_report_to_file(tmp_path, capsys):
         ["build", "{examples}/z3twist.cspec"],
         ["decompose", "{examples}/z3twist.gpd"],
         _TINY_SWEEP,
+        ["examples"],
     ],
-    ids=["build", "decompose", "sweep"],
+    ids=["build", "decompose", "sweep", "examples"],
 )
 def test_unwritable_out_is_input_error(examples_dir, tmp_path, capsys, argv):
     target = tmp_path / "missing" / "out"
+    if argv == ["examples"]:
+        # `examples` makes missing directories; a file in the way stops it.
+        target.parent.write_text("")
     argv = [arg.format(examples=examples_dir) for arg in argv]
     code, out, err = _run(capsys, argv + ["--out", str(target)])
     assert code == 2 and out == ""

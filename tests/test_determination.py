@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -61,6 +62,7 @@ from gpdtools.fixtures import (
 )
 from gpdtools.inverses import _Facts
 
+from .test_clifford import _relabel
 from .test_inverses import _cyclic_chain_cspec, _mutations, _negation_twist
 from .test_mappings import (
     SHIFT_CORPUS_SIZE,
@@ -694,6 +696,28 @@ def test_decide_left_zero_band_order_twelve():
     g = _left_zero_band(12)
     assert not decide(g).determined
     assert len(involutive_automorphisms(g)) == 140_152
+
+
+def test_decision_and_membership_survive_relabelling():
+    # Both are invariant under isomorphism: a seeded relabelling of each
+    # table keeps the decision and the set of classes with no witness.
+    rng = random.Random(89)
+    exhaustive = (g for n in (1, 2, 3) for g in enumerate_groupoids(n))
+    samples = random_groupoids(4, 2000, seed=89)
+    specs = rng.sample(list(enumerate_specs(3, 4)), 300)
+    built = (build_determined(spec)[0] for spec in specs)
+    positives = 0
+    for g in itertools.chain(exhaustive, samples, built):
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        h = _relabel(g, perm)
+        determined = decide(g).determined
+        assert decide(h).determined == determined, (g.rows, perm)
+        positives += determined
+        if g.order <= 3:
+            absent = [w is None for w in ad_membership_profile(g).values()]
+            assert [w is None for w in ad_membership_profile(h).values()] == absent
+    assert positives == 332  # 32 exhaustive, no sample, 300 built
 
 
 def test_decide_report_json():
