@@ -24,13 +24,7 @@ from .groupoid import (
     satisfies_variety,
     square_subgroupoid,
 )
-from .inverses import (
-    _antihomomorphism,
-    _canonical_twist,
-    _Facts,
-    idempotents_form_semilattice,
-    is_right_bol,
-)
+from .inverses import _Facts, idempotents_form_semilattice, is_right_bol
 from .mappings import (
     Mapping,
     _idempotents_fixed,
@@ -174,6 +168,9 @@ def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
     def first_candidate(law) -> Mapping | None:
         return next((f for f in _shift_candidates(g) if law(f)), None)
 
+    if variety in ("R0", "IR0", "GR0"):
+        return identity_mapping(n) if in_semigroup_class(g, variety) else None
+
     if variety == "B":
         return first_candidate(lambda f: absorption_law(g, f))
 
@@ -184,9 +181,6 @@ def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
         if all(len(set(row)) == 1 for row in rows) and is_involution(f):
             return f
         return None
-
-    if variety == "R0":
-        return identity_mapping(n) if in_semigroup_class(g, "R0") else None
 
     if variety == "RB":
         if not satisfies_variety(g, "RB"):
@@ -208,9 +202,6 @@ def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
         if any(len(set(row)) != 1 for row in rows):
             return None
         return first_candidate(lambda f: True)
-
-    if variety == "IR0":
-        return identity_mapping(n) if in_semigroup_class(g, "IR0") else None
 
     if variety == "IRB":
         # (x·y)·z = f(x)·z: the row of each product in row x is row f(x).
@@ -239,9 +230,6 @@ def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
                 for y, p in enumerate(row)
             )
         )
-
-    if variety == "GR0":
-        return identity_mapping(n) if in_semigroup_class(g, "GR0") else None
 
     if variety == "GRB":
         # x·y = ((x·y)·f(z))·(x·y), and f(z) runs over every element as z
@@ -310,6 +298,21 @@ SLG_CONCLUSIONS = (
 )
 
 
+def _slg_twist_problem(g: Groupoid, star: Groupoid, f: Mapping) -> str | None:
+    """The first unmet hypothesis of :func:`check_twisted_slg`, or ``None``
+    when ``g`` is the ``f``-twist of the semilattice of groups ``star`` by
+    an idempotent-fixed self-inverse automorphism."""
+    if not is_semilattice_of_groups(star):
+        return "base table is not a semilattice of groups"
+    if not (is_involution(f) and is_homomorphism(f, star, star)):
+        return "mapping is not a self-inverse automorphism of the base table"
+    if any(f[e] != e for e in star.idempotents()):
+        return "mapping does not fix every idempotent of the base table"
+    if twist(star, f) != g:
+        return "groupoid is not the twist of the base table"
+    return None
+
+
 def check_twisted_slg(g: Groupoid, star: Groupoid, f: Mapping) -> dict[str, bool]:
     """The thirteen conclusions valid when ``g`` is the ``f``-twist of a
     semilattice of groups with ``f`` fixing every idempotent.
@@ -321,19 +324,9 @@ def check_twisted_slg(g: Groupoid, star: Groupoid, f: Mapping) -> dict[str, bool
     under the preconditions, so any ``False`` is an implementation or
     theory alarm.
     """
-    _require(
-        is_semilattice_of_groups(star),
-        "base table is not a semilattice of groups",
-    )
-    _require(
-        is_involution(f) and is_homomorphism(f, star, star),
-        "mapping is not a self-inverse automorphism of the base table",
-    )
-    _require(
-        all(f[e] == e for e in star.idempotents()),
-        "mapping does not fix every idempotent of the base table",
-    )
-    _require(twist(star, f) == g, "groupoid is not the twist of the base table")
+    problem = _slg_twist_problem(g, star, f)
+    if problem is not None:
+        raise PreconditionViolated(problem)
 
     rows = g.rows
     n = g.order
@@ -360,11 +353,11 @@ def check_twisted_slg(g: Groupoid, star: Groupoid, f: Mapping) -> dict[str, bool
         ):
             report[name] = False
     else:
+        canonical = facts.canonical
         report["canonical_map"] = all(
-            f[a] == rows[a][rows[inv[a]][a]] == rows[a][rows[a][inv[a]]]
-            for a in range(n)
+            f[a] == rows[a][rows[inv[a]][a]] == canonical[a] for a in range(n)
         )
-        report["inverse_antihomomorphism"] = _antihomomorphism(g, inv, f)
+        report["inverse_antihomomorphism"] = facts.antihomomorphism(f)
         report["square_inverse_cancel"] = all(
             rows[rows[a][a]][inv[a]] == a for a in range(n)
         )
@@ -539,7 +532,7 @@ def _criterion_completely_inverse(facts: _Facts) -> CriterionVerdict:
         # f, so the first map settles the verdict either way.
         for f in _isomorphisms(g, g, domain):
             shift_seen = True
-            if e_semilattice or (inv is not None and _antihomomorphism(g, inv, f)):
+            if e_semilattice or (inv is not None and facts.antihomomorphism(f)):
                 alpha = f
                 break
             if inv is None:
@@ -578,14 +571,13 @@ def _criterion_right_bol(facts: _Facts) -> CriterionVerdict:
     if not facts.right_bol:
         failed.append("right_bol")
     alpha = None
-    inv = facts.inv
-    if inv is None:
+    if facts.inv is None:
         failed.append("canonical_map_undefined")
     else:
-        candidate = _canonical_twist(g, inv)
+        candidate = facts.canonical
         if is_involution(candidate) and is_homomorphism(candidate, g, g):
             alpha = candidate
-            if not (facts.e_semilattice or _antihomomorphism(g, inv, candidate)):
+            if not (facts.e_semilattice or facts.antihomomorphism(candidate)):
                 failed.append("idempotent_semilattice_or_inverse_antihomomorphism")
         else:
             failed.append("canonical_involutive_automorphism")
@@ -620,29 +612,23 @@ def decide(g: Groupoid) -> DecisionReport:
     derives its own verdict from them.
     """
     facts = _Facts(g)
+    source, regular, right_bol = CRITERIA
     criteria = {
-        "completely_inverse_automorphism": _criterion_completely_inverse(facts),
-        "strong_regularity": _criterion_strongly_regular(facts),
-        "right_bol_canonical": _criterion_right_bol(facts),
+        source: _criterion_completely_inverse(facts),
+        regular: _criterion_strongly_regular(facts),
+        right_bol: _criterion_right_bol(facts),
     }
     verdicts = {name: v.passed for name, v in criteria.items()}
     if len(set(verdicts.values())) != 1:
         raise TheoremViolation(
             f"decision criteria disagree: {verdicts} on table {g.rows!r}"
         )
-    determined = verdicts["completely_inverse_automorphism"]
+    determined = verdicts[source]
     witness = None
     if determined:
-        source = "completely_inverse_automorphism"
         alpha = criteria[source].alpha
         star = untwist(g, alpha)
-        valid = (
-            is_semilattice_of_groups(star)
-            and is_homomorphism(alpha, star, star)
-            and all(alpha[e] == e for e in star.idempotents())
-            and twist(star, alpha) == g
-        )
-        if not valid:
+        if _slg_twist_problem(g, star, alpha) is not None:
             raise TheoremViolation(
                 f"witness verification failed for table {g.rows!r} "
                 f"with mapping {alpha!r}"

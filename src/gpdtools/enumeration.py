@@ -29,6 +29,7 @@ from .clifford import (
     ConstructionSpec,
     GroupSpec,
     MeetSemilattice,
+    _map_problems,
     _products,
     build_determined,
     decompose,
@@ -63,8 +64,6 @@ from .groupoid import (
     square_subgroupoid,
 )
 from .inverses import (
-    _antihomomorphism,
-    _canonical_twist,
     _Facts,
     canonical_twist,
     inverses_of,
@@ -277,14 +276,14 @@ def _group_homomorphisms(
 
 @lru_cache(maxsize=None)
 def _compatible_homs(src: GroupSpec, dst: GroupSpec) -> tuple[Mapping, ...]:
-    """Group homomorphisms that commute with the two block involutions."""
+    """The group homomorphisms that are valid connecting maps between the
+    blocks (:func:`clifford._map_problems`).  A map commuting with the block
+    involutions is a homomorphism of the blocks exactly when it is one of
+    the twisted blocks, so these are the homomorphisms that commute."""
     return tuple(
         images
         for images in _group_homomorphisms(src.rows, dst.rows)
-        if all(
-            dst.involution[images[b]] == images[src.involution[b]]
-            for b in range(src.order)
-        )
+        if not _map_problems(src, dst, images)
     )
 
 
@@ -312,10 +311,12 @@ def enumerate_specs(max_semilattice_order: int = 3, max_group_order: int = 4):
 
     Semilattices and block groups range over isomorphism-class
     representatives; block involutions and connecting maps range over all
-    choices.  Maps are chosen freely on covering pairs (filtered to those
-    commuting with the block involutions) and extended to the remaining
-    comparable pairs by composition, which at these sizes produces exactly
-    the transitive compatible systems.
+    choices.  Maps are chosen freely on covering pairs (filtered by the
+    connecting-map rule of :func:`validate_spec`) and extended to the remaining
+    comparable pairs by composition through every element strictly inside
+    the interval.  A choice whose chains disagree is dropped, so the family
+    is exactly the transitive compatible systems: in a strong semilattice
+    of groups the connecting maps compose along every chain.
     """
     _check_family_limits(max_semilattice_order, max_group_order)
     choices: list[GroupSpec] = []
@@ -328,24 +329,30 @@ def enumerate_specs(max_semilattice_order: int = 3, max_group_order: int = 4):
             strict = sl.strict_pairs()
             inside = {pair: _between(sl, *pair) for pair in strict}
             covers = [pair for pair in strict if not inside[pair]]
-            # Shortest interval first, each pair through the least element
-            # strictly inside it, so both halves are derived before it.
-            chains = [
-                (f, inside[f, e][0], e)
-                for f, e in sorted(strict, key=lambda pair: len(inside[pair]))
-                if inside[f, e]
+            # Shortest interval first, so that the halves of every chain
+            # through an element inside an interval are derived before it.
+            derived = [
+                (pair, inside[pair])
+                for pair in sorted(strict, key=lambda pair: len(inside[pair]))
+                if inside[pair]
             ]
             for groups in itertools.product(choices, repeat=k):
                 pools = [_compatible_homs(groups[f], groups[e]) for f, e in covers]
                 for combo in itertools.product(*pools):
                     homs = dict(zip(covers, combo))
-                    for f, h, e in chains:
-                        homs[f, e] = tuple(homs[h, e][b] for b in homs[f, h])
-                    yield ConstructionSpec(
-                        semilattice=sl,
-                        groups=groups,
-                        homs=tuple((pair, homs[pair]) for pair in strict),
-                    )
+                    for (f, e), middle in derived:
+                        maps = {
+                            tuple(homs[h, e][b] for b in homs[f, h]) for h in middle
+                        }
+                        if len(maps) > 1:
+                            break
+                        (homs[f, e],) = maps
+                    else:
+                        yield ConstructionSpec(
+                            semilattice=sl,
+                            groups=groups,
+                            homs=tuple((pair, homs[pair]) for pair in strict),
+                        )
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +518,7 @@ def _table_id(g: Groupoid) -> str:
 
 
 def _spec_id(spec: ConstructionSpec) -> str:
-    text = serialize_cspec(spec).strip().replace("\n", "; ")
-    if spec.carrier is not None:
-        text += f" carrier={spec.carrier}"
-    return text
+    return serialize_cspec(spec).strip().replace("\n", "; ")
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +809,7 @@ def _inverse_laws_for(
         canonical = all(
             f[a] == g.product(a, g.product(inv[a], a)) for a in g
         )
-        antihom = _antihomomorphism(g, inv, f)
+        antihom = facts.antihomomorphism(f)
         regular_hypothesis = facts.strongly_regular and facts.e_semilattice and e_fixed
         shifted = (products_idem or regular_hypothesis) and shifted_associativity(g, f)
         if products_idem and untwist(g, f).is_associative():
@@ -843,12 +847,11 @@ def _inverse_laws_for(
 def _canonical_law_for(facts: _Facts, rec: _Recorder, inst: Callable[[], str]):
     if not facts.completely_inverse:
         return
-    g, inv = facts.g, facts.inv
-    c = _canonical_twist(g, inv)
+    g, c = facts.g, facts.canonical
     if (
         is_involution(c)
         and is_homomorphism(c, g, g)
-        and (facts.e_semilattice or _antihomomorphism(g, inv, c))
+        and (facts.e_semilattice or facts.antihomomorphism(c))
     ):
         rec.check(
             "canonical_shift_iff_right_bol",

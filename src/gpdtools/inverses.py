@@ -145,20 +145,7 @@ def inverse_antihomomorphism_law(g: Groupoid, f: Mapping) -> bool:
     Requires a total inverse table; returns ``False`` if some element does
     not have a unique inverse.
     """
-    return _antihomomorphism(g, _Facts(g).inv, f)
-
-
-def _antihomomorphism(g: Groupoid, inv: Mapping | None, f: Mapping) -> bool:
-    """:func:`inverse_antihomomorphism_law` given the inverse table (or
-    ``None``)."""
-    if inv is None:
-        return False
-    rows = g.rows
-    return all(
-        inv[rows[a][b]] == rows[f[inv[b]]][f[inv[a]]]
-        for a in range(g.order)
-        for b in range(g.order)
-    )
+    return _Facts(g).antihomomorphism(f)
 
 
 def canonical_twist(g: Groupoid) -> Mapping:
@@ -166,13 +153,8 @@ def canonical_twist(g: Groupoid) -> Mapping:
 
     Raises :class:`NotInverse` when some element lacks a unique inverse.
     """
-    return _canonical_twist(g, inverse_table(g))
-
-
-def _canonical_twist(g: Groupoid, inv: Mapping) -> Mapping:
-    """:func:`canonical_twist` given the inverse table."""
-    rows = g.rows
-    return tuple(rows[a][rows[a][inv[a]]] for a in range(g.order))
+    inverse_table(g)  # raises the NotInverse naming the first such element
+    return _Facts(g).canonical
 
 
 class _fact:
@@ -236,3 +218,26 @@ class _Facts:
     @_fact
     def shift_images(self) -> tuple[tuple[int, ...], ...] | None:
         return _shift_images(self.g)
+
+    @_fact
+    def canonical(self) -> Mapping | None:
+        """The canonical map ``a -> a * (a * a')``, or ``None`` without an
+        inverse table."""
+        inv = self.inv
+        if inv is None:
+            return None
+        rows = self.g.rows
+        return tuple(rows[a][rows[a][inv[a]]] for a in range(self.g.order))
+
+    def antihomomorphism(self, f: Mapping) -> bool:
+        """The law ``(a*b)' == f(b') * f(a')`` for all a, b; ``False``
+        without an inverse table."""
+        inv = self.inv
+        if inv is None:
+            return False
+        rows = self.g.rows
+        return all(
+            inv[rows[a][b]] == rows[f[inv[b]]][f[inv[a]]]
+            for a in range(self.g.order)
+            for b in range(self.g.order)
+        )

@@ -15,6 +15,8 @@ from gpdtools.cli import main
 from gpdtools.errors import NotDetermined, TheoremViolation
 from gpdtools.groupoid import Groupoid
 
+from .test_clifford import NON_TRANSITIVE_CSPEC
+
 # ---------------------------------------------------------------------------
 # Helpers.
 # ---------------------------------------------------------------------------
@@ -302,6 +304,21 @@ def test_build_invalid_spec(tmp_path, capsys):
     bad.write_text("semilattice 1\n0\ngroup 0 2\n0 1\n1 1\nalpha 0\n0 1\n")
     code, _, err = _run(capsys, ["build", str(bad)])
     assert code == 2 and err.startswith("error:")
+
+
+def test_meet_that_is_not_a_semilattice(tmp_path, capsys):
+    spec = tmp_path / "bad.cspec"
+    spec.write_text(NON_TRANSITIVE_CSPEC)
+    code, out, err = _run(capsys, ["build", str(spec)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: meet not associative at (0,0,2); ")
+    # Its idempotents multiply like the same kind of meet table.
+    table, mapping = tmp_path / "t.gpd", tmp_path / "t.map"
+    table.write_text("3\n0 0 1\n0 1 1\n0 0 2\n")
+    mapping.write_text("3\n0 1 2\n")
+    code, out, err = _run(capsys, ["decompose", str(table), str(mapping)])
+    assert code == 1 and out == ""
+    assert err.startswith("not determined: recovered data is invalid: ")
 
 
 def test_decompose_with_mapping(examples_dir, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Block construction data: validation, build, decompose, .cspec format."""
 
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,9 @@ from gpdtools import (
     build_strong_slg,
     decide,
     decompose,
+    enumerate_groupoids,
     enumerate_specs,
+    involutions,
     is_homomorphism,
     is_involution,
     is_semilattice_of_groups,
@@ -61,6 +64,10 @@ def test_group_spec_validation():
         GroupSpec(((0, 1),), (0, 1))  # non-square table
     with pytest.raises(ValueError):
         GroupSpec(((0, 1), (1, 0)), (0,))  # involution size mismatch
+    with pytest.raises(ValueError):
+        GroupSpec(((0, 2), (1, 0)), (0, 1))  # entry outside the carrier
+    with pytest.raises(ValueError):
+        ConstructionSpec(POINT, (), ())  # no group for the one element
 
 
 def test_validate_spec_clean():
@@ -86,6 +93,22 @@ def test_validate_spec_bad_meet():
     assert validate_spec(spec) == [
         "meet not commutative at (0,1)",
         "connecting maps cover pairs (), expected ((2, 0), (2, 1))",
+    ]
+
+
+#: A meet table that is not a semilattice: it calls 2 > 1 and 1 > 0 but
+#: not 2 > 0, so the chain 2 > 1 > 0 has no direct map.
+NON_TRANSITIVE_CSPEC = (
+    "semilattice 3\n0 0 1\n0 1 1\n1 1 2\n"
+    + "".join(f"group {e} 1\n0\nalpha {e}\n0\n" for e in range(3))
+    + "hom 1 0\n0\nhom 2 1\n0\n"
+)
+
+
+def test_validate_spec_meet_not_transitive():
+    assert validate_spec(parse_cspec(NON_TRANSITIVE_CSPEC)) == [
+        f"meet not associative at {triple}"
+        for triple in ("(0,0,2)", "(0,1,2)", "(0,2,1)", "(1,2,0)", "(2,0,0)", "(2,1,0)")
     ]
 
 
@@ -168,6 +191,8 @@ def test_validate_spec_bad_carrier():
     spec = ConstructionSpec(POINT, (Z2,), (), carrier=((0, 2),))
     assert _problems(spec) != ""
     assert validate_spec(spec) == ["carrier is not a partition of the combined range"]
+    spec = ConstructionSpec(POINT, (Z2,), (), carrier=((0,),))
+    assert validate_spec(spec) == ["carrier blocks do not match the group sizes"]
 
 
 def test_validate_spec_empty_parts_and_list_fields():
@@ -301,6 +326,50 @@ def test_decompose_rejections():
         decompose(Z3_TWIST, (1, 2, 0))  # not an involution
 
 
+#: The refusals of decompose, numbers replaced by ``#`` and details cut at
+#: the first colon.  The one for a mapping that is no involution is left
+#: out: every mapping below is an involution.
+_DECOMPOSE_REFUSALS = {
+    "no idempotents, so no blocks to recover",
+    "no inverse table",
+    "idempotent product #*#=# is not idempotent",
+    "class label # of # is not idempotent",
+    "untwisted block # is not closed at (#,#)",
+    "mapping does not preserve block #",
+    "connecting image #*#=# misses block #",
+    "recovered data is invalid",
+    "recovered data does not rebuild the input",
+}
+
+
+def test_decompose_is_total_on_small_tables():
+    # Every table of order <= 3 with every involution of its carrier:
+    # decompose refuses with NotDetermined or returns data that rebuilds
+    # the pair, and it succeeds exactly on decide's positives with their
+    # witness mappings.
+    decomposed, refusals = {}, set()
+    for n in (1, 2, 3):
+        for g in enumerate_groupoids(n):
+            for f in involutions(n):
+                try:
+                    spec = decompose(g, f)
+                except NotDetermined as exc:
+                    refusals.add(re.sub(r"\d+", "#", str(exc)).split(":")[0])
+                    continue
+                assert build_determined(spec) == (g, f)
+                decomposed[g] = f
+    assert refusals == _DECOMPOSE_REFUSALS
+    positives = {
+        g: report.witness.alpha
+        for n in (1, 2, 3)
+        for g in enumerate_groupoids(n)
+        for report in (decide(g),)
+        if report.determined
+    }
+    assert decomposed == positives
+    assert len(positives) == 32
+
+
 def test_serialize_cspec_bytes():
     assert serialize_cspec(Z3_TWIST_SPEC) == (
         "semilattice 1\n0\ngroup 0 3\n0 1 2\n1 2 0\n2 0 1\nalpha 0\n0 2 1\n"
@@ -340,6 +409,10 @@ _CSPEC_ERRORS = [
     ("semilattice 1\n0\ngroup 0 1\n0\nalpha 0\n0\nextra\n", 7),  # trailing junk
     ("group 0 1\n0\nalpha 0\n0\n", 1),  # wrong leading section
     ("semilattice 1\n0\ngroup 0 1\n0\nalpha 0\n", 6),  # missing alpha images
+    (
+        "semilattice 1\n0\ngroup 0 3\n0 1 2\n1 2 0\n2 0 1\nalpha 1\n0 2 1\n",
+        7,
+    ),  # wrong alpha label
 ]
 
 

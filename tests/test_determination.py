@@ -223,6 +223,14 @@ def test_direct_membership_against_oracle():
             assert profile[tag] == expected
 
 
+@pytest.mark.parametrize(
+    "membership", [ad_membership_direct, ad_membership_characterized]
+)
+def test_membership_rejects_unknown_tag(membership):
+    with pytest.raises(ValueError, match="unknown variety tag 'XX'"):
+        membership(Z3, "XX")
+
+
 def test_membership_profile_agrees_with_direct_on_small_tables():
     tables = {}
     exhaustive = itertools.chain.from_iterable(
@@ -355,6 +363,38 @@ def test_slg_battery_names_and_fixture():
     results = check_twisted_slg(Z3_TWIST, Z3, Z3_NEGATION)
     assert set(results) == set(SLG_CONCLUSIONS)
     assert all(results.values())
+
+
+_FORK = Groupoid(((0, 0, 0), (0, 1, 0), (0, 0, 2)))
+
+
+@pytest.mark.parametrize(
+    "g, star, f, problem",
+    [
+        (Z3_TWIST, Z3, Z3_NEGATION, None),
+        (BAND3, BAND3, (0, 1, 2), "base table is not a semilattice of groups"),
+        (
+            Z3,
+            Z3,
+            (1, 0, 2),
+            "mapping is not a self-inverse automorphism of the base table",
+        ),
+        (
+            twist(_FORK, (0, 2, 1)),
+            _FORK,
+            (0, 2, 1),
+            "mapping does not fix every idempotent of the base table",
+        ),
+        (Z3, Z3, Z3_NEGATION, "groupoid is not the twist of the base table"),
+    ],
+    ids=["holds", "base", "automorphism", "idempotents", "twist"],
+)
+def test_slg_twist_hypothesis_names_the_first_unmet_part(g, star, f, problem):
+    # decide verifies its witness with the same check.
+    assert det._slg_twist_problem(g, star, f) == problem
+    if problem is not None:
+        with pytest.raises(PreconditionViolated, match=problem):
+            check_twisted_slg(g, star, f)
 
 
 def test_slg_battery_preconditions():
@@ -535,11 +575,11 @@ def test_completely_inverse_criterion_walks_candidates_only_when_needed(
 ):
     laws = []
 
-    def counted_law(g, inv, f):
+    def counted_law(facts, f):
         laws.append(f)
         return False
 
-    monkeypatch.setattr(det, "_antihomomorphism", counted_law)
+    monkeypatch.setattr(_Facts, "antihomomorphism", counted_law)
     # Idempotents a semilattice: the first candidate settles the verdict.
     assert det._criterion_completely_inverse(_Facts(Z3_TWIST)).passed
     # No inverse table: the law fails for every f and is never consulted.

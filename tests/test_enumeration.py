@@ -92,6 +92,8 @@ def test_random_groupoids_deterministic_and_partitionable():
     assert full == again
     other = list(random_groupoids(4, 30, seed=10))
     assert full != other
+    with pytest.raises(ValueError):
+        next(random_groupoids(0, 1, seed=9))
     # Table i is a pure function of (seed, i): recomputing any index alone
     # gives the same table, which is what makes chunking sound.
     cells = 16
@@ -192,6 +194,8 @@ def test_enumerate_semilattices():
     ]
     with pytest.raises(LimitsTooLarge):
         enumerate_semilattices(4)
+    with pytest.raises(ValueError):
+        enumerate_semilattices(0)
     # Every representative really is one: commutative idempotent associative.
     for r in reps:
         g = Groupoid(r.meet)
@@ -243,6 +247,8 @@ def test_enumerate_group_tables():
     ]
     with pytest.raises(LimitsTooLarge):
         enumerate_group_tables(7)
+    with pytest.raises(ValueError):
+        enumerate_group_tables(0)
     # Representatives are pairwise non-isomorphic genuine groups with the
     # identity at 0.
     for m in range(1, 5):
@@ -331,6 +337,42 @@ def test_enumerate_specs_limits():
         next(enumerate_specs(4, 2))
     with pytest.raises(LimitsTooLarge):
         next(enumerate_specs(1, 7))
+
+
+def test_family_over_four_element_semilattices_is_transitive(monkeypatch):
+    # The cap hides 4-element semilattices, whose diamond has two chains
+    # between its ends.  Lift it here only; enumerate_semilattices is
+    # cached, so its cache is cleared before the order-4 pins run again.
+    monkeypatch.setattr(enumeration, "MAX_SEMILATTICE_ORDER", 4)
+    try:
+        specs = list(enumerate_specs(4, 2))
+        # Oracle at order 4: every choice of valid map per comparable pair,
+        # kept when the whole spec is valid (its chains compose).
+        choices = [
+            GroupSpec(rows, alpha)
+            for m in (1, 2)
+            for rows in enumerate_group_tables(m)
+            for alpha in involutive_automorphisms(Groupoid(rows))
+        ]
+        valid = set()
+        for sl in enumerate_semilattices(4):
+            strict = sl.strict_pairs()
+            for groups in itertools.product(choices, repeat=4):
+                pools = [
+                    enumeration._compatible_homs(groups[f], groups[e])
+                    for f, e in strict
+                ]
+                for maps in itertools.product(*pools):
+                    spec = ConstructionSpec(sl, groups, tuple(zip(strict, maps)))
+                    if not validate_spec(spec):
+                        valid.add(spec)
+    finally:
+        enumerate_semilattices.cache_clear()
+    assert len(specs) == 210
+    assert all(validate_spec(spec) == [] for spec in specs)
+    order4 = [spec for spec in specs if spec.semilattice.order == 4]
+    assert len(set(order4)) == len(order4) == len(valid)
+    assert set(order4) == valid
 
 
 def test_enumerate_specs_deterministic():

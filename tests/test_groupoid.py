@@ -196,6 +196,8 @@ def test_groupoid_validation():
         Groupoid(((0, 2), (0, 1)))
     with pytest.raises(ValueError):
         Groupoid(())
+    with pytest.raises(TypeError):
+        Groupoid([(0,)])
 
 
 def test_parse_serialize_roundtrip():
@@ -215,6 +217,7 @@ def test_parse_comments_and_blanks():
     "text, line",
     [
         ("", 1),  # empty input
+        ("0\n", 1),  # order not positive
         ("x\n0\n", 1),  # size not a number
         ("2\n0 1\n", 3),  # missing row reported at its expected position
         ("2\n0 1 1\n1 0\n", 2),  # wrong row width

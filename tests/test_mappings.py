@@ -268,6 +268,7 @@ def test_homomorphism_and_swap_facts():
 def test_find_isomorphism():
     assert find_isomorphism(Z3, Z3) == identity_mapping(3)
     assert find_isomorphism(Z3_TWIST, Z3) is None
+    assert find_isomorphism(Z3, Groupoid(((0, 1), (1, 0)))) is None  # orders differ
     # Left-zero and right-zero tables of order 2 are anti-isomorphic, not
     # isomorphic.
     left = Groupoid(((0, 0), (1, 1)))
