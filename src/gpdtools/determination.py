@@ -111,14 +111,19 @@ def ad_membership_profile(g: Groupoid) -> dict[str, Mapping | None]:
     order, and no untwisted table needs an associativity check.  Two
     candidates with the same untwisted table satisfy the same classes, so
     only the first of them is checked; the first witness per class stays
-    the same.
+    the same.  With no candidate every entry is ``None`` at once.  The
+    characterization-level counterpart is
+    :func:`ad_membership_characterized_profile`; neither reads the other.
     """
-    found: dict[str, Mapping | None] = {tag: None for tag in VARIETIES}
+    found: dict[str, Mapping | None] = dict.fromkeys(VARIETIES)
+    candidates = _shift_candidates(g)
+    if not candidates:
+        return found
     missing = set(VARIETIES)
     ids = {row: a for a, row in enumerate(g.rows)}
     rid = [ids[row] for row in g.rows]
     seen = set()
-    for f in _shift_candidates(g):
+    for f in candidates:
         if not missing:
             break
         # The classes f satisfies depend only on its untwisted table, whose
@@ -151,95 +156,94 @@ def _shift_candidates(g: Groupoid) -> tuple[Mapping, ...]:
     return tuple(_isomorphisms(g, g, domain))
 
 
-def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
-    """Characterization-level membership test for the derived classes.
+def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None]:
+    """Characterization-level membership for all twelve classes in one pass.
 
     Evaluates, per class, an equation list over the input table alone
     (no untwisting): most classes demand a self-inverse automorphism with
     the shifted triple law ``(xy)z = f(x)(yz)`` plus class-specific
     equations; one class quantifies over bare involutions; three need no
-    mapping at all.  Returns the first witness in lexicographic order
-    (the identity mapping for the three mapping-free classes), or ``None``.
-    Provably agrees with :func:`ad_membership_direct` on every table.
+    mapping at all.  Each class gets the first witness in lexicographic
+    order (the identity mapping for the three mapping-free classes), or
+    ``None``.  Provably agrees with :func:`ad_membership_direct` on every
+    table.
+
+    The work the classes share is done once per table: the
+    :func:`_shift_candidates` are read once, associativity is tested once
+    for R0, IR0 and GR0, the constant-row test once for L0 and IL0, and
+    RB takes B's witness when the RB identity holds; with no candidate
+    the eight classes that need one are ``None`` at once.
     """
     rows = g.rows
     n = g.order
+    found: dict[str, Mapping | None] = dict.fromkeys(VARIETIES)
+    if g.is_associative():
+        for tag in ("R0", "IR0", "GR0"):
+            if satisfies_variety(g, tag):
+                found[tag] = identity_mapping(n)
+    # x·y = f(x) for a bare involution f: rows must be constant and the
+    # row-constant map self-inverse, so that map is the only candidate.
+    constant_rows = all(len(set(row)) == 1 for row in rows)
+    f = tuple(row[0] for row in rows)
+    if constant_rows and is_involution(f):
+        found["L0"] = f
+
+    candidates = _shift_candidates(g)
+    if not candidates:
+        return found
+    first = candidates[0]
 
     def first_candidate(law) -> Mapping | None:
-        return next((f for f in _shift_candidates(g) if law(f)), None)
+        return next((f for f in candidates if law(f)), None)
 
-    if variety in ("R0", "IR0", "GR0"):
-        return identity_mapping(n) if in_semigroup_class(g, variety) else None
+    found["B"] = first_candidate(lambda f: absorption_law(g, f))
+    if satisfies_variety(g, "RB"):
+        found["RB"] = found["B"]
 
-    if variety == "B":
-        return first_candidate(lambda f: absorption_law(g, f))
-
-    if variety == "L0":
-        # x·y = f(x) for a bare involution f: rows must be constant and the
-        # row-constant map self-inverse, so that map is the only candidate.
-        f = tuple(row[0] for row in rows)
-        if all(len(set(row)) == 1 for row in rows) and is_involution(f):
-            return f
-        return None
-
-    if variety == "RB":
-        if not satisfies_variety(g, "RB"):
-            return None
-        return first_candidate(lambda f: absorption_law(g, f))
-
-    if variety == "IB":
-        # x·y = (f(x)·x)·(f(y)·y): row x is the row of s[x] read at s.
-        def law(f):
-            s = [rows[fx][x] for x, fx in enumerate(f)]
-            return all(
-                row == tuple(map(rows[sx].__getitem__, s))
-                for row, sx in zip(rows, s)
-            )
-
-        return first_candidate(law)
-
-    if variety == "IL0":
-        if any(len(set(row)) != 1 for row in rows):
-            return None
-        return first_candidate(lambda f: True)
-
-    if variety == "IRB":
-        # (x·y)·z = f(x)·z: the row of each product in row x is row f(x).
-        return first_candidate(
-            lambda f: all(
-                rows[p] == rows[f[x]] for x, row in enumerate(rows) for p in row
-            )
+    # x·y = (f(x)·x)·(f(y)·y): row x is the row of s[x] read at s.
+    def ib_law(f):
+        s = [rows[fx][x] for x, fx in enumerate(f)]
+        return all(
+            row == tuple(map(rows[sx].__getitem__, s)) for row, sx in zip(rows, s)
         )
 
-    if variety == "GB":
-        return first_candidate(
-            lambda f: all(
-                rows[x][y] == rows[f[rows[x][y]]][rows[x][y]]
-                or rows[x][y] == rows[rows[rows[x][y]][x]][y]
-                for x in range(n)
-                for y in range(n)
-            )
+    found["IB"] = first_candidate(ib_law)
+    if constant_rows:
+        found["IL0"] = first
+    # (x·y)·z = f(x)·z: the row of each product in row x is row f(x).
+    found["IRB"] = first_candidate(
+        lambda f: all(rows[p] == rows[f[x]] for x, row in enumerate(rows) for p in row)
+    )
+    found["GB"] = first_candidate(
+        lambda f: all(
+            rows[x][y] == rows[f[rows[x][y]]][rows[x][y]]
+            or rows[x][y] == rows[rows[rows[x][y]][x]][y]
+            for x in range(n)
+            for y in range(n)
         )
-
-    if variety == "GL0":
-        # (x·y)·z = f(x)·f(y): the row of x·y is constant f(x)·f(y).
-        return first_candidate(
-            lambda f: all(
-                rows[p] == (rows[f[x]][f[y]],) * n
-                for x, row in enumerate(rows)
-                for y, p in enumerate(row)
-            )
+    )
+    # (x·y)·z = f(x)·f(y): the row of x·y is constant f(x)·f(y).
+    found["GL0"] = first_candidate(
+        lambda f: all(
+            rows[p] == (rows[f[x]][f[y]],) * n
+            for x, row in enumerate(rows)
+            for y, p in enumerate(row)
         )
+    )
+    # x·y = ((x·y)·f(z))·(x·y), and f(z) runs over every element as z
+    # does: the law is (p·w)·p = p for every product p, whatever f is.
+    if all(rows[q][p] == p for p in g.products() for q in rows[p]):
+        found["GRB"] = first
+    return found
 
-    if variety == "GRB":
-        # x·y = ((x·y)·f(z))·(x·y), and f(z) runs over every element as z
-        # does: the law is (p·w)·p = p for every product p, whatever f is.
-        f = first_candidate(lambda f: True)
-        if f is None or any(rows[q][p] != p for p in g.products() for q in rows[p]):
-            return None
-        return f
 
-    raise ValueError(f"unknown variety tag {variety!r}")
+def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
+    """Characterization-level membership test for one derived class: the
+    entry of ``variety`` in :func:`ad_membership_characterized_profile`.
+    Raises :class:`ValueError` for an unknown tag."""
+    if variety not in VARIETIES:
+        raise ValueError(f"unknown variety tag {variety!r}")
+    return ad_membership_characterized_profile(g)[variety]
 
 
 def _require(condition: bool, message: str):
@@ -413,21 +417,37 @@ def check_class_relations(g: Groupoid) -> dict:
       needed), the witness map is an isomorphism from the untwisted table
       onto ``g``; ``None`` = hypotheses not met, claim skipped.
 
-    ``ok`` aggregates all booleans.  When the product set is the whole
-    carrier, the product subtable is ``g`` itself and its membership
-    profile is reused, not computed again.
+    ``ok`` aggregates all booleans.  The product subtable is built and
+    profiled only when some generalized class has a witness, since only
+    then does a descent law read it; when the product set is the whole
+    carrier it is ``g`` itself and its profile is reused.  When no class
+    has a witness every law is vacuous, and that report is returned at
+    once.
     """
     membership = ad_membership_profile(g)
+    members = {tag: membership[tag] is not None for tag in VARIETIES}
+    if not any(members.values()):
+        bases = [base for base, _, _ in DESCENT_PAIRS]
+        return {
+            "membership": members,
+            "inclusion_chain": dict.fromkeys(bases, True),
+            "square_descent": dict.fromkeys(bases, True),
+            "semigroup_identity": dict.fromkeys(VARIETIES, True),
+            "twist_isomorphism": dict.fromkeys(VARIETIES),
+            "ok": True,
+        }
     report: dict = {
-        "membership": {tag: membership[tag] is not None for tag in VARIETIES},
+        "membership": members,
         "inclusion_chain": {},
         "square_descent": {},
         "semigroup_identity": {},
         "twist_isomorphism": {},
     }
-    squares, _ = square_subgroupoid(g)
-    surjective = squares == g
-    square_membership = membership if surjective else ad_membership_profile(squares)
+    surjective = len(g.products()) == g.order
+    # Read only for a generalized class with a witness.
+    square_membership = membership
+    if not surjective and any(membership[gen] is not None for *_, gen in DESCENT_PAIRS):
+        square_membership = ad_membership_profile(square_subgroupoid(g)[0])
     for base, inflation, generalized in DESCENT_PAIRS:
         chain_ok = True
         if membership[base] is not None and membership[inflation] is None:

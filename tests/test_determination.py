@@ -20,6 +20,7 @@ from gpdtools import (
     TheoremViolation,
     VARIETIES,
     ad_membership_characterized,
+    ad_membership_characterized_profile,
     ad_membership_direct,
     ad_membership_profile,
     automorphisms,
@@ -242,6 +243,7 @@ def test_membership_profile_agrees_with_direct_on_small_tables():
     for g in tables:
         expected = {tag: ad_membership_direct(g, tag) for tag in VARIETIES}
         assert ad_membership_profile(g) == expected, g.rows
+        assert ad_membership_characterized_profile(g) == expected, g.rows
     # Every square subgroupoid is an exhaustive table or its own sample.
     assert len(tables) == 19_700 + 2000
 
@@ -636,7 +638,7 @@ def test_membership_reports_are_pinned():
             continue
         reports = (
             ad_membership_profile(g),
-            [ad_membership_characterized(g, tag) for tag in VARIETIES],
+            list(ad_membership_characterized_profile(g).values()),
         )
         digest.update(repr(reports).encode())
         tables += 1
@@ -674,7 +676,7 @@ def test_membership_routes_never_list_involutions(g, members, monkeypatch):
     monkeypatch.setattr(mappings, "involutive_automorphisms", refuse)
     det._shift_candidates.cache_clear()
     profile = ad_membership_profile(g)
-    characterized = {tag: ad_membership_characterized(g, tag) for tag in VARIETIES}
+    characterized = ad_membership_characterized_profile(g)
     assert {tag for tag, f in characterized.items() if f is not None} == members
     assert {tag for tag, f in profile.items() if f is not None} == members
     if members == _BAND_CLASSES:

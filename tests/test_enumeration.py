@@ -804,6 +804,40 @@ def test_invalid_family_spec_is_a_counterexample(monkeypatch, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+def test_build_inverts_decompose_records_exceptions(monkeypatch, capsys):
+    # A decomposition that raises on a decided-positive exhaustive table is
+    # a counterexample of the law, not an exception out of the sweep.
+    from gpdtools.cli import main
+
+    def refuse(g, alpha):
+        raise NotDetermined("forced")
+
+    monkeypatch.setattr(enumeration, "decompose", refuse)
+    config = SweepConfig(
+        max_exhaustive_order=2,
+        sample_count=0,
+        max_semilattice_order=1,
+        max_group_order=1,
+        suites=("construction_roundtrip",),
+    )
+    report = run_sweep(config, jobs=1)
+    failures = [
+        c for c in report.counterexamples if c.law == "build_inverts_decompose"
+    ]
+    law = "construction_roundtrip.build_inverts_decompose"
+    assert len(failures) == report.counts[law] > 0
+    assert all(c.instance.startswith("order=") for c in failures)
+    assert {c.detail for c in failures} == {"forced"}
+    argv = (
+        "sweep --max-order 2 --samples 0 --max-semilattice-order 1"
+        " --max-group-order 1 --suites construction_roundtrip"
+    )
+    assert main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert "build_inverts_decompose" in out
+    assert "not determined" not in err
+
+
 def test_register_suite_rejects_duplicates():
     with pytest.raises(ValueError):
         register_suite("goldens", lambda chunk, rec: None)
@@ -926,17 +960,19 @@ def test_failure_details_keep_their_formats(monkeypatch):
     # Forced failures report the same detail strings as formatting each
     # detail eagerly with an f-string.
     import gpdtools.enumeration as enumeration
-    from gpdtools import ad_membership_characterized, ad_membership_profile
+    from gpdtools import ad_membership_characterized_profile, ad_membership_profile
     from gpdtools.groupoid import VARIETIES, in_semigroup_class
     from gpdtools.mappings import absorption_law, shifted_associativity
 
-    def swapped(g, tag):
+    def swapped(g):
         # A witness where there is none, and none where there is one.
-        real = ad_membership_characterized(g, tag)
-        return None if real is not None else tuple(range(g.order))
+        return {
+            tag: None if real is not None else tuple(range(g.order))
+            for tag, real in ad_membership_characterized_profile(g).items()
+        }
 
     real_in_rt = enumeration.in_rt
-    monkeypatch.setattr(enumeration, "ad_membership_characterized", swapped)
+    monkeypatch.setattr(enumeration, "ad_membership_characterized_profile", swapped)
     monkeypatch.setattr(enumeration, "in_rt", lambda g, f: not real_in_rt(g, f))
     config = SweepConfig(
         max_exhaustive_order=2,
@@ -953,9 +989,9 @@ def test_failure_details_keep_their_formats(monkeypatch):
     expected = []
     for g in itertools.chain(enumerate_groupoids(1), enumerate_groupoids(2)):
         inst = f"order={g.order} rows={g.rows}"
-        profile = ad_membership_profile(g)
+        profile, characterized = ad_membership_profile(g), swapped(g)
         for tag in VARIETIES:
-            direct, char = profile[tag], swapped(g, tag)
+            direct, char = profile[tag], characterized[tag]
             if (direct is None) != (char is None):
                 detail = f"direct={direct} characterized={char}"
                 expected.append(("ad_equivalence", f"match.{tag}", inst, detail))
