@@ -398,88 +398,75 @@ ISOMORPHISM_CLASSES = ("B", "L0", "R0", "RB", "IB", "IL0", "IR0", "IRB", "GL0")
 #: The four generalized classes with a product-set descent law.
 DESCENT_PAIRS = (("B", "IB", "GB"), ("L0", "IL0", "GL0"), ("R0", "IR0", "GR0"), ("RB", "IRB", "GRB"))
 
+#: Law names of check_class_relations, in report order.
+CLASS_RELATION_LAWS = tuple(
+    f"{law}.{base}"
+    for base, _inflation, _generalized in DESCENT_PAIRS
+    for law in ("inclusion_chain", "square_descent")
+) + tuple(
+    f"{law}.{tag}"
+    for tag in VARIETIES
+    for law in ("semigroup_identity", "twist_isomorphism")
+)
 
-def check_class_relations(g: Groupoid) -> dict:
+#: The report of a table in no derived class: every law vacuously true,
+#: every isomorphism claim skipped.
+_VACUOUS_RELATIONS = {
+    law: None if law.startswith("twist_isomorphism.") else True
+    for law in CLASS_RELATION_LAWS
+}
+
+
+def check_class_relations(g: Groupoid) -> dict[str, bool | None]:
     """Relational laws between the twelve derived classes on one table.
 
-    Returns a report with one boolean per named law (``True`` = the law is
-    not violated by ``g``; hypotheses that fail make a law vacuously true):
+    Returns one verdict per name of :data:`CLASS_RELATION_LAWS`, in that
+    order (``True`` = the law is not violated by ``g``; hypotheses that
+    fail make a law vacuously true):
 
-    - ``inclusion_chain[X]``: membership for base class X implies
+    - ``inclusion_chain.X``: membership for base class X implies
       membership for its inflation class, which implies membership for its
       generalized class;
-    - ``square_descent[X]``: membership for the generalized class of X
+    - ``square_descent.X``: membership for the generalized class of X
       implies the product-set subtable belongs to the derived class of X;
-    - ``semigroup_identity[X]``: an associative member of the derived
+    - ``semigroup_identity.X``: an associative member of the derived
       class of X satisfies the X identity itself;
-    - ``twist_isomorphism[X]``: on an associative member with surjective
+    - ``twist_isomorphism.X``: on an associative member with surjective
       product set (or for the nine classes where that hypothesis is not
       needed), the witness map is an isomorphism from the untwisted table
       onto ``g``; ``None`` = hypotheses not met, claim skipped.
 
-    ``ok`` aggregates all booleans.  The product subtable is built and
-    profiled only when some generalized class has a witness, since only
-    then does a descent law read it; when the product set is the whole
-    carrier it is ``g`` itself and its profile is reused.  When no class
-    has a witness every law is vacuous, and that report is returned at
-    once.
+    The report starts as a copy of the all-vacuous one, which is returned
+    at once when no class has a witness.  The product subtable is built
+    and profiled only when some generalized class has a witness, since
+    only then does a descent law read it; when the product set is the
+    whole carrier it is ``g`` itself and its profile is reused.
     """
+    report = dict(_VACUOUS_RELATIONS)
     membership = ad_membership_profile(g)
-    members = {tag: membership[tag] is not None for tag in VARIETIES}
-    if not any(members.values()):
-        bases = [base for base, _, _ in DESCENT_PAIRS]
-        return {
-            "membership": members,
-            "inclusion_chain": dict.fromkeys(bases, True),
-            "square_descent": dict.fromkeys(bases, True),
-            "semigroup_identity": dict.fromkeys(VARIETIES, True),
-            "twist_isomorphism": dict.fromkeys(VARIETIES),
-            "ok": True,
-        }
-    report: dict = {
-        "membership": members,
-        "inclusion_chain": {},
-        "square_descent": {},
-        "semigroup_identity": {},
-        "twist_isomorphism": {},
-    }
+    member = {tag: witness is not None for tag, witness in membership.items()}
+    if not any(member.values()):
+        return report
     surjective = len(g.products()) == g.order
     # Read only for a generalized class with a witness.
     square_membership = membership
-    if not surjective and any(membership[gen] is not None for *_, gen in DESCENT_PAIRS):
+    if not surjective and any(member[gen] for *_, gen in DESCENT_PAIRS):
         square_membership = ad_membership_profile(square_subgroupoid(g)[0])
     for base, inflation, generalized in DESCENT_PAIRS:
-        chain_ok = True
-        if membership[base] is not None and membership[inflation] is None:
-            chain_ok = False
-        if membership[inflation] is not None and membership[generalized] is None:
-            chain_ok = False
-        report["inclusion_chain"][base] = chain_ok
-        report["square_descent"][base] = (
-            membership[generalized] is None
-            or square_membership[base] is not None
+        report[f"inclusion_chain.{base}"] = (
+            member[inflation] or not member[base]
+        ) and (member[generalized] or not member[inflation])
+        report[f"square_descent.{base}"] = (
+            not member[generalized] or square_membership[base] is not None
         )
-
-    associative = g.is_associative()
-    for tag in VARIETIES:
-        witness = membership[tag]
-        if witness is None or not associative:
-            report["semigroup_identity"][tag] = True
-            report["twist_isomorphism"][tag] = None
-            continue
-        report["semigroup_identity"][tag] = satisfies_variety(g, tag)
-        if surjective or tag in ISOMORPHISM_CLASSES:
-            star = untwist(g, witness)
-            report["twist_isomorphism"][tag] = is_homomorphism(witness, star, g)
-        else:
-            report["twist_isomorphism"][tag] = None
-
-    report["ok"] = (
-        all(report["inclusion_chain"].values())
-        and all(report["square_descent"].values())
-        and all(report["semigroup_identity"].values())
-        and all(v is not False for v in report["twist_isomorphism"].values())
-    )
+    if g.is_associative():
+        for tag, witness in membership.items():
+            if witness is None:
+                continue
+            report[f"semigroup_identity.{tag}"] = satisfies_variety(g, tag)
+            if surjective or tag in ISOMORPHISM_CLASSES:
+                star = untwist(g, witness)
+                report[f"twist_isomorphism.{tag}"] = is_homomorphism(witness, star, g)
     return report
 
 

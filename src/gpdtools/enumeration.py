@@ -386,6 +386,12 @@ class SweepConfig:
             raise ValueError("sample_count must be at least 0")
         if not 0 <= self.seed <= MASK64:
             raise ValueError(f"seed must be in 0..{MASK64}")
+        large = self.max_exhaustive_order > MAX_EXHAUSTIVE_ORDER
+        if large and not self.allow_large_exhaustive:
+            raise OrderTooLarge(
+                f"exhaustive order {self.max_exhaustive_order} needs "
+                "allow_large_exhaustive=True"
+            )
         _check_family_limits(self.max_semilattice_order, self.max_group_order)
         duplicates = sorted({s for s in self.suites if self.suites.count(s) > 1})
         if duplicates:
@@ -450,7 +456,7 @@ class _Recorder:
         ok: bool,
         instance: str | Callable[[], str],
         detail: str | Callable[[], str] = "",
-    ) -> bool:
+    ):
         """Count one check of ``law``; a failure is kept under ``instance``
         with ``detail``.  Each is a string or a zero-argument callable that
         makes it, called only when the check fails."""
@@ -463,7 +469,23 @@ class _Recorder:
             self._failures.append(
                 Counterexample(self._suite, law, instance, detail)
             )
-        return bool(ok)
+
+    def check_all(
+        self, verdicts: dict[str, bool | None], instance: str | Callable[[], str]
+    ):
+        """Count every checked law of a map from law name to verdict at
+        once; ``None`` marks a law whose hypotheses were not met, which is
+        not counted.  Each failed law is kept under ``instance``, made as in
+        :meth:`check`, with no detail."""
+        self._counts.update([law for law, ok in verdicts.items() if ok is not None])
+        if False in verdicts.values():
+            if callable(instance):
+                instance = instance()
+            self._failures.extend(
+                Counterexample(self._suite, law, instance)
+                for law, ok in verdicts.items()
+                if ok is False
+            )
 
 
 class _BuiltSpec(NamedTuple):
@@ -534,85 +556,59 @@ def _suite_goldens(chunk: _Chunk, rec: _Recorder):
 
     g, a = fx.BAND3, fx.BAND3_SWAP
     n3 = identity_mapping(3)
-    rec.check("band3.swap_is_involution", is_involution(a), "band3")
-    rec.check("band3.associative", g.is_associative(), "band3")
-    rec.check("band3.swap_absorption", absorption_law(g, a), "band3")
-    rec.check(
-        "band3.swap_shift_both_forms",
-        shifted_associativity(g, a) and g.is_associative(),
+    rec.check_all(
+        {
+            "band3.swap_is_involution": is_involution(a),
+            "band3.associative": g.is_associative(),
+            "band3.swap_absorption": absorption_law(g, a),
+            "band3.swap_shift_both_forms": shifted_associativity(g, a)
+            and g.is_associative(),
+            "band3.swap_not_left_translation": not in_lt(g, a),
+            "band3.swap_not_automorphism": not is_homomorphism(a, g, g),
+            "band3.only_trivial_involutive_automorphism": involutive_automorphisms(g)
+            == (n3,),
+            "band3.not_determined": not decide(g).determined,
+        },
         "band3",
     )
-    rec.check("band3.swap_not_left_translation", not in_lt(g, a), "band3")
-    rec.check("band3.swap_not_automorphism", not is_homomorphism(a, g, g), "band3")
-    rec.check(
-        "band3.only_trivial_involutive_automorphism",
-        involutive_automorphisms(g) == (n3,),
-        "band3",
-    )
-    rec.check("band3.not_determined", not decide(g).determined, "band3")
 
     g, a = fx.FLIP2, fx.FLIP2_SWAP
-    rec.check("flip2.swap_is_involution", is_involution(a), "flip2")
-    rec.check("flip2.not_associative", not g.is_associative(), "flip2")
-    rec.check("flip2.swap_absorption", absorption_law(g, a), "flip2")
-    rec.check(
-        "flip2.swap_shifted_associativity", shifted_associativity(g, a), "flip2"
-    )
-    rec.check("flip2.swap_automorphism", is_homomorphism(a, g, g), "flip2")
-    rec.check("flip2.swap_not_left_translation", not in_lt(g, a), "flip2")
-    rec.check("flip2.swap_right_translation", in_rt(g, a), "flip2")
-    rec.check(
-        "flip2.untwist_by_swap_left_zero",
-        untwist(g, a).rows == ((0, 0), (1, 1)),
+    rec.check_all(
+        {
+            "flip2.swap_is_involution": is_involution(a),
+            "flip2.not_associative": not g.is_associative(),
+            "flip2.swap_absorption": absorption_law(g, a),
+            "flip2.swap_shifted_associativity": shifted_associativity(g, a),
+            "flip2.swap_automorphism": is_homomorphism(a, g, g),
+            "flip2.swap_not_left_translation": not in_lt(g, a),
+            "flip2.swap_right_translation": in_rt(g, a),
+            "flip2.untwist_by_swap_left_zero": untwist(g, a).rows == ((0, 0), (1, 1)),
+            "flip2.element_zero_has_two_inverses": inverses_of(g, 0)
+            == frozenset({0, 1}),
+            "flip2.not_determined": not decide(g).determined,
+        },
         "flip2",
     )
-    rec.check(
-        "flip2.element_zero_has_two_inverses",
-        inverses_of(g, 0) == frozenset({0, 1}),
-        "flip2",
-    )
-    rec.check("flip2.not_determined", not decide(g).determined, "flip2")
 
     g, neg = fx.Z3_TWIST, fx.Z3_NEGATION
     rep = decide(g)
-    rec.check("z3twist.negation_is_involution", is_involution(neg), "z3twist")
-    rec.check(
-        "z3twist.involutive_automorphisms",
-        involutive_automorphisms(g) == (n3, neg),
-        "z3twist",
-    )
-    rec.check("z3twist.determined", rep.determined, "z3twist")
-    rec.check(
-        "z3twist.witness_alpha_is_negation",
-        rep.witness is not None and rep.witness.alpha == neg,
-        "z3twist",
-    )
-    rec.check(
-        "z3twist.witness_base_is_cyclic_group",
-        rep.witness is not None and rep.witness.star == fx.Z3,
-        "z3twist",
-    )
-    rec.check("z3twist.canonical_twist_is_negation", canonical_twist(g) == neg, "z3twist")
-    rec.check(
-        "z3twist.strongly_regular", strongly_regular_witness(g) == (0, 1, 2), "z3twist"
-    )
-    rec.check("z3twist.right_bol", is_right_bol(g), "z3twist")
-    rec.check(
-        "z3twist.not_isomorphic_to_base", find_isomorphism(g, fx.Z3) is None, "z3twist"
-    )
-    rec.check(
-        "z3twist.identity_fails_shift",
-        not shifted_associativity(g, n3),
-        "z3twist",
-    )
-    rec.check(
-        "z3twist.build_from_data",
-        build_determined(fx.Z3_TWIST_SPEC) == (g, neg),
-        "z3twist",
-    )
-    rec.check(
-        "z3twist.decompose_to_data",
-        decompose(g, neg) == fx.Z3_TWIST_SPEC,
+    w = rep.witness
+    rec.check_all(
+        {
+            "z3twist.negation_is_involution": is_involution(neg),
+            "z3twist.involutive_automorphisms": involutive_automorphisms(g)
+            == (n3, neg),
+            "z3twist.determined": rep.determined,
+            "z3twist.witness_alpha_is_negation": w is not None and w.alpha == neg,
+            "z3twist.witness_base_is_cyclic_group": w is not None and w.star == fx.Z3,
+            "z3twist.canonical_twist_is_negation": canonical_twist(g) == neg,
+            "z3twist.strongly_regular": strongly_regular_witness(g) == (0, 1, 2),
+            "z3twist.right_bol": is_right_bol(g),
+            "z3twist.not_isomorphic_to_base": find_isomorphism(g, fx.Z3) is None,
+            "z3twist.identity_fails_shift": not shifted_associativity(g, n3),
+            "z3twist.build_from_data": build_determined(fx.Z3_TWIST_SPEC) == (g, neg),
+            "z3twist.decompose_to_data": decompose(g, neg) == fx.Z3_TWIST_SPEC,
+        },
         "z3twist",
     )
 
@@ -623,13 +619,6 @@ _SQUARE_LAWS = tuple(
     for base, _inflation, generalized in DESCENT_PAIRS
 )
 _MEMBERSHIP_LAWS = tuple((tag, f"match.{tag}", f"witness.{tag}") for tag in VARIETIES)
-_DESCENT_LAWS = tuple(
-    (base, f"inclusion_chain.{base}", f"square_descent.{base}")
-    for base, _inflation, _generalized in DESCENT_PAIRS
-)
-_CLASS_LAWS = tuple(
-    (tag, f"semigroup_identity.{tag}", f"twist_isomorphism.{tag}") for tag in VARIETIES
-)
 
 
 def _suite_square_classes(chunk: _Chunk, rec: _Recorder):
@@ -707,16 +696,7 @@ def _suite_class_relations(chunk: _Chunk, rec: _Recorder):
         if built.determined.order <= _RELATION_ORDER_CAP
     )
     for g in targets:
-        inst = partial(_table_id, g)
-        report = check_class_relations(g)
-        for base, inclusion, descent in _DESCENT_LAWS:
-            rec.check(inclusion, report["inclusion_chain"][base], inst)
-            rec.check(descent, report["square_descent"][base], inst)
-        for tag, identity, isomorphism in _CLASS_LAWS:
-            rec.check(identity, report["semigroup_identity"][tag], inst)
-            iso = report["twist_isomorphism"][tag]
-            if iso is not None:
-                rec.check(isomorphism, iso, inst)
+        rec.check_all(check_class_relations(g), partial(_table_id, g))
 
 
 def _involution_laws_for(
@@ -902,8 +882,7 @@ def _suite_slg_conclusions(chunk: _Chunk, rec: _Recorder):
         except PreconditionViolated as exc:
             rec.check("preconditions", False, inst, str(exc))
             continue
-        for name, ok in results.items():
-            rec.check(name, ok, inst)
+        rec.check_all(results, inst)
 
 
 def _suite_decision_coherence(chunk: _Chunk, rec: _Recorder):
@@ -1027,7 +1006,9 @@ def register_suite(name: str, runner: Callable[[_Chunk, _Recorder], None]):
     ``chunk.specs``, so a suite that never reads one never pays for it, and
     records each check with ``rec.check(law, ok, instance, detail)``, where
     ``instance`` and ``detail`` may be zero-argument callables formatted
-    only on failure.  A config that names a suite twice is rejected."""
+    only on failure, or a whole map of verdicts with
+    ``rec.check_all(verdicts, instance)``.  A config that names a suite
+    twice is rejected."""
     if name in SUITES:
         raise ValueError(f"suite {name!r} is already registered")
     SUITES[name] = runner
@@ -1070,13 +1051,6 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if config.max_exhaustive_order > MAX_EXHAUSTIVE_ORDER and not (
-        config.allow_large_exhaustive
-    ):
-        raise OrderTooLarge(
-            f"exhaustive order {config.max_exhaustive_order} needs "
-            "allow_large_exhaustive=True"
-        )
     resolved = replace(config, suites=config.active_suites())
     start = time.perf_counter()
     if jobs == 1:

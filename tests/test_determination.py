@@ -11,12 +11,14 @@ import gpdtools.determination as det
 import gpdtools.inverses as inverses
 import gpdtools.mappings as mappings
 from gpdtools import (
+    CLASS_RELATION_LAWS,
     CRITERIA,
     SLG_CONCLUSIONS,
     Groupoid,
     NotInverse,
     NotInvolution,
     PreconditionViolated,
+    SweepConfig,
     TheoremViolation,
     VARIETIES,
     ad_membership_characterized,
@@ -46,6 +48,7 @@ from gpdtools import (
     parse_cspec,
     parse_groupoid,
     random_groupoids,
+    run_sweep,
     satisfies_variety,
     shifted_associativity,
     square_subgroupoid,
@@ -409,7 +412,22 @@ def test_slg_battery_preconditions():
 def test_class_relations_fixtures():
     for g in (BAND3, FLIP2, Z3, Z3_TWIST, CHAIN2):
         report = check_class_relations(g)
-        assert report["ok"], report
+        assert False not in report.values(), report
+
+
+def test_class_relation_laws_name_every_report_and_sweep_count():
+    fixtures = (BAND3, FLIP2, Z3, Z3_TWIST, CHAIN2)
+    for g in itertools.chain(fixtures, enumerate_groupoids(1), enumerate_groupoids(2)):
+        assert tuple(check_class_relations(g)) == CLASS_RELATION_LAWS
+    config = SweepConfig(
+        max_exhaustive_order=2,
+        sample_count=0,
+        max_semilattice_order=1,
+        max_group_order=2,
+        suites=("class_relations",),
+    )
+    laws = {law.removeprefix("class_relations.") for law in run_sweep(config).counts}
+    assert laws and laws <= set(CLASS_RELATION_LAWS)
 
 
 def _reference_class_relations(g):
@@ -423,17 +441,16 @@ def _reference_class_relations(g):
     )
     square_membership = ad_membership_profile(squares)
     member = {tag: membership[tag] is not None for tag in VARIETIES}
-    report = {"membership": member, "inclusion_chain": {}, "square_descent": {}}
+    report = {}
     for base, inflation, generalized in det.DESCENT_PAIRS:
-        report["inclusion_chain"][base] = (
+        report[f"inclusion_chain.{base}"] = (
             member[inflation] or not member[base]
         ) and (member[generalized] or not member[inflation])
-        report["square_descent"][base] = (
+        report[f"square_descent.{base}"] = (
             not member[generalized] or square_membership[base] is not None
         )
     associative = g.is_associative()
     surjective = len(members) == g.order
-    report["semigroup_identity"], report["twist_isomorphism"] = {}, {}
     for tag in VARIETIES:
         witness = membership[tag]
         if witness is None or not associative:
@@ -443,14 +460,8 @@ def _reference_class_relations(g):
             iso = None
             if surjective or tag in det.ISOMORPHISM_CLASSES:
                 iso = is_homomorphism(witness, untwist(g, witness), g)
-        report["semigroup_identity"][tag] = identity
-        report["twist_isomorphism"][tag] = iso
-    report["ok"] = (
-        all(report["inclusion_chain"].values())
-        and all(report["square_descent"].values())
-        and all(report["semigroup_identity"].values())
-        and all(v is not False for v in report["twist_isomorphism"].values())
-    )
+        report[f"semigroup_identity.{tag}"] = identity
+        report[f"twist_isomorphism.{tag}"] = iso
     return report
 
 
@@ -459,6 +470,56 @@ def test_class_relations_matches_reference_profiling_squares():
     for n in (1, 2, 3):
         for g in enumerate_groupoids(n):
             assert check_class_relations(g) == _reference_class_relations(g)
+
+
+def _semigroups(n):
+    """Every associative table on 0..n-1: the cells are filled in row-major
+    order, and a partial table with a defined triple (xy)z != x(yz) is
+    pruned."""
+    rows = [[None] * n for _ in range(n)]
+    triples = list(itertools.product(range(n), repeat=3))
+
+    def consistent():
+        for x, y, z in triples:
+            xy, yz = rows[x][y], rows[y][z]
+            if xy is None or yz is None:
+                continue
+            left, right = rows[xy][z], rows[x][yz]
+            if left is not None and right is not None and left != right:
+                return False
+        return True
+
+    def fill(cell):
+        if cell == n * n:
+            yield Groupoid(tuple(map(tuple, rows)))
+            return
+        x, y = divmod(cell, n)
+        for v in range(n):
+            rows[x][y] = v
+            if consistent():
+                yield from fill(cell + 1)
+        rows[x][y] = None
+
+    yield from fill(0)
+
+
+def test_class_relations_match_reference_on_twisted_order_4_semigroups():
+    # A twist of a semigroup by an involutive automorphism is in the derived
+    # class of every class its base is in, so, unlike the tables of order
+    # <= 3, this corpus is rich in reports that are not all vacuous.
+    semigroups = list(_semigroups(4))
+    assert len(semigroups) == 3492
+    corpus = {twist(s, f) for s in semigroups for f in involutive_automorphisms(s)}
+    assert len(corpus) == 4071
+    members = [g for g in corpus if any(ad_membership_profile(g).values())]
+    assert len(members) == 1547
+    reports = {g: check_class_relations(g) for g in corpus}
+    # A member's report reads like the vacuous one when no isomorphism
+    # claim applies to it, since every law that does apply holds.
+    assert sum(r != det._VACUOUS_RELATIONS for r in reports.values()) == 1148
+    for g, report in reports.items():
+        assert False not in report.values(), g
+        assert report == _reference_class_relations(g), g
 
 
 def test_decide_fixtures():

@@ -10,6 +10,7 @@ import pytest
 
 from gpdtools import (
     ConstructionSpec,
+    Counterexample,
     GroupSpec,
     Groupoid,
     LimitsTooLarge,
@@ -1008,6 +1009,51 @@ def test_failure_details_keep_their_formats(monkeypatch):
     assert {law.split(".")[0] for _, law, _, _ in expected} >= {"match", "witness"}
     assert any(suite == "involution_laws" for suite, *_ in expected)
     assert got == sorted(expected)
+
+
+def test_verdict_maps_record_each_false_and_skip_none(monkeypatch):
+    # Each False in a battery's verdict map is one counterexample with no
+    # detail, every law that is not None is counted once per map, and a
+    # callable instance is made only for a failure.
+    calls = {"class_relations": [], "slg_conclusions": []}
+
+    def battery(suite):
+        def verdicts(*args):
+            calls[suite].append(args)
+            return {"holds": True, "fails": len(calls[suite]) > 1, "skipped": None}
+
+        return verdicts
+
+    made = []
+
+    def counted(make_id):
+        def make(x):
+            made.append(x)
+            return make_id(x)
+
+        return make
+
+    for name, suite in (
+        ("check_class_relations", "class_relations"),
+        ("check_twisted_slg", "slg_conclusions"),
+    ):
+        monkeypatch.setattr(enumeration, name, battery(suite))
+    monkeypatch.setattr(enumeration, "_table_id", counted(enumeration._table_id))
+    monkeypatch.setattr(enumeration, "_spec_id", counted(enumeration._spec_id))
+    config = SweepConfig(max_exhaustive_order=2, suites=tuple(calls), **_TINY_FAMILY)
+    report = run_sweep(config)
+    (g,), *_ = calls["class_relations"]
+    (_, star, f), *_ = calls["slg_conclusions"]
+    assert report.counterexamples == (
+        Counterexample("class_relations", "fails", f"order={g.order} rows={g.rows}"),
+        Counterexample("slg_conclusions", "fails", f"star={star.rows} alpha={f}"),
+    )
+    assert made == [g]
+    for suite, seen in calls.items():
+        assert len(seen) > 1
+        assert report.counts[f"{suite}.holds"] == len(seen)
+        assert report.counts[f"{suite}.fails"] == len(seen)
+        assert f"{suite}.skipped" not in report.counts
 
 
 def test_passing_sweep_formats_no_detail(monkeypatch):
