@@ -124,8 +124,6 @@ def ad_membership_profile(g: Groupoid) -> dict[str, Mapping | None]:
     rid = [ids[row] for row in g.rows]
     seen = set()
     for f in candidates:
-        if not missing:
-            break
         # The classes f satisfies depend only on its untwisted table, whose
         # row x is the row of f[x]: skip a table already seen.
         key = tuple(map(rid.__getitem__, f))

@@ -50,7 +50,6 @@ from .determination import (
 )
 from .errors import (
     LimitsTooLarge,
-    NotClosed,
     NotDetermined,
     OrderTooLarge,
     PreconditionViolated,
@@ -440,6 +439,10 @@ class SweepReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+#: The verdicts of a law that did not fail.
+_NOT_FAILED = frozenset((True, None))
+
+
 class _Recorder:
     """Tallies one suite's checks by law name and collects its
     counterexamples; the suite prefix is added to the tallies once per law,
@@ -451,40 +454,24 @@ class _Recorder:
         self._failures = failures
 
     def check(
-        self,
-        law: str,
-        ok: bool,
-        instance: str | Callable[[], str],
-        detail: str | Callable[[], str] = "",
+        self, verdicts: dict[str, bool | str | None], instance: str | Callable[[], str]
     ):
-        """Count one check of ``law``; a failure is kept under ``instance``
-        with ``detail``.  Each is a string or a zero-argument callable that
-        makes it, called only when the check fails."""
-        self._counts[law] += 1
-        if not ok:
-            if callable(instance):
-                instance = instance()
-            if callable(detail):
-                detail = detail()
-            self._failures.append(
-                Counterexample(self._suite, law, instance, detail)
-            )
+        """Record one instance's map from law name to verdict.
 
-    def check_all(
-        self, verdicts: dict[str, bool | None], instance: str | Callable[[], str]
-    ):
-        """Count every checked law of a map from law name to verdict at
-        once; ``None`` marks a law whose hypotheses were not met, which is
-        not counted.  Each failed law is kept under ``instance``, made as in
-        :meth:`check`, with no detail."""
+        ``True`` is a pass and ``None`` a law whose hypotheses were not met,
+        which is not counted.  Any other verdict is a failure, kept under
+        ``instance`` with its detail: ``""`` for ``False``, or the verdict
+        itself when it is a string.  ``instance`` is a string or a
+        zero-argument callable that makes it, called only when a law fails.
+        """
         self._counts.update([law for law, ok in verdicts.items() if ok is not None])
-        if False in verdicts.values():
+        if not _NOT_FAILED.issuperset(verdicts.values()):
             if callable(instance):
                 instance = instance()
             self._failures.extend(
-                Counterexample(self._suite, law, instance)
+                Counterexample(self._suite, law, instance, ok or "")
                 for law, ok in verdicts.items()
-                if ok is False
+                if ok is not True and ok is not None
             )
 
 
@@ -556,7 +543,7 @@ def _suite_goldens(chunk: _Chunk, rec: _Recorder):
 
     g, a = fx.BAND3, fx.BAND3_SWAP
     n3 = identity_mapping(3)
-    rec.check_all(
+    rec.check(
         {
             "band3.swap_is_involution": is_involution(a),
             "band3.associative": g.is_associative(),
@@ -573,7 +560,7 @@ def _suite_goldens(chunk: _Chunk, rec: _Recorder):
     )
 
     g, a = fx.FLIP2, fx.FLIP2_SWAP
-    rec.check_all(
+    rec.check(
         {
             "flip2.swap_is_involution": is_involution(a),
             "flip2.not_associative": not g.is_associative(),
@@ -593,7 +580,7 @@ def _suite_goldens(chunk: _Chunk, rec: _Recorder):
     g, neg = fx.Z3_TWIST, fx.Z3_NEGATION
     rep = decide(g)
     w = rep.witness
-    rec.check_all(
+    rec.check(
         {
             "z3twist.negation_is_involution": is_involution(neg),
             "z3twist.involutive_automorphisms": involutive_automorphisms(g)
@@ -627,30 +614,21 @@ def _suite_square_classes(chunk: _Chunk, rec: _Recorder):
     when the product subtable satisfies the base identity, and the
     right-absorption identity forces idempotency."""
     for g in chunk.exhaustive + chunk.samples:
-        inst = partial(_table_id, g)
-        try:
+        # A product of products is a product: every product set is closed.
+        verdicts = {"product_set_closed": True}
+        if g.is_associative():
             squares, _ = square_subgroupoid(g)
-        except NotClosed as exc:  # unreachable: product sets are closed
-            rec.check("product_set_closed", False, inst, str(exc))
-            continue
-        rec.check("product_set_closed", True, inst)
-        if not g.is_associative():
-            continue
-        for base, generalized, law in _SQUARE_LAWS:
-            holds = satisfies_variety(g, generalized)
-            square_holds = satisfies_variety(squares, base)
-            rec.check(
-                law,
-                holds == square_holds,
-                inst,
-                partial("generalized={} square_base={}".format, holds, square_holds),
-            )
-        if satisfies_variety(g, "RB"):
-            rec.check(
-                "right_absorption_forces_idempotency",
-                satisfies_variety(g, "B"),
-                inst,
-            )
+            for base, generalized, law in _SQUARE_LAWS:
+                holds = satisfies_variety(g, generalized)
+                square_holds = satisfies_variety(squares, base)
+                verdicts[law] = (
+                    holds == square_holds
+                    or f"generalized={holds} square_base={square_holds}"
+                )
+            if satisfies_variety(g, "RB"):
+                idempotent = satisfies_variety(g, "B")
+                verdicts["right_absorption_forces_idempotency"] = idempotent
+        rec.check(verdicts, partial(_table_id, g))
 
 
 def _suite_ad_equivalence(chunk: _Chunk, rec: _Recorder):
@@ -658,26 +636,20 @@ def _suite_ad_equivalence(chunk: _Chunk, rec: _Recorder):
     characterizations agree on every exhaustive table, and every
     characterization witness is a valid definition-level witness."""
     for g in chunk.exhaustive:
-        inst = partial(_table_id, g)
         profile = ad_membership_profile(g)
         characterized = ad_membership_characterized_profile(g)
+        verdicts = {}
         for tag, match, witness in _MEMBERSHIP_LAWS:
             direct = profile[tag]
             char = characterized[tag]
-            rec.check(
-                match,
-                (direct is None) == (char is None),
-                inst,
-                partial("direct={} characterized={}".format, direct, char),
-            )
+            agree = (direct is None) == (char is None)
+            verdicts[match] = agree or f"direct={direct} characterized={char}"
             if char is not None:
                 star = untwist(g, char)
-                rec.check(
-                    witness,
-                    in_semigroup_class(star, tag) and is_homomorphism(char, star, star),
-                    inst,
-                    partial("characterized={}".format, char),
-                )
+                verdicts[witness] = (
+                    in_semigroup_class(star, tag) and is_homomorphism(char, star, star)
+                ) or f"characterized={char}"
+        rec.check(verdicts, partial(_table_id, g))
 
 
 #: Largest built instance on which the membership-scan suites still run.
@@ -696,7 +668,7 @@ def _suite_class_relations(chunk: _Chunk, rec: _Recorder):
         if built.determined.order <= _RELATION_ORDER_CAP
     )
     for g in targets:
-        rec.check_all(check_class_relations(g), partial(_table_id, g))
+        rec.check(check_class_relations(g), partial(_table_id, g))
 
 
 def _involution_laws_for(
@@ -713,53 +685,48 @@ def _involution_laws_for(
         lt = in_lt(g, f)
         # Read only where both the shifted and the absorption law hold.
         hom = shifted and absorb and is_homomorphism(f, g, g)
-        detail = partial("mapping={}".format, f)
-        if shifted and assoc and absorb:
-            rec.check("strong_shift_forces_idempotency", band, inst, detail)
-            rec.check(
-                "strong_shift_automorphism_iff_left_translation",
-                hom == lt,
-                inst,
-                detail,
-            )
-            rec.check(
-                "strong_shift_right_translation_iff_identity",
-                in_rt(g, f) == (f == identity),
-                inst,
-                detail,
-            )
-            if band and hom and f != identity:
-                rec.check(
-                    "nontrivial_automorphism_swaps_absorbing_pair",
-                    any(
-                        f[a] != a
-                        and g.product(a, f[a]) == f[a]
-                        and g.product(f[a], a) == a
-                        for a in g
-                    ),
-                    inst,
-                    detail,
-                )
-        if absorb and lt:
-            rec.check(
-                "absorbing_left_translation_forces_idempotency", band, inst, detail
-            )
-            if shifted:
-                rec.check(
-                    "absorbing_left_translation_shift_makes_automorphism",
-                    hom,
-                    inst,
-                    detail,
-                )
-        if band and shifted:
-            rec.check("idempotency_with_shift_forces_absorption", absorb, inst, detail)
-        if lt and shifted:
-            rec.check(
-                "left_translation_shift_idempotency_iff_absorption",
-                band == absorb,
-                inst,
-                detail,
-            )
+        strong = shifted and assoc and absorb
+        rec.check(
+            {
+                "strong_shift_forces_idempotency": (
+                    (band or f"mapping={f}") if strong else None
+                ),
+                "strong_shift_automorphism_iff_left_translation": (
+                    (hom == lt or f"mapping={f}") if strong else None
+                ),
+                "strong_shift_right_translation_iff_identity": (
+                    (in_rt(g, f) == (f == identity) or f"mapping={f}")
+                    if strong
+                    else None
+                ),
+                "nontrivial_automorphism_swaps_absorbing_pair": (
+                    (
+                        any(
+                            f[a] != a
+                            and g.product(a, f[a]) == f[a]
+                            and g.product(f[a], a) == a
+                            for a in g
+                        )
+                        or f"mapping={f}"
+                    )
+                    if strong and band and hom and f != identity
+                    else None
+                ),
+                "absorbing_left_translation_forces_idempotency": (
+                    (band or f"mapping={f}") if absorb and lt else None
+                ),
+                "absorbing_left_translation_shift_makes_automorphism": (
+                    (hom or f"mapping={f}") if absorb and lt and shifted else None
+                ),
+                "idempotency_with_shift_forces_absorption": (
+                    (absorb or f"mapping={f}") if band and shifted else None
+                ),
+                "left_translation_shift_idempotency_iff_absorption": (
+                    (band == absorb or f"mapping={f}") if lt and shifted else None
+                ),
+            },
+            inst,
+        )
 
 
 def _suite_involution_laws(chunk: _Chunk, rec: _Recorder):
@@ -785,7 +752,6 @@ def _inverse_laws_for(
     for f in maps:
         if not is_homomorphism(f, g, g):
             continue
-        detail = partial("mapping={}".format, f)
         e_fixed = all(f[e] == e for e in facts.idempotents)
         canonical = all(
             f[a] == g.product(a, g.product(inv[a], a)) for a in g
@@ -793,53 +759,51 @@ def _inverse_laws_for(
         antihom = facts.antihomomorphism(f)
         regular_hypothesis = facts.strongly_regular and facts.e_semilattice and e_fixed
         shifted = (products_idem or regular_hypothesis) and shifted_associativity(g, f)
-        if products_idem and untwist(g, f).is_associative():
-            rec.check(
-                "unique_inverses_shift_efixed_iff_canonical",
-                e_fixed == canonical,
-                inst,
-                detail,
-            )
-        if e_fixed and antihom and facts.right_bol:
-            rec.check(
-                "right_bol_antihomomorphism_forces_semilattice",
-                facts.e_semilattice,
-                inst,
-                detail,
-            )
-        if products_idem and shifted:
-            rec.check("shift_fixes_idempotents", e_fixed, inst, detail)
-            rec.check("shift_forces_canonical_formula", canonical, inst, detail)
-            rec.check(
-                "shift_semilattice_iff_antihomomorphism",
-                facts.e_semilattice == antihom,
-                inst,
-                detail,
-            )
-        if regular_hypothesis and shifted:
-            rec.check(
-                "strong_regularity_shift_forces_completely_inverse",
-                facts.completely_inverse,
-                inst,
-                detail,
-            )
+        rec.check(
+            {
+                "unique_inverses_shift_efixed_iff_canonical": (
+                    (e_fixed == canonical or f"mapping={f}")
+                    if products_idem and untwist(g, f).is_associative()
+                    else None
+                ),
+                "right_bol_antihomomorphism_forces_semilattice": (
+                    (facts.e_semilattice or f"mapping={f}")
+                    if e_fixed and antihom and facts.right_bol
+                    else None
+                ),
+                "shift_fixes_idempotents": (
+                    (e_fixed or f"mapping={f}") if products_idem and shifted else None
+                ),
+                "shift_forces_canonical_formula": (
+                    (canonical or f"mapping={f}") if products_idem and shifted else None
+                ),
+                "shift_semilattice_iff_antihomomorphism": (
+                    (facts.e_semilattice == antihom or f"mapping={f}")
+                    if products_idem and shifted
+                    else None
+                ),
+                "strong_regularity_shift_forces_completely_inverse": (
+                    (facts.completely_inverse or f"mapping={f}")
+                    if regular_hypothesis and shifted
+                    else None
+                ),
+            },
+            inst,
+        )
 
 
-def _canonical_law_for(facts: _Facts, rec: _Recorder, inst: Callable[[], str]):
+def _canonical_law(facts: _Facts) -> bool | str | None:
+    """The verdict of ``canonical_shift_iff_right_bol`` on one table."""
     if not facts.completely_inverse:
-        return
+        return None
     g, c = facts.g, facts.canonical
-    if (
+    if not (
         is_involution(c)
         and is_homomorphism(c, g, g)
         and (facts.e_semilattice or facts.antihomomorphism(c))
     ):
-        rec.check(
-            "canonical_shift_iff_right_bol",
-            shifted_associativity(g, c) == facts.right_bol,
-            inst,
-            partial("canonical={}".format, c),
-        )
+        return None
+    return shifted_associativity(g, c) == facts.right_bol or f"canonical={c}"
 
 
 def _suite_inverse_laws(chunk: _Chunk, rec: _Recorder):
@@ -853,13 +817,13 @@ def _suite_inverse_laws(chunk: _Chunk, rec: _Recorder):
             continue
         inst = partial(_table_id, g)
         _inverse_laws_for(facts, involutions(g.order), rec, inst)
-        _canonical_law_for(facts, rec, inst)
+        rec.check({"canonical_shift_iff_right_bol": _canonical_law(facts)}, inst)
     for built in chunk.specs:
         inst = partial(_spec_id, built.spec)
         determined = _Facts(built.determined)
         _inverse_laws_for(determined, (built.alpha,), rec, inst)
         _inverse_laws_for(_Facts(built.strong), (built.alpha,), rec, inst)
-        _canonical_law_for(determined, rec, inst)
+        rec.check({"canonical_shift_iff_right_bol": _canonical_law(determined)}, inst)
 
 
 def _suite_slg_conclusions(chunk: _Chunk, rec: _Recorder):
@@ -878,11 +842,10 @@ def _suite_slg_conclusions(chunk: _Chunk, rec: _Recorder):
         )
     for inst, g, star, f in jobs:
         try:
-            results = check_twisted_slg(g, star, f)
+            verdicts = check_twisted_slg(g, star, f)
         except PreconditionViolated as exc:
-            rec.check("preconditions", False, inst, str(exc))
-            continue
-        rec.check_all(results, inst)
+            verdicts = {"preconditions": str(exc)}
+        rec.check(verdicts, inst)
 
 
 def _suite_decision_coherence(chunk: _Chunk, rec: _Recorder):
@@ -891,40 +854,36 @@ def _suite_decision_coherence(chunk: _Chunk, rec: _Recorder):
     a small semilattice decide positive with the glued mapping satisfying
     the shifted triple law."""
     for g in chunk.exhaustive + chunk.samples:
-        inst = partial(_table_id, g)
         try:
             report = decide(g)
         except TheoremViolation as exc:
-            rec.check("criteria_agree", False, inst, str(exc))
-            continue
-        rec.check("criteria_agree", True, inst)
-        if report.determined:
-            w = report.witness
-            rec.check(
-                "witness_shift_law",
-                w is not None and shifted_associativity(g, w.alpha),
-                inst,
-            )
-            rec.check(
-                "witness_reconstructs",
-                w is not None and twist(w.star, w.alpha) == g,
-                inst,
-            )
+            verdicts = {"criteria_agree": str(exc)}
+        else:
+            verdicts = {"criteria_agree": True}
+            if report.determined:
+                w = report.witness
+                verdicts["witness_shift_law"] = (
+                    w is not None and shifted_associativity(g, w.alpha)
+                )
+                verdicts["witness_reconstructs"] = (
+                    w is not None and twist(w.star, w.alpha) == g
+                )
+        rec.check(verdicts, partial(_table_id, g))
     for built in chunk.specs:
         if built.spec.semilattice.order > 2:
             continue
-        inst = partial(_spec_id, built.spec)
-        rec.check(
-            "constructed_shift_law",
-            shifted_associativity(built.determined, built.alpha),
-            inst,
-        )
+        g, alpha = built.determined, built.alpha
         try:
-            report = decide(built.determined)
+            determined = decide(g).determined
         except TheoremViolation as exc:
-            rec.check("constructed_is_determined", False, inst, str(exc))
-            continue
-        rec.check("constructed_is_determined", report.determined, inst)
+            determined = str(exc)
+        rec.check(
+            {
+                "constructed_shift_law": shifted_associativity(g, alpha),
+                "constructed_is_determined": determined,
+            },
+            partial(_spec_id, built.spec),
+        )
 
 
 def _suite_construction_roundtrip(chunk: _Chunk, rec: _Recorder):
@@ -936,46 +895,40 @@ def _suite_construction_roundtrip(chunk: _Chunk, rec: _Recorder):
     decided-positive exhaustive table."""
     for built in chunk.specs:
         spec, strong, g, alpha = built
-        inst = partial(_spec_id, spec)
         problems = validate_spec(spec)
-        rec.check("spec_valid", not problems, inst, "; ".join(problems))
-        rec.check(
-            "strong_form_is_semilattice_of_groups",
-            is_semilattice_of_groups(strong),
-            inst,
-        )
-        rec.check("twist_links_strong_and_determined", g == twist(strong, alpha), inst)
-        rec.check(
-            "glued_mapping_is_idempotent_fixed_involutive_automorphism",
-            is_involution(alpha)
-            and is_homomorphism(alpha, strong, strong)
-            and all(alpha[e] == e for e in strong.idempotents()),
-            inst,
-        )
-        rec.check(
-            "connecting_maps_are_group_homomorphisms",
-            all(
-                is_homomorphism(
-                    images,
-                    Groupoid(spec.groups[f].rows),
-                    Groupoid(spec.groups[e].rows),
-                )
-                for (f, e), images in spec.homs
-            ),
-            inst,
-        )
-        rec.check("determined_is_completely_inverse", is_completely_inverse(g), inst)
         try:
-            ok, detail = decompose(g, alpha) == spec, ""
+            decomposed = decompose(g, alpha) == spec
         except NotDetermined as exc:
-            ok, detail = False, str(exc)
-        rec.check("decompose_inverts_build", ok, inst, detail)
+            decomposed = str(exc)
         text = serialize_cspec(spec)
         reparsed = parse_cspec(text)
         rec.check(
-            "serialization_roundtrip",
-            reparsed == spec and serialize_cspec(reparsed) == text,
-            inst,
+            {
+                "spec_valid": not problems or "; ".join(problems),
+                "strong_form_is_semilattice_of_groups": (
+                    is_semilattice_of_groups(strong)
+                ),
+                "twist_links_strong_and_determined": g == twist(strong, alpha),
+                "glued_mapping_is_idempotent_fixed_involutive_automorphism": (
+                    is_involution(alpha)
+                    and is_homomorphism(alpha, strong, strong)
+                    and all(alpha[e] == e for e in strong.idempotents())
+                ),
+                "connecting_maps_are_group_homomorphisms": all(
+                    is_homomorphism(
+                        images,
+                        Groupoid(spec.groups[f].rows),
+                        Groupoid(spec.groups[e].rows),
+                    )
+                    for (f, e), images in spec.homs
+                ),
+                "determined_is_completely_inverse": is_completely_inverse(g),
+                "decompose_inverts_build": decomposed,
+                "serialization_roundtrip": (
+                    reparsed == spec and serialize_cspec(reparsed) == text
+                ),
+            },
+            partial(_spec_id, spec),
         )
     for g in chunk.exhaustive:
         # Exact: decide's verdict is criterion 1's, which cannot pass on a
@@ -990,11 +943,11 @@ def _suite_construction_roundtrip(chunk: _Chunk, rec: _Recorder):
             continue
         alpha = report.witness.alpha
         try:
-            ok = build_determined(decompose(g, alpha)) == (g, alpha)
-            detail = partial("alpha={}".format, alpha)
+            rebuilt = build_determined(decompose(g, alpha)) == (g, alpha)
+            verdict = rebuilt or f"alpha={alpha}"
         except NotDetermined as exc:
-            ok, detail = False, str(exc)
-        rec.check("build_inverts_decompose", ok, partial(_table_id, g), detail)
+            verdict = str(exc)
+        rec.check({"build_inverts_decompose": verdict}, partial(_table_id, g))
 
 
 SUITES: dict[str, Callable[[_Chunk, _Recorder], None]] = {}
@@ -1004,11 +957,12 @@ def register_suite(name: str, runner: Callable[[_Chunk, _Recorder], None]):
     """Add a property suite to the registry under a unique name.  Its
     ``runner(chunk, rec)`` reads ``chunk.exhaustive``, ``chunk.samples`` and
     ``chunk.specs``, so a suite that never reads one never pays for it, and
-    records each check with ``rec.check(law, ok, instance, detail)``, where
-    ``instance`` and ``detail`` may be zero-argument callables formatted
-    only on failure, or a whole map of verdicts with
-    ``rec.check_all(verdicts, instance)``.  A config that names a suite
-    twice is rejected."""
+    records each instance's laws in one call, ``rec.check(verdicts,
+    instance)``: a map from law name to ``True`` (holds), ``None``
+    (hypotheses not met, not counted), ``False``, or a string that is the
+    failure's detail, written ``ok or f"..."`` so that it is made only on
+    failure.  ``instance`` may be a zero-argument callable, made only on
+    failure.  A config that names a suite twice is rejected."""
     if name in SUITES:
         raise ValueError(f"suite {name!r} is already registered")
     SUITES[name] = runner

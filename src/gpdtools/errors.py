@@ -18,10 +18,6 @@ class MalformedInput(GpdError):
         super().__init__(message)
 
 
-class NotClosed(GpdError):
-    """A would-be subuniverse is not closed under the product."""
-
-
 class OrderTooLarge(GpdError):
     """Exhaustive enumeration was requested beyond the supported order."""
 

@@ -13,7 +13,7 @@ from itertools import starmap
 from operator import itemgetter
 from typing import Iterator
 
-from .errors import MalformedInput, NotClosed
+from .errors import MalformedInput
 
 
 def _row_getters(rows) -> list:
@@ -102,26 +102,14 @@ def square_subgroupoid(g: Groupoid) -> tuple[Groupoid, tuple[int, ...]]:
     Returns the restricted table (re-numbered 0..k-1 in ascending order of
     the original labels) together with the original labels of its elements.
     When every element is a product, the restricted table is ``g`` itself.
-    Raises :class:`NotClosed` if the product set is not closed; a product
-    of products is itself a product, so this cannot actually happen — the
-    check is purely defensive.
+    The product set is always closed: a product of products is a product.
     """
     members = g.products()
     if len(members) == g.order:
         return g, members
     index = {v: i for i, v in enumerate(members)}
-    rows = []
-    for x in members:
-        row = []
-        for y in members:
-            p = g.rows[x][y]
-            if p not in index:
-                raise NotClosed(
-                    f"product {x}*{y}={p} escapes the product set"
-                )
-            row.append(index[p])
-        rows.append(tuple(row))
-    return Groupoid._trusted(tuple(rows)), members
+    rows = tuple(tuple(index[g.rows[x][y]] for y in members) for x in members)
+    return Groupoid._trusted(rows), members
 
 
 def _sat_B(g: Groupoid) -> bool:

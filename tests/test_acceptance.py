@@ -304,6 +304,14 @@ def test_c9_determinism():
     assert digest == "d664f7546f78ad91bd5520b6bc6f5fa29bde9615422405a2cc8f2797323807a8"
 
 
+def test_c9_report_at_seed_7_is_frozen():
+    # A second seed draws other order-4 samples: its report is frozen too.
+    report = run_sweep(SweepConfig(**{**C9_SWEEP, "seed": 7}), jobs=2)
+    assert report.passed
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "8f2a40e4bd116ae2482ea4b032820819948911b7d52c700dc3e1b3121c6f4fae"
+
+
 def test_benchmark_sweep_is_the_c9_config():
     # The benchmark's sweep workload runs C9's configuration with its own
     # seed; its SWEEP = dict(...) literal is read without importing the bench.

@@ -485,7 +485,7 @@ def test_sweep_detects_corrupted_property():
     # sweep machinery can actually fail.
     def bad_suite(chunk, rec):
         for g in chunk.exhaustive:
-            rec.check("all_tables_commute", g.rows == tuple(zip(*g.rows)), "x")
+            rec.check({"all_tables_commute": g.rows == tuple(zip(*g.rows))}, "x")
 
     register_suite("deliberately_wrong", bad_suite)
     try:
@@ -510,7 +510,7 @@ def test_registered_suite_alone_reads_specs():
     # when no built-in suite that also reads it is active.
     def spec_counter(chunk, rec):
         for built in chunk.specs:
-            rec.check("instances", True, "x")
+            rec.check({"instances": True}, "x")
 
     register_suite("spec_counter", spec_counter)
     config = SweepConfig(
@@ -551,15 +551,15 @@ def test_suite_reading_no_instances_builds_no_table(built):
     # chunk.exhaustive and chunk.samples, like chunk.specs, are each built on
     # first read.
     def no_reads(chunk, rec):
-        rec.check("ran", True, "x")
+        rec.check({"ran": True}, "x")
 
     def table_reads(chunk, rec):
         for _g in chunk.exhaustive + chunk.samples:
-            rec.check("instances", True, "x")
+            rec.check({"instances": True}, "x")
 
     def sample_reads(chunk, rec):
         for _g in chunk.samples:
-            rec.check("samples", True, "x")
+            rec.check({"samples": True}, "x")
 
     register_suite("no_reads", no_reads)
     register_suite("table_reads", table_reads)
@@ -930,10 +930,10 @@ def test_roundtrip_decides_only_completely_inverse_tables(monkeypatch):
     reached = []
     check = enumeration._Recorder.check
 
-    def recording(self, law, ok, instance, detail=""):
-        if law == "build_inverts_decompose":
+    def recording(self, verdicts, instance):
+        if "build_inverts_decompose" in verdicts:
             reached.append(instance())
-        return check(self, law, ok, instance, detail)
+        return check(self, verdicts, instance)
 
     monkeypatch.setattr(enumeration._Recorder, "check", recording)
     config = SweepConfig(
@@ -1012,15 +1012,23 @@ def test_failure_details_keep_their_formats(monkeypatch):
 
 
 def test_verdict_maps_record_each_false_and_skip_none(monkeypatch):
-    # Each False in a battery's verdict map is one counterexample with no
-    # detail, every law that is not None is counted once per map, and a
-    # callable instance is made only for a failure.
+    # Each failed law in a verdict map is one counterexample: no detail for
+    # False, the string itself for a string verdict.  Every law that is not
+    # None is counted once per map, and a callable instance is made only
+    # for a map with a failure, once however many laws fail in it.  The
+    # first map of each suite fails twice, the second only by a string.
     calls = {"class_relations": [], "slg_conclusions": []}
 
     def battery(suite):
         def verdicts(*args):
             calls[suite].append(args)
-            return {"holds": True, "fails": len(calls[suite]) > 1, "skipped": None}
+            n = len(calls[suite])
+            return {
+                "holds": True,
+                "fails": n > 1,
+                "detailed": n > 2 or f"{suite} map {n}",
+                "skipped": None,
+            }
 
         return verdicts
 
@@ -1042,44 +1050,59 @@ def test_verdict_maps_record_each_false_and_skip_none(monkeypatch):
     monkeypatch.setattr(enumeration, "_spec_id", counted(enumeration._spec_id))
     config = SweepConfig(max_exhaustive_order=2, suites=tuple(calls), **_TINY_FAMILY)
     report = run_sweep(config)
-    (g,), *_ = calls["class_relations"]
-    (_, star, f), *_ = calls["slg_conclusions"]
-    assert report.counterexamples == (
-        Counterexample("class_relations", "fails", f"order={g.order} rows={g.rows}"),
-        Counterexample("slg_conclusions", "fails", f"star={star.rows} alpha={f}"),
+    (g1,), (g2,), *_ = calls["class_relations"]
+    twists = calls["slg_conclusions"][:2]
+    instances = {
+        "class_relations": [f"order={g.order} rows={g.rows}" for g in (g1, g2)],
+        "slg_conclusions": [f"star={star.rows} alpha={f}" for _, star, f in twists],
+    }
+    expected = []
+    for suite, (first, second) in instances.items():
+        expected += [
+            Counterexample(suite, "fails", first),
+            Counterexample(suite, "detailed", first, f"{suite} map 1"),
+            Counterexample(suite, "detailed", second, f"{suite} map 2"),
+        ]
+    assert report.counterexamples == tuple(
+        sorted(expected, key=lambda c: (c.suite, c.law, c.instance, c.detail))
     )
-    assert made == [g]
+    assert made == [g1, g2]
     for suite, seen in calls.items():
         assert len(seen) > 1
-        assert report.counts[f"{suite}.holds"] == len(seen)
-        assert report.counts[f"{suite}.fails"] == len(seen)
+        for law in ("holds", "fails", "detailed"):
+            assert report.counts[f"{suite}.{law}"] == len(seen)
         assert f"{suite}.skipped" not in report.counts
 
 
 def test_passing_sweep_formats_no_detail(monkeypatch):
+    # On a passing sweep of every suite, each verdict is True or None, so
+    # no failure detail is built and no instance is made.
     import gpdtools.enumeration as enumeration
 
-    lazy, formatted = [], []
+    verdicts_seen, made = [], []
     check = enumeration._Recorder.check
 
-    def recording(self, law, ok, instance, detail=""):
-        if callable(detail):
-            lazy.append(law)
-            make = detail
+    def recording(self, verdicts, instance):
+        verdicts_seen.extend(verdicts.values())
+        return check(self, verdicts, instance)
 
-            def detail():
-                formatted.append(law)
-                return make()
-
-        return check(self, law, ok, instance, detail)
+    def never(x):
+        made.append(x)
+        return ""
 
     monkeypatch.setattr(enumeration._Recorder, "check", recording)
+    monkeypatch.setattr(enumeration, "_table_id", never)
+    monkeypatch.setattr(enumeration, "_spec_id", never)
     config = SweepConfig(
         max_exhaustive_order=2,
         sample_count=20,
         max_semilattice_order=2,
         max_group_order=2,
     )
-    assert run_sweep(config).passed
-    assert lazy
-    assert formatted == []
+    report = run_sweep(config)
+    assert report.passed
+    assert set(report.config.suites) == set(SUITES)
+    assert verdicts_seen
+    assert all(ok is True or ok is None for ok in verdicts_seen)
+    assert None in verdicts_seen
+    assert made == []
