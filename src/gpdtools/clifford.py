@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .errors import InvalidSpec, NotDetermined, NotInverse
-from .groupoid import Groupoid, _ContentLines
+from .groupoid import Groupoid, _check_square, _ContentLines
 from .inverses import inverse_table
 from .mappings import Mapping, is_homomorphism, is_involution
 
@@ -29,13 +29,7 @@ class MeetSemilattice:
     def __post_init__(self):
         # Tuples throughout, so that the part checks can key on the value.
         object.__setattr__(self, "meet", tuple(self.meet))
-        k = len(self.meet)
-        for row in self.meet:
-            if not isinstance(row, tuple) or len(row) != k:
-                raise ValueError(f"expected {k} meet rows of length {k}")
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < k:
-                    raise ValueError(f"meet entry {v!r} outside 0..{k - 1}")
+        _check_square(self.meet, "meet rows", "meet")
 
     @property
     def order(self) -> int:
@@ -67,13 +61,8 @@ class GroupSpec:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "involution", tuple(self.involution))
+        _check_square(self.rows, "group rows", "group")
         m = len(self.rows)
-        for row in self.rows:
-            if not isinstance(row, tuple) or len(row) != m:
-                raise ValueError(f"expected {m} group rows of length {m}")
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < m:
-                    raise ValueError(f"group entry {v!r} outside 0..{m - 1}")
         if len(self.involution) != m or any(
             not isinstance(v, int) or not 0 <= v < m for v in self.involution
         ):

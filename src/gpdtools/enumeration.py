@@ -6,11 +6,12 @@ family of construction data up to stated size limits (semilattice
 representatives, group-table representatives, compatible connecting maps).
 
 Sweep side: a registry of property suites, each a filtered universal over
-tables, mappings, or construction data.  A sweep partitions the instance
-space into deterministic chunks (instance index modulo the chunk count),
-runs every active suite on every chunk — in parallel when asked — and
-merges per-chunk tallies and counterexamples into one report whose
-canonical JSON form is independent of the partitioning.
+tables, mappings, or construction data that yields one map from law name
+to verdict per instance.  A sweep partitions the instance space into
+deterministic chunks (instance index modulo the chunk count), runs every
+active suite on every chunk — in parallel when asked — and merges
+per-chunk tallies and counterexamples into one report whose canonical
+JSON form is independent of the partitioning.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache, partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .clifford import (
     ConstructionSpec,
@@ -395,13 +396,13 @@ class SweepConfig:
         duplicates = sorted({s for s in self.suites if self.suites.count(s) > 1})
         if duplicates:
             raise ValueError(f"duplicate suites: {', '.join(duplicates)}")
-
-    def active_suites(self) -> tuple[str, ...]:
-        names = self.suites or tuple(SUITES)
-        unknown = sorted(set(names) - set(SUITES))
+        unknown = sorted(set(self.suites) - set(SUITES))
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(unknown)}")
-        return tuple(names)
+
+    def active_suites(self) -> tuple[str, ...]:
+        """The named suites, or every registered suite when none is named."""
+        return self.suites or tuple(SUITES)
 
 
 @dataclass(frozen=True)
@@ -437,42 +438,6 @@ class SweepReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-#: The verdicts of a law that did not fail.
-_NOT_FAILED = frozenset((True, None))
-
-
-class _Recorder:
-    """Tallies one suite's checks by law name and collects its
-    counterexamples; the suite prefix is added to the tallies once per law,
-    by :func:`_run_chunk`."""
-
-    def __init__(self, suite: str, counts: Counter, failures: list[Counterexample]):
-        self._suite = suite
-        self._counts = counts
-        self._failures = failures
-
-    def check(
-        self, verdicts: dict[str, bool | str | None], instance: str | Callable[[], str]
-    ):
-        """Record one instance's map from law name to verdict.
-
-        ``True`` is a pass and ``None`` a law whose hypotheses were not met,
-        which is not counted.  Any other verdict is a failure, kept under
-        ``instance`` with its detail: ``""`` for ``False``, or the verdict
-        itself when it is a string.  ``instance`` is a string or a
-        zero-argument callable that makes it, called only when a law fails.
-        """
-        self._counts.update([law for law, ok in verdicts.items() if ok is not None])
-        if not _NOT_FAILED.issuperset(verdicts.values()):
-            if callable(instance):
-                instance = instance()
-            self._failures.extend(
-                Counterexample(self._suite, law, instance, ok or "")
-                for law, ok in verdicts.items()
-                if ok is not True and ok is not None
-            )
 
 
 class _BuiltSpec(NamedTuple):
@@ -535,7 +500,7 @@ def _spec_id(spec: ConstructionSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _suite_goldens(chunk: _Chunk, rec: _Recorder):
+def _suite_goldens(chunk: _Chunk):
     """Frozen facts about the three bundled fixtures (run once, chunk 0)."""
     if chunk.index != 0:
         return
@@ -543,7 +508,7 @@ def _suite_goldens(chunk: _Chunk, rec: _Recorder):
 
     g, a = fx.BAND3, fx.BAND3_SWAP
     n3 = identity_mapping(3)
-    rec.check(
+    yield (
         {
             "band3.swap_is_involution": is_involution(a),
             "band3.associative": g.is_associative(),
@@ -560,7 +525,7 @@ def _suite_goldens(chunk: _Chunk, rec: _Recorder):
     )
 
     g, a = fx.FLIP2, fx.FLIP2_SWAP
-    rec.check(
+    yield (
         {
             "flip2.swap_is_involution": is_involution(a),
             "flip2.not_associative": not g.is_associative(),
@@ -580,7 +545,7 @@ def _suite_goldens(chunk: _Chunk, rec: _Recorder):
     g, neg = fx.Z3_TWIST, fx.Z3_NEGATION
     rep = decide(g)
     w = rep.witness
-    rec.check(
+    yield (
         {
             "z3twist.negation_is_involution": is_involution(neg),
             "z3twist.involutive_automorphisms": involutive_automorphisms(g)
@@ -608,7 +573,7 @@ _SQUARE_LAWS = tuple(
 _MEMBERSHIP_LAWS = tuple((tag, f"match.{tag}", f"witness.{tag}") for tag in VARIETIES)
 
 
-def _suite_square_classes(chunk: _Chunk, rec: _Recorder):
+def _suite_square_classes(chunk: _Chunk):
     """Product-set descent for the generalized classes, on associative
     tables (exhaustive and sampled): the generalized identity holds exactly
     when the product subtable satisfies the base identity, and the
@@ -628,10 +593,10 @@ def _suite_square_classes(chunk: _Chunk, rec: _Recorder):
             if satisfies_variety(g, "RB"):
                 idempotent = satisfies_variety(g, "B")
                 verdicts["right_absorption_forces_idempotency"] = idempotent
-        rec.check(verdicts, partial(_table_id, g))
+        yield verdicts, partial(_table_id, g)
 
 
-def _suite_ad_equivalence(chunk: _Chunk, rec: _Recorder):
+def _suite_ad_equivalence(chunk: _Chunk):
     """The definition-level membership scan and the per-class
     characterizations agree on every exhaustive table, and every
     characterization witness is a valid definition-level witness."""
@@ -649,30 +614,28 @@ def _suite_ad_equivalence(chunk: _Chunk, rec: _Recorder):
                 verdicts[witness] = (
                     in_semigroup_class(star, tag) and is_homomorphism(char, star, star)
                 ) or f"characterized={char}"
-        rec.check(verdicts, partial(_table_id, g))
+        yield verdicts, partial(_table_id, g)
 
 
 #: Largest built instance on which the membership-scan suites still run.
 _RELATION_ORDER_CAP = 6
 
 
-def _suite_class_relations(chunk: _Chunk, rec: _Recorder):
+def _suite_class_relations(chunk: _Chunk):
     """Inclusion chains, product-set descent, semigroup identities, and
     witness isomorphisms between the twelve derived classes, on every
     exhaustive table and on built instances small enough for the
     membership scan."""
-    targets = list(chunk.exhaustive)
-    targets.extend(
-        built.determined
-        for built in chunk.specs
-        if built.determined.order <= _RELATION_ORDER_CAP
-    )
-    for g in targets:
-        rec.check(check_class_relations(g), partial(_table_id, g))
+    for g in chunk.exhaustive:
+        yield check_class_relations(g), partial(_table_id, g)
+    for built in chunk.specs:
+        g = built.determined
+        if g.order <= _RELATION_ORDER_CAP:
+            yield check_class_relations(g), partial(_table_id, g)
 
 
 def _involution_laws_for(
-    g: Groupoid, maps: tuple[Mapping, ...], rec: _Recorder, inst: Callable[[], str]
+    g: Groupoid, maps: tuple[Mapping, ...], inst: Callable[[], str]
 ):
     assoc = g.is_associative()
     band = satisfies_variety(g, "B")
@@ -686,7 +649,7 @@ def _involution_laws_for(
         # Read only where both the shifted and the absorption law hold.
         hom = shifted and absorb and is_homomorphism(f, g, g)
         strong = shifted and assoc and absorb
-        rec.check(
+        yield (
             {
                 "strong_shift_forces_idempotency": (
                     (band or f"mapping={f}") if strong else None
@@ -729,21 +692,21 @@ def _involution_laws_for(
         )
 
 
-def _suite_involution_laws(chunk: _Chunk, rec: _Recorder):
+def _suite_involution_laws(chunk: _Chunk):
     """Laws tying a self-inverse mapping's absorption, shift, translation,
     and automorphism properties together, over every exhaustive table with
     every self-inverse mapping, and over built instances with their glued
     mapping."""
     for g in chunk.exhaustive:
-        _involution_laws_for(g, involutions(g.order), rec, partial(_table_id, g))
+        yield from _involution_laws_for(g, involutions(g.order), partial(_table_id, g))
     for built in chunk.specs:
         inst = partial(_spec_id, built.spec)
-        _involution_laws_for(built.determined, (built.alpha,), rec, inst)
-        _involution_laws_for(built.strong, (built.alpha,), rec, inst)
+        yield from _involution_laws_for(built.determined, (built.alpha,), inst)
+        yield from _involution_laws_for(built.strong, (built.alpha,), inst)
 
 
 def _inverse_laws_for(
-    facts: _Facts, maps: tuple[Mapping, ...], rec: _Recorder, inst: Callable[[], str]
+    facts: _Facts, maps: tuple[Mapping, ...], inst: Callable[[], str]
 ):
     g, inv = facts.g, facts.inv
     if inv is None:
@@ -759,7 +722,7 @@ def _inverse_laws_for(
         antihom = facts.antihomomorphism(f)
         regular_hypothesis = facts.strongly_regular and facts.e_semilattice and e_fixed
         shifted = (products_idem or regular_hypothesis) and shifted_associativity(g, f)
-        rec.check(
+        yield (
             {
                 "unique_inverses_shift_efixed_iff_canonical": (
                     (e_fixed == canonical or f"mapping={f}")
@@ -806,7 +769,7 @@ def _canonical_law(facts: _Facts) -> bool | str | None:
     return shifted_associativity(g, c) == facts.right_bol or f"canonical={c}"
 
 
-def _suite_inverse_laws(chunk: _Chunk, rec: _Recorder):
+def _suite_inverse_laws(chunk: _Chunk):
     """Laws about unique inverses, idempotent products, the canonical map,
     and the inverse-antihomomorphism condition, over every exhaustive table
     with every self-inverse mapping, and over built instances with their
@@ -816,17 +779,17 @@ def _suite_inverse_laws(chunk: _Chunk, rec: _Recorder):
         if facts.inv is None:
             continue
         inst = partial(_table_id, g)
-        _inverse_laws_for(facts, involutions(g.order), rec, inst)
-        rec.check({"canonical_shift_iff_right_bol": _canonical_law(facts)}, inst)
+        yield from _inverse_laws_for(facts, involutions(g.order), inst)
+        yield {"canonical_shift_iff_right_bol": _canonical_law(facts)}, inst
     for built in chunk.specs:
         inst = partial(_spec_id, built.spec)
         determined = _Facts(built.determined)
-        _inverse_laws_for(determined, (built.alpha,), rec, inst)
-        _inverse_laws_for(_Facts(built.strong), (built.alpha,), rec, inst)
-        rec.check({"canonical_shift_iff_right_bol": _canonical_law(determined)}, inst)
+        yield from _inverse_laws_for(determined, (built.alpha,), inst)
+        yield from _inverse_laws_for(_Facts(built.strong), (built.alpha,), inst)
+        yield {"canonical_shift_iff_right_bol": _canonical_law(determined)}, inst
 
 
-def _suite_slg_conclusions(chunk: _Chunk, rec: _Recorder):
+def _suite_slg_conclusions(chunk: _Chunk):
     """The full conclusion battery on every twist of a semilattice of
     groups: exhaustive bases with every idempotent-fixed self-inverse
     automorphism, plus every built instance with its glued mapping."""
@@ -845,10 +808,10 @@ def _suite_slg_conclusions(chunk: _Chunk, rec: _Recorder):
             verdicts = check_twisted_slg(g, star, f)
         except PreconditionViolated as exc:
             verdicts = {"preconditions": str(exc)}
-        rec.check(verdicts, inst)
+        yield verdicts, inst
 
 
-def _suite_decision_coherence(chunk: _Chunk, rec: _Recorder):
+def _suite_decision_coherence(chunk: _Chunk):
     """The three decision criteria agree on every table (exhaustive and
     sampled), positives carry verified witnesses, and built instances with
     a small semilattice decide positive with the glued mapping satisfying
@@ -868,7 +831,7 @@ def _suite_decision_coherence(chunk: _Chunk, rec: _Recorder):
                 verdicts["witness_reconstructs"] = (
                     w is not None and twist(w.star, w.alpha) == g
                 )
-        rec.check(verdicts, partial(_table_id, g))
+        yield verdicts, partial(_table_id, g)
     for built in chunk.specs:
         if built.spec.semilattice.order > 2:
             continue
@@ -877,7 +840,7 @@ def _suite_decision_coherence(chunk: _Chunk, rec: _Recorder):
             determined = decide(g).determined
         except TheoremViolation as exc:
             determined = str(exc)
-        rec.check(
+        yield (
             {
                 "constructed_shift_law": shifted_associativity(g, alpha),
                 "constructed_is_determined": determined,
@@ -886,7 +849,7 @@ def _suite_decision_coherence(chunk: _Chunk, rec: _Recorder):
         )
 
 
-def _suite_construction_roundtrip(chunk: _Chunk, rec: _Recorder):
+def _suite_construction_roundtrip(chunk: _Chunk):
     """Structural laws of the block construction on every spec in the
     family — validity, the strong form being a semilattice of groups, the
     twist link, connecting maps being group homomorphisms, complete
@@ -902,7 +865,7 @@ def _suite_construction_roundtrip(chunk: _Chunk, rec: _Recorder):
             decomposed = str(exc)
         text = serialize_cspec(spec)
         reparsed = parse_cspec(text)
-        rec.check(
+        yield (
             {
                 "spec_valid": not problems or "; ".join(problems),
                 "strong_form_is_semilattice_of_groups": (
@@ -947,22 +910,28 @@ def _suite_construction_roundtrip(chunk: _Chunk, rec: _Recorder):
             verdict = rebuilt or f"alpha={alpha}"
         except NotDetermined as exc:
             verdict = str(exc)
-        rec.check({"build_inverts_decompose": verdict}, partial(_table_id, g))
+        yield {"build_inverts_decompose": verdict}, partial(_table_id, g)
 
 
-SUITES: dict[str, Callable[[_Chunk, _Recorder], None]] = {}
+#: A suite's runner: it yields one ``(verdicts, instance)`` pair per instance.
+_Runner = Callable[[_Chunk], Iterator[tuple[dict[str, bool | str | None], object]]]
+
+SUITES: dict[str, _Runner] = {}
 
 
-def register_suite(name: str, runner: Callable[[_Chunk, _Recorder], None]):
-    """Add a property suite to the registry under a unique name.  Its
-    ``runner(chunk, rec)`` reads ``chunk.exhaustive``, ``chunk.samples`` and
+def register_suite(name: str, runner: _Runner):
+    """Add a property suite to the registry under a unique name.
+
+    ``runner(chunk)`` reads ``chunk.exhaustive``, ``chunk.samples`` and
     ``chunk.specs``, so a suite that never reads one never pays for it, and
-    records each instance's laws in one call, ``rec.check(verdicts,
-    instance)``: a map from law name to ``True`` (holds), ``None``
-    (hypotheses not met, not counted), ``False``, or a string that is the
-    failure's detail, written ``ok or f"..."`` so that it is made only on
-    failure.  ``instance`` may be a zero-argument callable, made only on
-    failure.  A config that names a suite twice is rejected."""
+    yields one ``(verdicts, instance)`` pair per instance.  ``verdicts`` maps
+    each law name to ``True`` (holds), ``None`` (hypotheses not met, not
+    counted), ``False``, or a string that is the failure's detail, written
+    ``ok or f"..."`` so that it is made only on failure.  ``instance`` is a
+    string or a zero-argument callable that makes it, called only when a law
+    of the map fails.  ``list(SUITES[name](chunk))`` lists a suite's output.
+    A config that names a suite twice or names an unregistered one is
+    rejected."""
     if name in SUITES:
         raise ValueError(f"suite {name!r} is already registered")
     SUITES[name] = runner
@@ -982,15 +951,31 @@ for _name, _runner in (
     register_suite(_name, _runner)
 
 
+#: The verdicts of a law that did not fail.
+_NOT_FAILED = frozenset((True, None))
+
+
 def _run_chunk(
     config: SweepConfig, chunk_index: int, chunks: int
 ) -> tuple[Counter, list[Counterexample]]:
+    """Run the active suites on one chunk.  The only code that turns the
+    pairs a suite yields into law counts and counterexamples."""
     chunk = _Chunk(config, chunk_index, chunks)
     counts: Counter = Counter()
     failures: list[Counterexample] = []
     for name in config.active_suites():
         laws: Counter = Counter()
-        SUITES[name](chunk, _Recorder(name, laws, failures))
+        for verdicts, instance in SUITES[name](chunk):
+            # Every verdict that is not None counts; any other than True fails.
+            laws.update([law for law, ok in verdicts.items() if ok is not None])
+            if not _NOT_FAILED.issuperset(verdicts.values()):
+                if callable(instance):
+                    instance = instance()
+                failures.extend(
+                    Counterexample(name, law, instance, ok or "")
+                    for law, ok in verdicts.items()
+                    if ok is not True and ok is not None
+                )
         counts.update({f"{name}.{law}": tally for law, tally in laws.items()})
     return counts, failures
 

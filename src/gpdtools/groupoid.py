@@ -29,6 +29,18 @@ def _row_getters(rows) -> list:
     return list(starmap(itemgetter, rows))
 
 
+def _check_square(rows: tuple, rows_name: str, entry_name: str) -> None:
+    """Raise ``ValueError`` unless ``rows`` is n tuples of length n with
+    int entries in ``0..n-1``; the messages name the rows and entries."""
+    n = len(rows)
+    for row in rows:
+        if not isinstance(row, tuple) or len(row) != n:
+            raise ValueError(f"expected {n} {rows_name} of length {n}")
+        for v in row:
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise ValueError(f"{entry_name} entry {v!r} outside 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class Groupoid:
     """An immutable finite magma given by its full multiplication table."""
@@ -41,12 +53,7 @@ class Groupoid:
             raise TypeError("rows must be a tuple of tuples")
         if n == 0:
             raise ValueError("a table needs at least one element")
-        for row in self.rows:
-            if not isinstance(row, tuple) or len(row) != n:
-                raise ValueError(f"expected {n} rows of length {n}")
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise ValueError(f"table entry {v!r} outside 0..{n - 1}")
+        _check_square(self.rows, "rows", "table")
 
     @staticmethod
     def from_rows(rows) -> "Groupoid":

@@ -47,18 +47,6 @@ def is_completely_inverse(g: Groupoid) -> bool:
     return _Facts(g).completely_inverse
 
 
-def _completely_inverse(g: Groupoid, inv: Mapping | None) -> bool:
-    """:func:`is_completely_inverse` given the inverse table (or ``None``)."""
-    if inv is None:
-        return False
-    rows = g.rows
-    for x in range(g.order):
-        p = rows[x][inv[x]]
-        if p != rows[inv[x]][x] or rows[p][p] != p:
-            return False
-    return True
-
-
 def is_right_bol(g: Groupoid) -> bool:
     """Exhaustively test ``((x*y)*z)*w == x*((y*z)*w)``.
 
@@ -205,7 +193,15 @@ class _Facts:
 
     @_fact
     def completely_inverse(self) -> bool:
-        return _completely_inverse(self.g, self.inv)
+        inv = self.inv
+        if inv is None:
+            return False
+        rows = self.g.rows
+        for x in range(self.g.order):
+            p = rows[x][inv[x]]
+            if p != rows[inv[x]][x] or rows[p][p] != p:
+                return False
+        return True
 
     @_fact
     def strongly_regular(self) -> bool:

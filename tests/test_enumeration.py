@@ -483,9 +483,9 @@ def test_sweep_suite_selection_and_errors():
 def test_sweep_detects_corrupted_property():
     # A deliberately false law must surface as a counterexample, proving the
     # sweep machinery can actually fail.
-    def bad_suite(chunk, rec):
+    def bad_suite(chunk):
         for g in chunk.exhaustive:
-            rec.check({"all_tables_commute": g.rows == tuple(zip(*g.rows))}, "x")
+            yield {"all_tables_commute": g.rows == tuple(zip(*g.rows))}, "x"
 
     register_suite("deliberately_wrong", bad_suite)
     try:
@@ -508,9 +508,9 @@ def test_sweep_detects_corrupted_property():
 def test_registered_suite_alone_reads_specs():
     # A user suite that reads chunk.specs sees the construction family even
     # when no built-in suite that also reads it is active.
-    def spec_counter(chunk, rec):
+    def spec_counter(chunk):
         for built in chunk.specs:
-            rec.check({"instances": True}, "x")
+            yield {"instances": True}, "x"
 
     register_suite("spec_counter", spec_counter)
     config = SweepConfig(
@@ -550,16 +550,16 @@ def built(monkeypatch):
 def test_suite_reading_no_instances_builds_no_table(built):
     # chunk.exhaustive and chunk.samples, like chunk.specs, are each built on
     # first read.
-    def no_reads(chunk, rec):
-        rec.check({"ran": True}, "x")
+    def no_reads(chunk):
+        yield {"ran": True}, "x"
 
-    def table_reads(chunk, rec):
+    def table_reads(chunk):
         for _g in chunk.exhaustive + chunk.samples:
-            rec.check({"instances": True}, "x")
+            yield {"instances": True}, "x"
 
-    def sample_reads(chunk, rec):
+    def sample_reads(chunk):
         for _g in chunk.samples:
-            rec.check({"samples": True}, "x")
+            yield {"samples": True}, "x"
 
     register_suite("no_reads", no_reads)
     register_suite("table_reads", table_reads)
@@ -622,17 +622,18 @@ def test_inverse_laws_computes_table_facts_once(monkeypatch):
     # Each per-table predicate runs at most once per table, however many
     # mappings reach it; NotInverse tables are skipped after one attempt.
     # The suite reads them through _Facts, which calls these names in
-    # the inverses module.
+    # the inverses module and computes complete inverseness itself.
     import gpdtools.inverses as inverses
 
     calls = Counter()
     seen = []  # keeps every table alive so that id() stays unique
 
-    def counted(name, fn):
-        def wrapper(g, *args):
+    def counted(name, fn, table=lambda g: g):
+        def wrapper(x, *args):
+            g = table(x)
             seen.append(g)
             calls[name, id(g)] += 1
-            return fn(g, *args)
+            return fn(x, *args)
 
         return wrapper
 
@@ -641,11 +642,13 @@ def test_inverse_laws_computes_table_facts_once(monkeypatch):
         "idempotents_form_semilattice",
         "is_right_bol",
         "strongly_regular_witness",
-        "_completely_inverse",
     )
     for name in facts:
         fn = getattr(inverses, name)
         monkeypatch.setattr(inverses, name, counted(name, fn))
+    fact = vars(inverses._Facts)["completely_inverse"]
+    compute = counted("completely_inverse", fact.compute, lambda facts: facts.g)
+    monkeypatch.setattr(fact, "compute", compute)
     config = SweepConfig(
         max_exhaustive_order=3,
         sample_count=0,
@@ -657,7 +660,7 @@ def test_inverse_laws_computes_table_facts_once(monkeypatch):
     assert report.passed
     assert report.counts["inverse_laws.canonical_shift_iff_right_bol"] > 0
     assert max(calls.values()) == 1
-    assert {name for name, _ in calls} == set(facts)
+    assert {name for name, _ in calls} == {*facts, "completely_inverse"}
 
 
 def test_instance_ids_are_formatted_only_on_failure(monkeypatch):
@@ -732,6 +735,7 @@ def test_instance_ids_are_formatted_only_on_failure(monkeypatch):
         ("max_semilattice_order", 4, LimitsTooLarge),
         ("max_group_order", 0, LimitsTooLarge),
         ("max_group_order", 7, LimitsTooLarge),
+        ("suites", ("no_such_suite",), ValueError),
     ],
 )
 def test_sweep_config_rejects_invalid_values(field, value, error):
@@ -841,7 +845,21 @@ def test_build_inverts_decompose_records_exceptions(monkeypatch, capsys):
 
 def test_register_suite_rejects_duplicates():
     with pytest.raises(ValueError):
-        register_suite("goldens", lambda chunk, rec: None)
+        register_suite("goldens", lambda chunk: iter(()))
+
+
+def test_runner_with_the_old_recorder_signature_fails_loudly():
+    # A runner takes the chunk alone and yields its verdict maps; one still
+    # written as runner(chunk, rec) is a TypeError, not a silent empty run.
+    def old_style(chunk, rec):
+        rec.check({"ran": True}, "x")
+
+    register_suite("old_style", old_style)
+    try:
+        with pytest.raises(TypeError):
+            run_sweep(SweepConfig(sample_count=0, suites=("old_style",)))
+    finally:
+        del SUITES["old_style"]
 
 
 def test_sweep_config_rejects_duplicate_suites():
@@ -928,14 +946,15 @@ def test_roundtrip_decides_only_completely_inverse_tables(monkeypatch):
     decided = []
     monkeypatch.setattr(enumeration, "decide", _counted(decided, lambda g: g, decide))
     reached = []
-    check = enumeration._Recorder.check
+    roundtrip = SUITES["construction_roundtrip"]
 
-    def recording(self, verdicts, instance):
-        if "build_inverts_decompose" in verdicts:
-            reached.append(instance())
-        return check(self, verdicts, instance)
+    def recording(chunk):
+        for verdicts, instance in roundtrip(chunk):
+            if "build_inverts_decompose" in verdicts:
+                reached.append(instance())
+            yield verdicts, instance
 
-    monkeypatch.setattr(enumeration._Recorder, "check", recording)
+    monkeypatch.setitem(SUITES, "construction_roundtrip", recording)
     config = SweepConfig(
         max_exhaustive_order=3,
         sample_count=0,
@@ -1080,17 +1099,21 @@ def test_passing_sweep_formats_no_detail(monkeypatch):
     import gpdtools.enumeration as enumeration
 
     verdicts_seen, made = [], []
-    check = enumeration._Recorder.check
 
-    def recording(self, verdicts, instance):
-        verdicts_seen.extend(verdicts.values())
-        return check(self, verdicts, instance)
+    def recording(runner):
+        def run(chunk):
+            for verdicts, instance in runner(chunk):
+                verdicts_seen.extend(verdicts.values())
+                yield verdicts, instance
+
+        return run
 
     def never(x):
         made.append(x)
         return ""
 
-    monkeypatch.setattr(enumeration._Recorder, "check", recording)
+    for name, runner in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, recording(runner))
     monkeypatch.setattr(enumeration, "_table_id", never)
     monkeypatch.setattr(enumeration, "_spec_id", never)
     config = SweepConfig(
