@@ -19,7 +19,7 @@ from .errors import NotInvolution, PreconditionViolated, TheoremViolation
 from .groupoid import (
     VARIETIES,
     Groupoid,
-    _row_getters,
+    _compositions,
     in_semigroup_class,
     satisfies_variety,
     square_subgroupoid,
@@ -380,13 +380,23 @@ def check_twisted_slg(g: Groupoid, star: Groupoid, f: Mapping) -> dict[str, bool
     report["idempotent_left_shift"] = all(
         rows[e][a] == rows[f[a]][e] for e in idem for a in range(n)
     )
-    # e(ab) = (ea)(eb), over all b at once: row e read at row a is the
-    # row of ea read at row e.
-    at = _row_getters(rows)
-    report["idempotent_distributive"] = all(
-        at[a](rows[e]) == at[e](rows[rows[e][a]]) for e in idem for a in range(n)
-    )
+    report["idempotent_distributive"] = _idempotent_distributive(g)
     return {name: report[name] for name in SLG_CONCLUSIONS}
+
+
+def _idempotent_distributive(g: Groupoid) -> bool:
+    """``e(ab) == (ea)(eb)`` for every idempotent e and all a, b.
+
+    Over all b at once: row e read at row a is the row of ea read at row e.
+    """
+    rows = g.rows
+    _, at, lookup = _compositions(rows)
+    tables = [lookup(row) for row in rows]
+    return all(
+        at[a](tables[e]) == at[e](tables[rows[e][a]])
+        for e in sorted(g.idempotents())
+        for a in range(len(rows))
+    )
 
 
 #: Classes whose membership alone lets the witness map be promoted to an

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import NotInverse
-from .groupoid import Groupoid, _row_getters
+from .groupoid import Groupoid, _compositions
 from .mappings import Mapping, _shift_images
 
 
@@ -63,25 +63,28 @@ def is_right_bol(g: Groupoid) -> bool:
 
     That is ``n*|P| + n*n`` row comparisons or lookups on a table of order
     n with product set P, so O(n²), each composite built in C by
-    :func:`_row_getters`.  ``idrow`` is built once the first x passes
-    phase 1, so most tables that fail never pay for it.
+    :func:`~gpdtools.groupoid._compositions`, which also chooses the row
+    encoding that ``ids`` hashes.  ``idrow`` is built once the first x
+    passes phase 1, so most tables that fail never pay for it.
     """
     rows = g.rows
-    at = _row_getters(rows)
-    ids = {row: a for a, row in enumerate(rows)}
+    enc, at, lookup = _compositions(rows)
+    ids = {row: a for a, row in enumerate(enc)}
     products = set().union(*rows)
     comp = [0] * len(rows)
     idrow = None
     for rx in rows:
+        t = lookup(rx)
         for u in products:
-            c = comp[u] = ids.get(at[u](rx))
+            c = comp[u] = ids.get(at[u](t))
             if c is None:
                 return False
         if idrow is None:
-            rid = [ids[row] for row in rows]
+            rid = lookup([ids[row] for row in enc])
             idrow = [compose(rid) for compose in at]
+        t = lookup(comp)
         for y, compose in enumerate(at):
-            if idrow[rx[y]] != compose(comp):
+            if idrow[rx[y]] != compose(t):
                 return False
     return True
 

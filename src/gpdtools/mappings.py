@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .groupoid import Groupoid, _ContentLines, _row_getters
+from .groupoid import Groupoid, _ContentLines, _compositions
 
 Mapping = tuple[int, ...]
 
@@ -109,10 +109,9 @@ def _isomorphisms(
     used = [False] * n
     # late[k] lists pairs (i, j) with i, j < k and i*j == k.
     late: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            p = grows[i][j]
-            if p > max(i, j):
+    for i, row in enumerate(grows):
+        for j, p in enumerate(row):
+            if p > i and p > j:
                 late[p].append((i, j))
 
     involutive = domain is not None
@@ -229,11 +228,11 @@ def absorption_law(g: Groupoid, f: Mapping) -> bool:
 def shifted_associativity(g: Groupoid, f: Mapping) -> bool:
     """True when ``(x*y)*z == f(x)*(y*z)`` for all x, y, z."""
     rows = g.rows
-    at = _row_getters(rows)
+    enc, at, lookup = _compositions(rows)
     for x, rx in enumerate(rows):
-        rfx = rows[f[x]]
+        t = lookup(rows[f[x]])
         for y, compose in enumerate(at):
-            if rows[rx[y]] != compose(rfx):
+            if enc[rx[y]] != compose(t):
                 return False
     return True
 
@@ -253,7 +252,7 @@ def _shift_images(g: Groupoid) -> tuple[tuple[int, ...], ...] | None:
     O(n^2) row comparisons.
     """
     rows = g.rows
-    at = _row_getters(rows)
+    enc, at, lookup = _compositions(rows)
     pair: dict[int, tuple[int, int]] = {}
     for y, ry in enumerate(rows):
         for z, u in enumerate(ry):
@@ -265,8 +264,9 @@ def _shift_images(g: Groupoid) -> tuple[tuple[int, ...], ...] | None:
     for rx in rows:
         for u, (y, z) in pair.items():
             v[u] = rows[rx[y]][z]
+        t = lookup(v)
         for y, compose in enumerate(at):
-            if rows[rx[y]] != compose(v):
+            if enc[rx[y]] != compose(t):
                 return None
         wanted.append(tuple(map(v.__getitem__, products)))
     # Elements grouped by their row restricted to the product set.

@@ -12,13 +12,20 @@ from gpdtools import (
     enumerate_groupoids,
     enumerate_specs,
     in_semigroup_class,
+    is_right_bol,
     parse_groupoid,
     random_groupoids,
     satisfies_variety,
     serialize_groupoid,
+    shifted_associativity,
     square_subgroupoid,
 )
+from gpdtools.determination import _idempotent_distributive
 from gpdtools.fixtures import BAND3, FLIP2, Z3, Z3_TWIST
+from gpdtools.groupoid import _BYTE_ROWS_FROM, _compositions
+from gpdtools.mappings import _shift_images
+
+from .test_mappings import _brute_shift_images
 
 # Independent identity evaluators: explicit quantifier loops, one lambda per
 # class, sharing no code with the library's checkers.
@@ -78,6 +85,11 @@ def test_identity_checkers_against_oracle_sampled_order3(tag):
     assert members > 0
 
 
+def _star(n):
+    """Z_n under addition: the base table of the Z_n negation twist."""
+    return Groupoid(tuple(tuple((x + y) % n for y in range(n)) for x in range(n)))
+
+
 def test_associativity_against_oracle():
     from gpdtools import build_strong_slg, parse_cspec
 
@@ -89,10 +101,7 @@ def test_associativity_against_oracle():
         _all_tables(2),
         itertools.islice(random_groupoids(3, 300, seed=13), 300),
         # The stars of the Z_n negation twists: Z_n under addition.
-        (
-            Groupoid(tuple(tuple((x + y) % n for y in range(n)) for x in range(n)))
-            for n in (16, 32, 64)
-        ),
+        map(_star, (16, 32, 64)),
         [chain],
         _mutations(chain),
     )
@@ -113,6 +122,108 @@ def test_associativity_against_oracle():
     assert not FLIP2.is_associative()
     assert Z3.is_associative()
     assert not Z3_TWIST.is_associative()
+
+
+def test_associativity_makes_quadratically_many_row_compositions(monkeypatch):
+    import gpdtools.groupoid as groupoid
+
+    from .test_inverses import _count_compositions
+
+    calls = _count_compositions(monkeypatch, groupoid)
+    n = 64
+    assert _star(n).is_associative()
+    assert n <= calls[0] <= n * n
+
+
+def _kernel_laws(g):
+    """The five row-composing kernels on ``g``, with both shift maps."""
+    n = g.order
+    negation = tuple(-x % n for x in range(n))
+    return {
+        "associative": g.is_associative(),
+        "shifted_identity": shifted_associativity(g, tuple(range(n))),
+        "shifted_negation": shifted_associativity(g, negation),
+        "shift_images": _shift_images(g),
+        "right_bol": is_right_bol(g),
+        "idempotent_distributive": _idempotent_distributive(g),
+    }
+
+
+def _brute_laws(g):
+    """The same laws by their definitions, one product at a time."""
+    p = g.product
+    r = range(g.order)
+    n = g.order
+    associative = all(
+        p(p(x, y), z) == p(x, p(y, z)) for x in r for y in r for z in r
+    )
+    return {
+        "associative": associative,
+        # The shifted law with f the identity is associativity.
+        "shifted_identity": associative,
+        "shifted_negation": all(
+            p(p(x, y), z) == p(-x % n, p(y, z)) for x in r for y in r for z in r
+        ),
+        "shift_images": _brute_shift_images(g),
+        "right_bol": all(
+            p(p(p(x, y), z), w) == p(x, p(p(y, z), w))
+            for x in r
+            for y in r
+            for z in r
+            for w in r
+        ),
+        "idempotent_distributive": all(
+            p(e, p(a, b)) == p(p(e, a), p(e, b))
+            for e in r
+            if p(e, e) == e
+            for a in r
+            for b in r
+        ),
+    }
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_row_kernels_agree_with_definitions_across_the_byte_threshold(offset):
+    from .test_inverses import _mutations, _negation_twist
+
+    n = _BYTE_ROWS_FROM + offset
+    assert isinstance(_compositions(_star(n).rows)[0][0], bytes) == (offset == 0)
+    verdicts = {}
+    for base in (_negation_twist(n), _star(n)):
+        for g in itertools.chain([base], _mutations(base)):
+            laws = _kernel_laws(g)
+            assert laws == _brute_laws(g), g.rows
+            for law, verdict in laws.items():
+                verdicts.setdefault(law, set()).add(bool(verdict))
+    # Every law both holds and fails somewhere in the corpus.
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+
+def test_row_kernels_at_order_257_compose_tuples():
+    from .test_inverses import _negation_twist
+
+    n = 257
+    g = _negation_twist(n)
+    assert isinstance(_compositions(g.rows)[0][0], tuple)
+    # x*y = y - x: ((xy)z)w = w - z + y - x = x((yz)w); (xy)z = z - y + x
+    # equals a(yz) = z - y - a for all y, z exactly when a = -x; and the
+    # one idempotent, 0, is a left identity.  The definitions would need
+    # n^4 products here, so the twist is checked against these closed
+    # forms.
+    assert _kernel_laws(g) == {
+        "associative": False,
+        "shifted_identity": False,
+        "shifted_negation": True,
+        "shift_images": tuple((-x % n,) for x in range(n)),
+        "right_bol": True,
+        "idempotent_distributive": True,
+    }
+    # One changed cell: every definition meets a failure (or, with no
+    # idempotent left, nothing to check) within its first few products.
+    rows = [list(row) for row in g.rows]
+    rows[0][0] = 1
+    h = Groupoid.from_rows(rows)
+    assert _kernel_laws(h) == _brute_laws(h)
 
 
 def test_semigroup_class_requires_associativity():

@@ -24,7 +24,7 @@ from gpdtools import (
     strongly_regular_witness,
 )
 from gpdtools.fixtures import BAND3, FLIP2, Z3, Z3_TWIST
-from gpdtools.groupoid import _row_getters
+from gpdtools.groupoid import _compositions
 
 
 def _oracle_inverses(g, x):
@@ -229,22 +229,31 @@ def test_right_bol_makes_quadratically_many_row_compositions(g, monkeypatch):
     """Per x: one composite per product, then one per y; plus one per
     element to build the row ids.  Both tables are right-Bol, so every
     phase runs to the end."""
-    calls = [0]
-
-    def counted_getters(rows):
-        def counted(compose):
-            def call(v):
-                calls[0] += 1
-                return compose(v)
-
-            return call
-
-        return [counted(compose) for compose in _row_getters(rows)]
-
-    monkeypatch.setattr(inverses, "_row_getters", counted_getters)
+    calls = _count_compositions(monkeypatch, inverses)
     n = g.order
     assert is_right_bol(g)
     assert n * n <= calls[0] <= n * len(g.products()) + n * n + n
+
+
+def _count_compositions(monkeypatch, module):
+    """Route ``module``'s row compositions through a counter; returns the
+    one-item list that holds the count."""
+    calls = [0]
+
+    def counted_compositions(rows):
+        enc, at, lookup = _compositions(rows)
+
+        def counted(compose):
+            def call(t):
+                calls[0] += 1
+                return compose(t)
+
+            return call
+
+        return enc, [counted(compose) for compose in at], lookup
+
+    monkeypatch.setattr(module, "_compositions", counted_compositions)
+    return calls
 
 
 def test_strongly_regular_witness():

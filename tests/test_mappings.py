@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import gpdtools.mappings as mappings
 from gpdtools import (
     Groupoid,
     MalformedInput,
@@ -24,6 +25,7 @@ from gpdtools import (
     involutive_automorphisms,
     is_homomorphism,
     is_involution,
+    parse_cspec,
     parse_mapping,
     random_groupoids,
     serialize_mapping,
@@ -41,7 +43,11 @@ from gpdtools.fixtures import (
     Z3_TWIST,
 )
 
-from .test_inverses import _negation_twist
+from .test_inverses import (
+    _count_compositions,
+    _cyclic_chain_cspec,
+    _negation_twist,
+)
 
 
 def _oracle_automorphisms(g):
@@ -180,6 +186,22 @@ def test_shift_images_agree_with_definition():
         some_missing += images is None
     assert tables == SHIFT_CORPUS_SIZE
     assert some_missing == 21_497
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _negation_twist(64),
+        build_determined(parse_cspec(_cyclic_chain_cspec((2, 4, 8, 16, 32))))[0],
+    ],
+    ids=["z64twist", "chain62"],
+)
+def test_shift_images_make_quadratically_many_row_compositions(g, monkeypatch):
+    # One composite per pair (x, y); both tables pass, so every x runs.
+    calls = _count_compositions(monkeypatch, mappings)
+    n = g.order
+    assert _shift_images(g) is not None
+    assert n <= calls[0] <= n * n
 
 
 def test_shift_domain_search_agrees_with_filter():

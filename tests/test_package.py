@@ -41,3 +41,19 @@ def test_package_imports_only_the_standard_library():
                 and name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_row_encoding_lives_in_groupoid():
+    # Row compositions are encoded (itemgetter tuples or translated bytes)
+    # by groupoid._compositions alone; every other module composes rows
+    # through it.
+    from pathlib import Path
+
+    src = Path(gpdtools.__file__).parent
+    users = {
+        path.name
+        for path in src.glob("*.py")
+        for word in ("itemgetter", ".translate")
+        if word in path.read_text()
+    }
+    assert users == {"groupoid.py"}
