@@ -267,7 +267,7 @@ def check_twisted_semigroup(
     """
     _require(star.is_associative(), "base table is not associative")
     _require(
-        is_involution(f) and is_homomorphism(f, star, star),
+        len(f) == star.order and is_involution(f) and is_homomorphism(f, star, star),
         "mapping is not a self-inverse automorphism of the base table",
     )
     _require(twist(star, f) == g, "groupoid is not the twist of the base table")
@@ -306,7 +306,9 @@ def _slg_twist_problem(g: Groupoid, star: Groupoid, f: Mapping) -> str | None:
     an idempotent-fixed self-inverse automorphism."""
     if not is_semilattice_of_groups(star):
         return "base table is not a semilattice of groups"
-    if not (is_involution(f) and is_homomorphism(f, star, star)):
+    if not (
+        len(f) == star.order and is_involution(f) and is_homomorphism(f, star, star)
+    ):
         return "mapping is not a self-inverse automorphism of the base table"
     if any(f[e] != e for e in star.idempotents()):
         return "mapping does not fix every idempotent of the base table"

@@ -171,6 +171,10 @@ def random_groupoids(order: int, count: int, seed: int):
     """
     if order < 1:
         raise ValueError("order must be at least 1")
+    if count < 0:
+        raise ValueError("count must be at least 0")
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in 0..{MASK64}")
     yield from _sample_tables(order, seed, range(count))
 
 
@@ -179,12 +183,41 @@ def random_groupoids(order: int, count: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _representatives(tables) -> list[Groupoid]:
-    """The first table of each isomorphism class, in input order."""
+def _table_classes(n: int, values) -> list[Groupoid]:
+    """The first associative table of each isomorphism class, in
+    lexicographic order, where cell ``(x, y)`` ranges over ``values(rows, x, y)``.
+
+    Cells are filled row by row.  A value is kept only when every triple
+    that reads the new cell (as ``x*y``, as ``y*z`` or as the outer product
+    of either side) associates or still has an empty cell, so each triple
+    is checked once, when its last cell is filled.  Empty cells, row ``n``
+    and column ``n`` hold ``n``, so a product through an empty cell is empty.
+    """
+    rows = [[n] * (n + 1) for _ in range(n + 1)]
+    span = range(n)
     reps: list[Groupoid] = []
-    for g in tables:
-        if all(find_isomorphism(g, rep) is None for rep in reps):
-            reps.append(g)
+
+    def fill(i: int):
+        if i == n * n:
+            g = Groupoid._trusted(tuple(tuple(row[:n]) for row in rows[:n]))
+            if all(find_isomorphism(g, rep) is None for rep in reps):
+                reps.append(g)
+            return
+        x, y = divmod(i, n)
+        for v in values(rows, x, y):
+            rows[x][y] = v
+            triples = itertools.chain(
+                ((x, y, z) for z in span),
+                ((w, x, y) for w in span),
+                ((a, b, y) for a in span for b in span if rows[a][b] == x),
+                ((x, b, c) for b in span for c in span if rows[b][c] == y),
+            )
+            sides = ((rows[rows[a][b]][c], rows[a][rows[b][c]]) for a, b, c in triples)
+            if all(left == right or n in (left, right) for left, right in sides):
+                fill(i + 1)
+        rows[x][y] = n
+
+    fill(0)
     return reps
 
 
@@ -192,12 +225,8 @@ def _representatives(tables) -> list[Groupoid]:
 def enumerate_semilattices(order: int) -> tuple[MeetSemilattice, ...]:
     """Representatives of every meet semilattice of the given order, one
     per isomorphism class, each the lexicographically least table in its
-    class.
-
-    Candidates fill the strict upper triangle row by row over the diagonal
-    ``e*e = e`` and mirror it.  On such tables the whole table and its
-    upper triangle, each read row by row, order lexicographically alike,
-    so the first associative candidate of each class is its least table.
+    class: the diagonal is ``e*e = e``, a lower cell mirrors the upper one
+    and an upper cell is free, so tables are visited in lexicographic order.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -205,61 +234,33 @@ def enumerate_semilattices(order: int) -> tuple[MeetSemilattice, ...]:
         raise LimitsTooLarge(
             f"semilattice enumeration is capped at order {MAX_SEMILATTICE_ORDER}"
         )
-    upper = [(x, y) for x in range(order) for y in range(x + 1, order)]
-    rows = [[x] * order for x in range(order)]
 
-    def candidates():
-        for cells in itertools.product(range(order), repeat=len(upper)):
-            for (x, y), v in zip(upper, cells):
-                rows[x][y] = rows[y][x] = v
-            g = Groupoid._trusted(tuple(map(tuple, rows)))
-            if g.is_associative():
-                yield g
+    def values(rows, x: int, y: int):
+        return (x,) if x == y else (rows[y][x],) if y < x else range(order)
 
-    return tuple(MeetSemilattice(g.rows) for g in _representatives(candidates()))
+    return tuple(MeetSemilattice(g.rows) for g in _table_classes(order, values))
 
 
 @lru_cache(maxsize=None)
 def enumerate_group_tables(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Representatives of every group of the given order, one table per
-    isomorphism class, with the identity at index 0."""
+    isomorphism class, with the identity at index 0: the identity's row and
+    column are fixed, and every other cell takes each element at most once
+    per row and once per column."""
     if order < 1:
         raise ValueError("order must be at least 1")
     if order > MAX_GROUP_ORDER:
         raise LimitsTooLarge(
             f"group enumeration is capped at order {MAX_GROUP_ORDER}"
         )
-    n = order
-    rows = [[-1] * n for _ in range(n)]
-    rows[0] = list(range(n))
-    for x in range(n):
-        rows[x][0] = x
-    row_used = [set(rows[x][:1]) if x else set(range(n)) for x in range(n)]
-    col_used = [{rows[0][y]} for y in range(n)]
-    col_used[0] = set(range(n))
-    cells = [(x, y) for x in range(1, n) for y in range(1, n)]
-    tables: list[Groupoid] = []
 
-    def place(i: int):
-        if i == len(cells):
-            g = Groupoid._trusted(tuple(tuple(r) for r in rows))
-            if g.is_associative():
-                tables.append(g)
-            return
-        x, y = cells[i]
-        for v in range(n):
-            if v in row_used[x] or v in col_used[y]:
-                continue
-            rows[x][y] = v
-            row_used[x].add(v)
-            col_used[y].add(v)
-            place(i + 1)
-            row_used[x].discard(v)
-            col_used[y].discard(v)
-        rows[x][y] = -1
+    def values(rows, x: int, y: int):
+        if x == 0 or y == 0:
+            return (x or y,)
+        used = {*rows[x][:y], *(row[y] for row in rows[:x])}
+        return [v for v in range(order) if v not in used]
 
-    place(0)
-    return tuple(g.rows for g in _representatives(tables))
+    return tuple(g.rows for g in _table_classes(order, values))
 
 
 @lru_cache(maxsize=None)

@@ -354,6 +354,9 @@ def test_twisted_semigroup_battery():
     }
 
 
+_NOT_AUTOMORPHISM = "mapping is not a self-inverse automorphism of the base table"
+
+
 def test_twisted_semigroup_preconditions():
     with pytest.raises(PreconditionViolated):
         check_twisted_semigroup(Z3_TWIST, Z3_TWIST, Z3_NEGATION)  # base not assoc
@@ -361,6 +364,9 @@ def test_twisted_semigroup_preconditions():
         check_twisted_semigroup(Z3_TWIST, Z3, (1, 0, 2))  # not an automorphism
     with pytest.raises(PreconditionViolated):
         check_twisted_semigroup(Z3, Z3, Z3_NEGATION)  # twist-back mismatch
+    for f in ((0, 1), (0, 2, 1, 3)):  # a map of the wrong length
+        with pytest.raises(PreconditionViolated, match=_NOT_AUTOMORPHISM):
+            check_twisted_semigroup(Z3_TWIST, Z3, f)
 
 
 def test_slg_battery_names_and_fixture():
@@ -378,12 +384,7 @@ _FORK = Groupoid(((0, 0, 0), (0, 1, 0), (0, 0, 2)))
     [
         (Z3_TWIST, Z3, Z3_NEGATION, None),
         (BAND3, BAND3, (0, 1, 2), "base table is not a semilattice of groups"),
-        (
-            Z3,
-            Z3,
-            (1, 0, 2),
-            "mapping is not a self-inverse automorphism of the base table",
-        ),
+        (Z3, Z3, (1, 0, 2), _NOT_AUTOMORPHISM),
         (
             twist(_FORK, (0, 2, 1)),
             _FORK,
@@ -391,8 +392,10 @@ _FORK = Groupoid(((0, 0, 0), (0, 1, 0), (0, 0, 2)))
             "mapping does not fix every idempotent of the base table",
         ),
         (Z3, Z3, Z3_NEGATION, "groupoid is not the twist of the base table"),
+        (Z3_TWIST, Z3, (0, 1), _NOT_AUTOMORPHISM),
+        (Z3_TWIST, Z3, (0, 2, 1, 3), _NOT_AUTOMORPHISM),
     ],
-    ids=["holds", "base", "automorphism", "idempotents", "twist"],
+    ids=["holds", "base", "automorphism", "idempotents", "twist", "short", "long"],
 )
 def test_slg_twist_hypothesis_names_the_first_unmet_part(g, star, f, problem):
     # decide verifies its witness with the same check.

@@ -95,6 +95,13 @@ def test_random_groupoids_deterministic_and_partitionable():
     assert full != other
     with pytest.raises(ValueError):
         next(random_groupoids(0, 1, seed=9))
+    # The bounds of SweepConfig: a negative count would pass vacuously, and
+    # seeds s and s + 2**64 would draw the same tables.
+    with pytest.raises(ValueError, match="count must be at least 0"):
+        next(random_groupoids(2, -3, seed=1))
+    for seed in (-1, MASK64 + 1):
+        with pytest.raises(ValueError, match="seed must be in"):
+            next(random_groupoids(2, 1, seed))
     # Table i is a pure function of (seed, i): recomputing any index alone
     # gives the same table, which is what makes chunking sound.
     cells = 16
@@ -205,6 +212,44 @@ def test_enumerate_semilattices():
         assert all(
             r.meet[x][y] == r.meet[y][x] for x in range(3) for y in range(3)
         )
+
+
+def test_semilattice_classes_match_independent_counts(monkeypatch):
+    # OEIS A006966 shifted by one (a semilattice with a top added is a
+    # lattice): 1, 1, 2, 5 and 15 meet semilattices up to isomorphism.
+    # The cap is lifted here only, and the cache is cleared so that the
+    # capped order-4 call of test_enumerate_semilattices still raises.
+    monkeypatch.setattr(enumeration, "MAX_SEMILATTICE_ORDER", 5)
+    try:
+        counts = [len(enumerate_semilattices(k)) for k in range(1, 6)]
+        order4 = [r.meet for r in enumerate_semilattices(4)]
+    finally:
+        enumerate_semilattices.cache_clear()
+    assert counts == [1, 1, 2, 5, 15]
+    assert order4 == [
+        ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3)),
+        ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 2), (0, 0, 2, 3)),
+        ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3)),
+        ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 1), (0, 1, 1, 3)),
+        ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 2), (0, 1, 2, 3)),
+    ]
+
+
+def _semigroup_classes(n):
+    """The backtracker with every cell free: one table per semigroup class."""
+    reps = enumeration._table_classes(n, lambda rows, x, y: range(n))
+    assert all(g.is_associative() for g in reps)
+    return reps
+
+
+def test_table_classes_count_semigroups():
+    # OEIS A027851: 1, 5 and 24 semigroups up to isomorphism.
+    assert [len(_semigroup_classes(n)) for n in (1, 2, 3)] == [1, 5, 24]
+
+
+@pytest.mark.extended
+def test_table_classes_count_semigroups_of_order_four():
+    assert len(_semigroup_classes(4)) == 188
 
 
 def test_enumerate_group_tables():

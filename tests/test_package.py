@@ -57,3 +57,36 @@ def test_row_encoding_lives_in_groupoid():
         if word in path.read_text()
     }
     assert users == {"groupoid.py"}
+
+
+def test_every_private_name_is_read_in_the_package():
+    # A module-level private name that no code in the package reads is
+    # dead code, such as a helper that a refactor left behind.
+    import ast
+    from pathlib import Path
+
+    src = Path(gpdtools.__file__).parent
+    trees = [ast.parse(path.read_text(), str(path)) for path in src.glob("*.py")]
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                single = isinstance(node, ast.AnnAssign)
+                defined.update(
+                    n.id
+                    for target in ([node.target] if single else node.targets)
+                    for n in ast.walk(target)
+                    if isinstance(n, ast.Name)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    private = {n for n in defined if n.startswith("_") and not n.endswith("__")}
+    assert len(private) > 50
+    assert sorted(private - read) == []
