@@ -409,6 +409,7 @@ def decompose(g: Groupoid, alpha: Mapping) -> ConstructionSpec:
             members[index_of[e_label]].append(a)
     blocks = tuple((e_label, *rest) for e_label, rest in zip(idem, members))
 
+    # Every element lies in the block of a·a⁻¹ or heads its own: local is total.
     local: dict[int, tuple[int, int]] = {}
     for e, block in enumerate(blocks):
         for i, gid in enumerate(block):
@@ -421,8 +422,8 @@ def decompose(g: Groupoid, alpha: Mapping) -> ConstructionSpec:
             row = []
             for b in block:
                 p = rows[alpha[a]][b]  # untwisted product
-                home = local.get(p)
-                if home is None or home[0] != e:
+                home = local[p]
+                if home[0] != e:
                     raise NotDetermined(
                         f"untwisted block {e} is not closed at ({a},{b})"
                     )
@@ -430,8 +431,8 @@ def decompose(g: Groupoid, alpha: Mapping) -> ConstructionSpec:
             table.append(tuple(row))
         images = []
         for a in block:
-            home = local.get(alpha[a])
-            if home is None or home[0] != e:
+            home = local[alpha[a]]
+            if home[0] != e:
                 raise NotDetermined(f"mapping does not preserve block {e}")
             images.append(home[1])
         groups.append(GroupSpec._trusted(tuple(table), tuple(images)))
@@ -442,8 +443,8 @@ def decompose(g: Groupoid, alpha: Mapping) -> ConstructionSpec:
         images = []
         for b in blocks[f]:
             p = rows[e_label][b]
-            home = local.get(p)
-            if home is None or home[0] != e:
+            home = local[p]
+            if home[0] != e:
                 raise NotDetermined(
                     f"connecting image {e_label}*{b}={p} misses block {e}"
                 )

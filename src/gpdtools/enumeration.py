@@ -649,48 +649,39 @@ def _involution_laws_for(
         lt = in_lt(g, f)
         # Read only where both the shifted and the absorption law hold.
         hom = shifted and absorb and is_homomorphism(f, g, g)
-        strong = shifted and assoc and absorb
-        yield (
-            {
-                "strong_shift_forces_idempotency": (
-                    (band or f"mapping={f}") if strong else None
-                ),
-                "strong_shift_automorphism_iff_left_translation": (
-                    (hom == lt or f"mapping={f}") if strong else None
-                ),
-                "strong_shift_right_translation_iff_identity": (
-                    (in_rt(g, f) == (f == identity) or f"mapping={f}")
-                    if strong
-                    else None
-                ),
-                "nontrivial_automorphism_swaps_absorbing_pair": (
-                    (
-                        any(
-                            f[a] != a
-                            and g.product(a, f[a]) == f[a]
-                            and g.product(f[a], a) == a
-                            for a in g
-                        )
-                        or f"mapping={f}"
-                    )
-                    if strong and band and hom and f != identity
-                    else None
-                ),
-                "absorbing_left_translation_forces_idempotency": (
-                    (band or f"mapping={f}") if absorb and lt else None
-                ),
-                "absorbing_left_translation_shift_makes_automorphism": (
-                    (hom or f"mapping={f}") if absorb and lt and shifted else None
-                ),
-                "idempotency_with_shift_forces_absorption": (
-                    (absorb or f"mapping={f}") if band and shifted else None
-                ),
-                "left_translation_shift_idempotency_iff_absorption": (
-                    (band == absorb or f"mapping={f}") if lt and shifted else None
-                ),
-            },
-            inst,
-        )
+        verdicts = {}
+        if shifted and absorb and assoc:  # the strong shift
+            verdicts["strong_shift_forces_idempotency"] = band or f"mapping={f}"
+            verdicts["strong_shift_automorphism_iff_left_translation"] = (
+                hom == lt or f"mapping={f}"
+            )
+            verdicts["strong_shift_right_translation_iff_identity"] = (
+                in_rt(g, f) == (f == identity) or f"mapping={f}"
+            )
+            if band and hom and f != identity:
+                verdicts["nontrivial_automorphism_swaps_absorbing_pair"] = any(
+                    f[a] != a
+                    and g.product(a, f[a]) == f[a]
+                    and g.product(f[a], a) == a
+                    for a in g
+                ) or f"mapping={f}"
+        if absorb and lt:
+            verdicts["absorbing_left_translation_forces_idempotency"] = (
+                band or f"mapping={f}"
+            )
+            if shifted:
+                verdicts["absorbing_left_translation_shift_makes_automorphism"] = (
+                    hom or f"mapping={f}"
+                )
+        if band and shifted:
+            verdicts["idempotency_with_shift_forces_absorption"] = (
+                absorb or f"mapping={f}"
+            )
+        if lt and shifted:
+            verdicts["left_translation_shift_idempotency_iff_absorption"] = (
+                band == absorb or f"mapping={f}"
+            )
+        yield verdicts, inst
 
 
 def _suite_involution_laws(chunk: _Chunk):
@@ -717,57 +708,46 @@ def _inverse_laws_for(
         if not is_homomorphism(f, g, g):
             continue
         e_fixed = all(f[e] == e for e in facts.idempotents)
-        canonical = all(
-            f[a] == g.product(a, g.product(inv[a], a)) for a in g
-        )
+        canonical = all(f[a] == g.product(a, g.product(inv[a], a)) for a in g)
         antihom = facts.antihomomorphism(f)
         regular_hypothesis = facts.strongly_regular and facts.e_semilattice and e_fixed
         shifted = (products_idem or regular_hypothesis) and shifted_associativity(g, f)
-        yield (
-            {
-                "unique_inverses_shift_efixed_iff_canonical": (
-                    (e_fixed == canonical or f"mapping={f}")
-                    if products_idem and untwist(g, f).is_associative()
-                    else None
-                ),
-                "right_bol_antihomomorphism_forces_semilattice": (
-                    (facts.e_semilattice or f"mapping={f}")
-                    if e_fixed and antihom and facts.right_bol
-                    else None
-                ),
-                "shift_fixes_idempotents": (
-                    (e_fixed or f"mapping={f}") if products_idem and shifted else None
-                ),
-                "shift_forces_canonical_formula": (
-                    (canonical or f"mapping={f}") if products_idem and shifted else None
-                ),
-                "shift_semilattice_iff_antihomomorphism": (
-                    (facts.e_semilattice == antihom or f"mapping={f}")
-                    if products_idem and shifted
-                    else None
-                ),
-                "strong_regularity_shift_forces_completely_inverse": (
-                    (facts.completely_inverse or f"mapping={f}")
-                    if regular_hypothesis and shifted
-                    else None
-                ),
-            },
-            inst,
-        )
+        verdicts = {}
+        if products_idem and untwist(g, f).is_associative():
+            verdicts["unique_inverses_shift_efixed_iff_canonical"] = (
+                e_fixed == canonical or f"mapping={f}"
+            )
+        if e_fixed and antihom and facts.right_bol:
+            verdicts["right_bol_antihomomorphism_forces_semilattice"] = (
+                facts.e_semilattice or f"mapping={f}"
+            )
+        if products_idem and shifted:
+            verdicts["shift_fixes_idempotents"] = e_fixed or f"mapping={f}"
+            verdicts["shift_forces_canonical_formula"] = canonical or f"mapping={f}"
+            verdicts["shift_semilattice_iff_antihomomorphism"] = (
+                facts.e_semilattice == antihom or f"mapping={f}"
+            )
+        if regular_hypothesis and shifted:
+            verdicts["strong_regularity_shift_forces_completely_inverse"] = (
+                facts.completely_inverse or f"mapping={f}"
+            )
+        yield verdicts, inst
 
 
-def _canonical_law(facts: _Facts) -> bool | str | None:
-    """The verdict of ``canonical_shift_iff_right_bol`` on one table."""
+def _canonical_law(facts: _Facts) -> dict[str, bool | str]:
+    """The verdict of ``canonical_shift_iff_right_bol`` on one table, or no
+    verdict when its hypotheses fail."""
     if not facts.completely_inverse:
-        return None
+        return {}
     g, c = facts.g, facts.canonical
     if not (
         is_involution(c)
         and is_homomorphism(c, g, g)
         and (facts.e_semilattice or facts.antihomomorphism(c))
     ):
-        return None
-    return shifted_associativity(g, c) == facts.right_bol or f"canonical={c}"
+        return {}
+    law = shifted_associativity(g, c) == facts.right_bol or f"canonical={c}"
+    return {"canonical_shift_iff_right_bol": law}
 
 
 def _suite_inverse_laws(chunk: _Chunk):
@@ -781,13 +761,13 @@ def _suite_inverse_laws(chunk: _Chunk):
             continue
         inst = partial(_table_id, g)
         yield from _inverse_laws_for(facts, involutions(g.order), inst)
-        yield {"canonical_shift_iff_right_bol": _canonical_law(facts)}, inst
+        yield _canonical_law(facts), inst
     for built in chunk.specs:
         inst = partial(_spec_id, built.spec)
         determined = _Facts(built.determined)
         yield from _inverse_laws_for(determined, (built.alpha,), inst)
         yield from _inverse_laws_for(_Facts(built.strong), (built.alpha,), inst)
-        yield {"canonical_shift_iff_right_bol": _canonical_law(determined)}, inst
+        yield _canonical_law(determined), inst
 
 
 def _suite_slg_conclusions(chunk: _Chunk):

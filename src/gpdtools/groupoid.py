@@ -32,17 +32,15 @@ def _compositions(rows) -> tuple:
     row of x it is the row of ``x*(y*_)``.  Every kernel that composes rows
     goes through here, and the encoding lives for one kernel call.
 
-    Orders from :data:`_BYTE_ROWS_FROM` to 256 encode rows as ``bytes``:
+    Orders from :data:`_BYTE_ROWS_FROM` to 256, and order 1, whose one-index
+    ``itemgetter`` would return a bare item, encode rows as ``bytes``:
     ``lookup(v)`` is ``v`` as bytes padded to 256, a composition is one
     ``bytes.translate`` and a comparison one ``memcmp``, all in C.  Other
     orders keep tuples, composed by ``itemgetter``: below, the encoding
     costs more than it saves; above, an element does not fit in a byte.
     """
     n = len(rows)
-    if n < _BYTE_ROWS_FROM or n > 256:
-        if n == 1:
-            # itemgetter with one index returns the bare item, not a 1-tuple.
-            return rows, [lambda v: (v[0],)], tuple
+    if 1 < n < _BYTE_ROWS_FROM or n > 256:
         return rows, list(starmap(itemgetter, rows)), tuple
     enc = list(map(bytes, rows))
     pad = bytes(256 - n)

@@ -59,7 +59,10 @@ def involutions(n: int) -> tuple[Mapping, ...]:
 
 
 def is_homomorphism(f: Mapping, g: Groupoid, h: Groupoid) -> bool:
-    """True when ``f(x *_g y) == f(x) *_h f(y)`` for all x, y."""
+    """True when ``f`` maps the carrier of ``g`` into that of ``h`` and
+    ``f(x *_g y) == f(x) *_h f(y)`` for all x, y."""
+    if len(f) != g.order or min(f) < 0 or max(f) >= h.order:
+        return False
     grows = g.rows
     hrows = h.rows
     return all(

@@ -1174,3 +1174,34 @@ def test_passing_sweep_formats_no_detail(monkeypatch):
     assert all(ok is True or ok is None for ok in verdicts_seen)
     assert None in verdicts_seen
     assert made == []
+
+
+def test_built_in_suites_leave_out_the_laws_they_skip():
+    # A built-in suite leaves a law out of its verdict map when the law's
+    # hypotheses fail, so it yields no None; class_relations alone yields
+    # check_class_relations' public report, whose vacuous laws are None.
+    config = SweepConfig(
+        max_exhaustive_order=2,
+        sample_count=20,
+        max_semilattice_order=2,
+        max_group_order=3,
+    )
+    chunk = enumeration._Chunk(config, 0, 1)
+    built_in = (
+        "goldens",
+        "square_classes",
+        "ad_equivalence",
+        "class_relations",
+        "involution_laws",
+        "inverse_laws",
+        "slg_conclusions",
+        "decision_coherence",
+        "construction_roundtrip",
+    )
+    skipped = {}
+    for name in built_in:
+        maps = [verdicts for verdicts, _ in SUITES[name](chunk)]
+        assert any(maps), name
+        skipped[name] = sum(None in verdicts.values() for verdicts in maps)
+    assert skipped.pop("class_relations") > 0
+    assert skipped == dict.fromkeys(skipped, 0)

@@ -285,6 +285,12 @@ def test_homomorphism_and_swap_facts():
     assert is_homomorphism(FLIP2_SWAP, FLIP2, FLIP2)
     assert is_homomorphism(Z3_NEGATION, Z3, Z3)
     assert is_homomorphism(identity_mapping(3), Z3, Z3)
+    # A map that does not fit the carriers is no homomorphism: too long,
+    # too short, or with an image outside the target.
+    assert not is_homomorphism((0, 2, 1, 3), Z3, Z3)
+    assert not is_homomorphism((0, 1), Z3, Z3)
+    null2 = _null_semigroup(2)
+    assert not is_homomorphism((0, -1), null2, null2)
 
 
 def test_find_isomorphism():

@@ -90,3 +90,40 @@ def test_every_private_name_is_read_in_the_package():
     private = {n for n in defined if n.startswith("_") and not n.endswith("__")}
     assert len(private) > 50
     assert sorted(private - read) == []
+
+
+def test_caches_are_pinned():
+    # The package memoises exactly these functions; a new cache has to be
+    # argued for, because a cache holds its tables alive for the process.
+    import ast
+    from pathlib import Path
+
+    src = Path(gpdtools.__file__).parent
+    cached, uses = set(), 0
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                cached.update(
+                    node.name
+                    for d in node.decorator_list
+                    for n in ast.walk(d)
+                    if isinstance(n, ast.Name) and n.id == "lru_cache"
+                )
+            uses += isinstance(node, ast.Name) and node.id == "lru_cache"
+            uses += isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+    assert cached == {
+        "_meet_problems",
+        "_block_problems",
+        "_map_problems",
+        "_shift_candidates",
+        "enumerate_semilattices",
+        "enumerate_group_tables",
+        "_group_homomorphisms",
+        "_compatible_homs",
+        "inverse_table",
+        "involutions",
+        "automorphisms",
+        "involutive_automorphisms",
+    }
+    # No cache is made outside a decorator either.
+    assert uses == len(cached)
