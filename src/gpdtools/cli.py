@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .clifford import decompose, build_determined, parse_cspec, serialize_cspec
-from .determination import decide, is_semilattice_of_groups
+from .determination import _report_json, decide, is_semilattice_of_groups
 from .enumeration import SweepConfig, run_sweep
 from .errors import (
     GpdError,
@@ -86,7 +86,7 @@ def _render_text(data, prefix: str = "") -> list[str]:
 
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_report_json(report))
     else:
         print("\n".join(_render_text(report)))
 
@@ -223,48 +223,39 @@ def cmd_examples(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gpdtools",
-        description=(
-            "Verify, decide, construct, and sweep finite one-operation "
-            "tables determined by twisted semilattices of groups."
-        ),
+def _add_format(p) -> None:
+    p.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="report format (default text)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text",
-            help="report format (default text)",
-        )
 
-    p = sub.add_parser("check", help="print structural predicates of a table")
+def _check_args(p) -> None:
     p.add_argument("table", help="path to a .gpd file")
     p.add_argument("mapping", nargs="?", help="optional path to a .map file")
-    add_format(p)
-    p.set_defaults(func=cmd_check)
+    _add_format(p)
 
-    p = sub.add_parser("decide", help="decide whether a table is determined")
+
+def _decide_args(p) -> None:
     p.add_argument("table", help="path to a .gpd file")
-    add_format(p)
-    p.set_defaults(func=cmd_decide)
+    _add_format(p)
 
-    p = sub.add_parser("build", help="build table + mapping from a .cspec")
+
+def _build_args(p) -> None:
     p.add_argument("spec", help="path to a .cspec file")
     p.add_argument("--out", help="output prefix (writes PREFIX.gpd and PREFIX.map)")
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("decompose", help="decompose a determined table into a .cspec")
+
+def _decompose_args(p) -> None:
     p.add_argument("table", help="path to a .gpd file")
     p.add_argument(
         "mapping", nargs="?",
         help="optional path to a .map file (default: the decision witness)",
     )
     p.add_argument("--out", help="output prefix (writes PREFIX.cspec)")
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("sweep", help="run property suites over the instance space")
+
+def _sweep_args(p) -> None:
     p.add_argument("--max-order", type=int, default=3,
                    help="largest exhaustively enumerated order (default 3)")
     p.add_argument("--sample-order", type=int, default=4,
@@ -282,19 +273,59 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true",
                    help="permit exhaustive orders above 3")
     p.add_argument("--out", help="write the JSON report to this path")
-    add_format(p)
-    p.set_defaults(func=cmd_sweep)
+    _add_format(p)
 
-    p = sub.add_parser("examples", help="write the bundled fixtures to a directory")
+
+def _examples_args(p) -> None:
     p.add_argument("--out", default=".", help="target directory (default: .)")
-    p.set_defaults(func=cmd_examples)
 
+
+#: Each subcommand: its handler, the function that adds its arguments, and
+#: its help line.
+_COMMANDS = {
+    "check": (cmd_check, _check_args, "print structural predicates of a table"),
+    "decide": (cmd_decide, _decide_args, "decide whether a table is determined"),
+    "build": (cmd_build, _build_args, "build table + mapping from a .cspec"),
+    "decompose": (
+        cmd_decompose, _decompose_args, "decompose a determined table into a .cspec"
+    ),
+    "sweep": (cmd_sweep, _sweep_args, "run property suites over the instance space"),
+    "examples": (
+        cmd_examples, _examples_args, "write the bundled fixtures to a directory"
+    ),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for one command line.
+
+    Every subcommand is registered with its help line, so the usage, the
+    help and the unknown-command error list them all; only the subcommands
+    whose names occur in ``argv`` get their arguments.  The invoked one is
+    always among them (it is an element of ``argv``), and the arguments of
+    a subcommand that is not invoked never take part in parsing.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gpdtools",
+        description=(
+            "Verify, decide, construct, and sweep finite one-operation "
+            "tables determined by twisted semilattices of groups."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, add_arguments, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name in argv:
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command and map its outcome to the exit code."""
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         # Flush here so that a closed pipe is met inside this block.

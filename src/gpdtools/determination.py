@@ -477,6 +477,30 @@ class CriterionVerdict:
     failed_conditions: tuple[str, ...]
 
 
+def _report_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, the same bytes.
+
+    Every report (decision, check and sweep) is written here.  The
+    standard encoder steps through each element in Python when ``indent``
+    is set; a list or tuple of plain ints, such as a row of a witness
+    table, is written in one join instead.  Dict keys must be ``str``.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (
+            f"{json.dumps(key)}: {_report_json(value[key], inner)}"
+            for key in sorted(value)
+        )
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {int}:  # not bools: str(True) is not JSON
+            items = map(str, value)
+        else:
+            items = (_report_json(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
+
+
 @dataclass(frozen=True)
 class Witness:
     """A verified decomposition: ``twist(star, alpha)`` equals the input."""
@@ -516,7 +540,7 @@ class DecisionReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _report_json(self.to_dict()) + "\n"
 
 
 def _criterion_completely_inverse(facts: _Facts) -> CriterionVerdict:

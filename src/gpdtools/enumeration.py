@@ -17,8 +17,6 @@ JSON form is independent of the partitioning.
 from __future__ import annotations
 
 import itertools
-import json
-import multiprocessing
 import os
 import time
 from collections import Counter
@@ -40,6 +38,7 @@ from .clifford import (
 )
 from .determination import (
     DESCENT_PAIRS,
+    _report_json,
     ad_membership_characterized_profile,
     ad_membership_profile,
     check_class_relations,
@@ -438,7 +437,7 @@ class SweepReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _report_json(self.to_dict()) + "\n"
 
 
 class _BuiltSpec(NamedTuple):
@@ -978,6 +977,10 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     else:
         args = [(resolved, c, jobs) for c in range(jobs)]
         workers = min(jobs, os.cpu_count() or 1)
+        # Imported here: it loads socket, pickle and selectors, which no
+        # other command or serial sweep needs.
+        import multiprocessing
+
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             results = pool.starmap(_run_chunk, args)
     counts: Counter = Counter()

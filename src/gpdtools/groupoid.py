@@ -277,7 +277,8 @@ def parse_groupoid(text: str) -> Groupoid:
     n = lines.size("order")
     rows = tuple(lines.ints(n, n, "row") for _ in range(n))
     lines.end()
-    return Groupoid(rows)
+    # ``ints`` has checked every row's length and every entry's range.
+    return Groupoid._trusted(rows)
 
 
 def serialize_groupoid(g: Groupoid) -> str:

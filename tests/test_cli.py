@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import gpdtools
-from gpdtools import cli
+import gpdtools.enumeration as enumeration
+from gpdtools import cli, decide
 from gpdtools.cli import main
+from gpdtools.determination import _report_json
 from gpdtools.errors import NotDetermined, TheoremViolation
+from gpdtools.fixtures import FIXTURES
 from gpdtools.groupoid import Groupoid
 
 from .test_clifford import NON_TRANSITIVE_CSPEC
@@ -496,3 +499,109 @@ def test_closed_stdout_exits_quietly():
         os.close(write)
     assert proc.returncode == 141
     assert proc.stderr == b""  # no traceback and no message
+
+
+# ---------------------------------------------------------------------------
+# the parser and the report writer
+# ---------------------------------------------------------------------------
+
+
+_ARGV_CORPUS = [
+    *([name, "-h"] for name in cli._COMMANDS),
+    [],
+    ["-h"],
+    ["nope", "t.gpd"],
+    ["--format", "json"],
+    ["--", "decide", "t.gpd"],
+    ["decide", "--", "t.gpd"],
+    ["check", "t.gpd"],
+    ["check", "t.gpd", "t.map", "--format", "json"],
+    ["check", "decide"],
+    ["decide", "t.gpd"],
+    ["decide", "--format", "json", "t.gpd"],
+    ["build", "s.cspec", "--out", "p"],
+    ["decompose", "t.gpd"],
+    ["decompose", "t.gpd", "t.map", "--out", "p"],
+    ["sweep"],
+    ["sweep", "--jobs", "2", "--suites", "goldens", "--allow-large", "--seed", "7"],
+    ["sweep", "--max-ord", "2"],
+    ["examples"],
+    ["examples", "--out", "d"],
+    ["check"],
+    ["decide"],
+    ["build"],
+    ["decompose", "--out", "p"],
+    ["decide", "t.gpd", "--format", "xml"],
+    ["decide", "t.gpd", "--out", "p"],
+    ["check", "a", "b", "c"],
+    ["sweep", "--jobs", "two"],
+    ["sweep", "decide"],
+    ["examples", "extra"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
+def test_parser_for_the_invoked_command_matches_the_full_parser(argv, capsys):
+    # Each command line gets only its subcommands' arguments; it parses to
+    # the same namespace as with every subcommand's arguments, or exits
+    # with the same code and the same help or error text.
+    full = _parse(cli._build_parser(list(cli._COMMANDS)), argv, capsys)
+    assert _parse(cli._build_parser(argv), argv, capsys) == full
+
+
+_EDGE_VALUES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": {}}},
+    (1, 2, 3),
+    [[0, 1], [1, 0]],
+    ((0,),),
+    [True, False],
+    [1, True, 0, False],
+    [None, None],
+    None,
+    True,
+    -5,
+    10**30,
+    [-1, 0, 10**20, -(10**20)],
+    [1.0, 2, 0.5],
+    {"x": 1e300, "y": -2.5e-10, "z": float("inf"), "w": float("nan")},
+    "é \"quoted\" \\ \n\t  \U0001f600",
+    {"b": 1, "a": 2, "B": 3, "é": 4, "a\"b": [None], "": 0},
+    {"k": (True, None, "s", 1.5, [2, [3, []]])},
+]
+
+
+def test_report_json_matches_the_standard_encoder(monkeypatch):
+    # The one report writer gives the bytes of the standard encoder on
+    # every report the package writes and on values no report has yet.
+    reports = [
+        decide(g).to_dict() for n in (1, 2) for g in gpdtools.enumerate_groupoids(n)
+    ]
+    for table, mapping, _ in FIXTURES.values():
+        reports.append(decide(table).to_dict())
+        reports.append(cli._check_report(table, None))
+        reports.append(cli._check_report(table, mapping))
+    # A sweep whose twist battery fails twice on every instance, once with
+    # a string detail.
+    verdicts = {"holds": True, "fails": False, "why": "é \"quoted\"", "skip": None}
+    monkeypatch.setattr(enumeration, "check_twisted_slg", lambda *args: verdicts)
+    config = gpdtools.SweepConfig(
+        max_exhaustive_order=2, sample_count=0, max_semilattice_order=2,
+        max_group_order=2, suites=("goldens", "slg_conclusions"),
+    )
+    reports.append(gpdtools.run_sweep(config).to_dict())
+    assert len(reports[-1]["counterexamples"]) > 10
+    assert len(reports) == 1 + 16 + 3 * len(FIXTURES) + 1
+    for value in reports + _EDGE_VALUES:
+        assert _report_json(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -501,9 +502,7 @@ def test_sweep_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
     class FakeContext:
         Pool = FakePool
 
-    monkeypatch.setattr(
-        enumeration.multiprocessing, "get_context", lambda _: FakeContext
-    )
+    monkeypatch.setattr(multiprocessing, "get_context", lambda _: FakeContext)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
     report = run_sweep(_SMALL, jobs=500)
     assert sizes == [workers]

@@ -127,3 +127,23 @@ def test_caches_are_pinned():
     }
     # No cache is made outside a decorator either.
     assert uses == len(cached)
+
+
+def test_import_leaves_out_multiprocessing():
+    # Only a sweep that starts a worker pool imports multiprocessing, which
+    # loads socket, pickle and selectors; no other command pays for them.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(gpdtools.__file__).resolve().parents[1])
+    code = "import sys, gpdtools, gpdtools.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
