@@ -296,15 +296,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for one command line.
-
-    Every subcommand is registered with its help line, so the usage, the
-    help and the unknown-command error list them all; only the subcommands
-    whose names occur in ``argv`` get their arguments.  The invoked one is
-    always among them (it is an element of ``argv``), and the arguments of
-    a subcommand that is not invoked never take part in parsing.
-    """
+def _full_parser() -> argparse.ArgumentParser:
+    """Every subcommand with all its arguments: words top-level help and errors."""
     parser = argparse.ArgumentParser(
         prog="gpdtools",
         description=(
@@ -315,17 +308,35 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, add_arguments, help_line) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        if name in argv:
-            add_arguments(p)
+        add_arguments(p)
         p.set_defaults(func=func)
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse one command line, with the invoked subcommand's parser alone.
+
+    The full parser has no option but ``-h`` before the subcommand, so it
+    hands ``argv[1:]`` to the subparser ``gpdtools <argv[0]>``, which gives
+    the namespace, help and errors on its own.  Lines that do not start
+    with a subcommand, or leave arguments over, go to the full parser.
+    """
+    if argv and argv[0] in _COMMANDS:
+        func, add_arguments, _ = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"gpdtools {argv[0]}")
+        add_arguments(parser)
+        parser.set_defaults(command=argv[0], func=func)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _full_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command and map its outcome to the exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         code = args.func(args)
         # Flush here so that a closed pipe is met inside this block.

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven through ``main(argv)``."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -537,12 +538,32 @@ _ARGV_CORPUS = [
     ["sweep", "--jobs", "two"],
     ["sweep", "decide"],
     ["examples", "extra"],
+    # Lines that reach the fallback to the full parser, or sit next to it.
+    ["decide", "t.gpd", "extra"],
+    ["decide", "check"],
+    ["decide", "--bogus", "t.gpd"],
+    ["decide", "t.gpd", "--bogus"],
+    ["decide", "t.gpd", "-x"],
+    ["decide", "t.gpd", "--"],
+    ["decide", "--", "t.gpd", "extra"],
+    ["decide", "--form", "json", "t.gpd"],
+    ["check", "t.gpd", "--form=json"],
+    ["sweep", "--jobs=2"],
+    ["sweep", "--seed", "-1"],
+    ["decide", "t.gpd", "--format", "json", "--format", "text"],
+    ["decide", "t.gpd", "-h"],
+    ["decide", "t.gpd", "--he"],
+    ["-h", "decide"],
+    ["dec", "t.gpd"],
+    ["Decide", "t.gpd"],
+    ["examples", "--out"],
+    ["sweep", "--jobs", "2", "extra"],
 ]
 
 
-def _parse(parser, argv, capsys):
+def _parse(parse, argv, capsys):
     try:
-        outcome = vars(parser.parse_args(argv))
+        outcome = vars(parse(argv))
     except SystemExit as exc:
         outcome = exc.code
     captured = capsys.readouterr()
@@ -551,11 +572,49 @@ def _parse(parser, argv, capsys):
 
 @pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
 def test_parser_for_the_invoked_command_matches_the_full_parser(argv, capsys):
-    # Each command line gets only its subcommands' arguments; it parses to
-    # the same namespace as with every subcommand's arguments, or exits
-    # with the same code and the same help or error text.
-    full = _parse(cli._build_parser(list(cli._COMMANDS)), argv, capsys)
-    assert _parse(cli._build_parser(argv), argv, capsys) == full
+    # `main` parses a line with the invoked subcommand's parser alone where
+    # it can; the line parses to the same namespace as with the full
+    # parser, or exits with the same code and the same help or error text.
+    full = _parse(cli._full_parser().parse_args, argv, capsys)
+    assert _parse(cli._parse_args, argv, capsys) == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{examples}/band3.gpd"],
+        ["check", "{examples}/z3twist.gpd", "{examples}/z3twist.map",
+         "--format", "json"],
+        ["decide", "{examples}/flip2.gpd"],
+        ["decide", "--format", "json", "{examples}/z3twist.gpd"],
+        ["build", "{examples}/z3twist.cspec"],
+        ["build", "{examples}/z3twist.cspec", "--out", "{tmp}/built"],
+        ["decompose", "{examples}/z3twist.gpd"],
+        ["decompose", "{examples}/z3twist.gpd", "{examples}/z3twist.map",
+         "--out", "{tmp}/d"],
+        ["sweep", "--suites", "goldens", "--samples", "0", "--max-order", "1"],
+        [*_TINY_SWEEP, "--jobs", "1", "--out", "{tmp}/report.json"],
+        ["examples", "--out", "{tmp}/fixtures"],
+    ],
+    ids=" ".join,
+)
+def test_a_valid_line_builds_one_parser(
+    argv, examples_dir, tmp_path, capsys, monkeypatch
+):
+    # Every subcommand's valid lines are parsed by that subcommand's parser
+    # alone: `main` makes no other `ArgumentParser`.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = [arg.format(examples=examples_dir, tmp=tmp_path) for arg in argv]
+    code, _, err = _run(capsys, argv)
+    assert code in (0, 1) and err == ""  # a verdict, not an argument error
+    assert built == [f"gpdtools {argv[0]}"]
 
 
 _EDGE_VALUES = [
