@@ -11,8 +11,9 @@ decomposes any decided-positive groupoid back into such data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain, product
 
 from .errors import InvalidSpec, NotDetermined, NotInverse
 from .groupoid import Groupoid, _check_square, _ContentLines
@@ -64,7 +65,7 @@ class GroupSpec:
         _check_square(self.rows, "group rows", "group")
         m = len(self.rows)
         if len(self.involution) != m or any(
-            not isinstance(v, int) or not 0 <= v < m for v in self.involution
+            type(v) is not int or not 0 <= v < m for v in self.involution
         ):
             raise ValueError("involution images must lie in the group carrier")
 
@@ -106,7 +107,7 @@ class ConstructionSpec:
     semilattice: MeetSemilattice
     groups: tuple[GroupSpec, ...]
     homs: tuple[tuple[tuple[int, int], Mapping], ...]
-    carrier: tuple[tuple[int, ...], ...] | None = field(default=None, compare=True)
+    carrier: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if len(self.groups) != self.semilattice.order:
@@ -174,24 +175,21 @@ def _map_problems(src: GroupSpec, dst: GroupSpec, images: Mapping) -> tuple[str,
     """Violations of one connecting map: fitting the blocks, being a
     homomorphism of the twisted blocks, and commuting with the block
     mappings.  A map that does not fit gets :data:`_MISFIT` alone."""
-    if len(images) != src.order or any(not 0 <= v < dst.order for v in images):
+    if len(images) != src.order or any(
+        type(v) is not int or not 0 <= v < dst.order for v in images
+    ):
         return (_MISFIT,)
     problems = []
     # Homomorphism of the twisted block tables: the twisted product in
     # block f is alpha_f(a) + b, in block e it is alpha_e(u) ∘ v.
     srows, drows = src.rows, dst.rows
     sa, da = src.involution, dst.involution
-    for a in range(src.order):
-        for b in range(src.order):
-            if images[srows[sa[a]][b]] != drows[da[images[a]]][images[b]]:
-                problems.append(
-                    f"not a homomorphism of the twisted blocks at ({a},{b})"
-                )
-                break
-        else:
-            continue
-        break
-    for b in range(src.order):
+    span = range(src.order)
+    for a, b in product(span, span):
+        if images[srows[sa[a]][b]] != drows[da[images[a]]][images[b]]:
+            problems.append(f"not a homomorphism of the twisted blocks at ({a},{b})")
+            break
+    for b in span:
         if da[images[b]] != images[sa[b]]:
             problems.append(f"does not commute with the block mappings at {b}")
             break
@@ -227,9 +225,14 @@ def validate_spec(spec: ConstructionSpec) -> list[str]:
         return problems  # hom-indexed checks below would mis-address blocks
 
     homs = spec.hom_map()
+    # The memo would take False and True for the equal 0 and 1, so images
+    # that are not all ints are checked outside it.
+    check = _map_problems
+    if not {*map(type, chain.from_iterable(homs.values()))} <= {int}:
+        check = _map_problems.__wrapped__
     fitting = set()
     for (f, e), images in homs.items():
-        found = _map_problems(spec.groups[f], spec.groups[e], tuple(images))
+        found = check(spec.groups[f], spec.groups[e], tuple(images))
         if found != (_MISFIT,):
             fitting.add((f, e))
         problems += [f"map ({f}>{e}): {msg}" for msg in found]
@@ -253,11 +256,12 @@ def validate_spec(spec: ConstructionSpec) -> list[str]:
     if spec.carrier is not None:
         sizes = [group.order for group in spec.groups]
         total = sum(sizes)
+        ids = [v for block in spec.carrier for v in block]
         if len(spec.carrier) != k or any(
             len(block) != size for block, size in zip(spec.carrier, sizes)
         ):
             problems.append("carrier blocks do not match the group sizes")
-        elif sorted(v for block in spec.carrier for v in block) != list(range(total)):
+        elif any(type(v) is not int for v in ids) or sorted(ids) != list(range(total)):
             problems.append("carrier is not a partition of the combined range")
 
     return problems

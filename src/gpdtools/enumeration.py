@@ -405,7 +405,7 @@ class SweepConfig:
         return self.suites or tuple(SUITES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Counterexample:
     """One failed check: which suite and law, on which instance."""
 
@@ -988,7 +988,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     for chunk_counts, chunk_failures in results:
         counts.update(chunk_counts)
         failures.extend(chunk_failures)
-    failures.sort(key=lambda c: (c.suite, c.law, c.instance, c.detail))
+    failures.sort()
     return SweepReport(
         config=resolved,
         counts=dict(counts),

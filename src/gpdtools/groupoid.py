@@ -49,13 +49,14 @@ def _compositions(rows) -> tuple:
 
 def _check_square(rows: tuple, rows_name: str, entry_name: str) -> None:
     """Raise ``ValueError`` unless ``rows`` is n tuples of length n with
-    int entries in ``0..n-1``; the messages name the rows and entries."""
+    int entries in ``0..n-1`` (a ``bool`` is not one); the messages name
+    the rows and entries."""
     n = len(rows)
     for row in rows:
         if not isinstance(row, tuple) or len(row) != n:
             raise ValueError(f"expected {n} {rows_name} of length {n}")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"{entry_name} entry {v!r} outside 0..{n - 1}")
 
 
@@ -213,15 +214,14 @@ def _sat_GR0(g: Groupoid) -> bool:
 
 
 def _sat_GRB(g: Groupoid) -> bool:
-    # x*y == (((x*y)*z)*x)*y for all x, y, z
+    # x*y == (((x*y)*z)*x)*y: every w in the row of p = x*y has (w*x)*y == p.
     rows = g.rows
-    n = g.order
-    for x in range(n):
-        for y in range(n):
-            p = rows[x][y]
-            if any(rows[rows[rows[p][z]][x]][y] != p for z in range(n)):
-                return False
-    return True
+    return all(
+        rows[rows[w][x]][y] == p
+        for x, row in enumerate(rows)
+        for y, p in enumerate(row)
+        for w in rows[p]
+    )
 
 
 _CHECKERS = {

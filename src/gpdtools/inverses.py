@@ -120,14 +120,10 @@ def idempotents_form_semilattice(g: Groupoid) -> bool:
     there are no idempotents.
     """
     rows = g.rows
-    idem = sorted(g.idempotents())
-    iset = set(idem)
-    for i, e in enumerate(idem):
-        for f in idem[i:]:
-            p = rows[e][f]
-            if p != rows[f][e] or p not in iset:
-                return False
-    return True
+    idem = g.idempotents()
+    return all(
+        (p := rows[e][f]) == rows[f][e] and p in idem for e in idem for f in idem
+    )
 
 
 def inverse_antihomomorphism_law(g: Groupoid, f: Mapping) -> bool:
@@ -196,15 +192,12 @@ class _Facts:
 
     @_fact
     def completely_inverse(self) -> bool:
-        inv = self.inv
-        if inv is None:
-            return False
-        rows = self.g.rows
-        for x in range(self.g.order):
-            p = rows[x][inv[x]]
-            if p != rows[inv[x]][x] or rows[p][p] != p:
-                return False
-        return True
+        # x*x' == x'*x, and it is idempotent.
+        rows, inv = self.g.rows, self.inv
+        return inv is not None and all(
+            (p := rows[x][y]) == rows[y][x] and p in self.idempotents
+            for x, y in enumerate(inv)
+        )
 
     @_fact
     def strongly_regular(self) -> bool:

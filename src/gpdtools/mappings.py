@@ -41,12 +41,9 @@ def involutions(n: int) -> tuple[Mapping, ...]:
         if done == n:
             result.append(tuple(images))
             return
-        # Candidate images for the smallest unplaced point, ascending:
-        # itself (a fixed point) comes before every larger partner.
-        images[done] = done
-        place(done + 1)
-        images[done] = -1
-        for partner in range(done + 1, n):
+        # Partners of the smallest unplaced point, ascending: itself (a
+        # fixed point) comes before every larger unplaced point.
+        for partner in range(done, n):
             if images[partner] == -1:
                 images[done] = partner
                 images[partner] = done

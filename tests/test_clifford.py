@@ -66,6 +66,8 @@ def test_group_spec_validation():
         GroupSpec(((0, 1), (1, 0)), (0,))  # involution size mismatch
     with pytest.raises(ValueError):
         GroupSpec(((0, 2), (1, 0)), (0, 1))  # entry outside the carrier
+    with pytest.raises(ValueError, match="involution images must lie"):
+        GroupSpec(((0, 1), (1, 0)), (False, True))  # bools are not entries
     with pytest.raises(ValueError):
         ConstructionSpec(POINT, (), ())  # no group for the one element
 
@@ -151,6 +153,11 @@ def test_validate_spec_bad_hom_images():
     out_of_range = ConstructionSpec(CHAIN, (Z1, Z2), (((1, 0), (0, 5)),))
     assert "image" in _problems(out_of_range) or "outside" in _problems(out_of_range)
     assert validate_spec(out_of_range) == ["map (1>0): images do not fit the blocks"]
+    # Bools are not images, also right after the equal int images were
+    # validated.
+    assert validate_spec(CHAIN_SPEC) == []
+    bools = ConstructionSpec(CHAIN, (Z1, Z2), (((1, 0), (False, False)),))
+    assert validate_spec(bools) == ["map (1>0): images do not fit the blocks"]
     # x -> x is not a homomorphism Z2 -> Z1 (images escape the block), use a
     # genuine non-homomorphism instead: Z2 -> Z2 swapping only one value is
     # not even well-formed; send both elements to 1 instead.
@@ -193,6 +200,8 @@ def test_validate_spec_bad_carrier():
     assert validate_spec(spec) == ["carrier is not a partition of the combined range"]
     spec = ConstructionSpec(POINT, (Z2,), (), carrier=((0,),))
     assert validate_spec(spec) == ["carrier blocks do not match the group sizes"]
+    spec = ConstructionSpec(POINT, (Z2,), (), carrier=((False, True),))
+    assert validate_spec(spec) == ["carrier is not a partition of the combined range"]
 
 
 def test_validate_spec_empty_parts_and_list_fields():

@@ -525,6 +525,27 @@ def test_class_relations_match_reference_on_twisted_order_4_semigroups():
         assert report == _reference_class_relations(g), g
 
 
+@pytest.mark.parametrize(
+    "n, twists, determined", [(1, 1, 1), (2, 9, 4), (3, 131, 27), (4, 4071, 320)]
+)
+def test_decided_twists_are_the_twisted_semilattices_of_groups(n, twists, determined):
+    # The census from the definition: among all twists of the semigroups of
+    # order n by their involutive automorphisms, decide accepts exactly the
+    # twists of semilattices of groups by maps fixing every idempotent.
+    semigroups = list(_semigroups(n))
+    corpus = {twist(s, f) for s in semigroups for f in involutive_automorphisms(s)}
+    assert len(corpus) == twists
+    defined = {
+        twist(s, f)
+        for s in semigroups
+        if is_semilattice_of_groups(s)
+        for f in involutive_automorphisms(s)
+        if all(f[e] == e for e in s.idempotents())
+    }
+    assert len(defined) == determined
+    assert {g for g in corpus if decide(g).determined} == defined
+
+
 def test_decide_fixtures():
     assert set(CRITERIA) == {
         "completely_inverse_automorphism",

@@ -309,6 +309,8 @@ def test_groupoid_validation():
         Groupoid(())
     with pytest.raises(TypeError):
         Groupoid([(0,)])
+    with pytest.raises(ValueError, match="table entry False outside 0..1"):
+        Groupoid.from_rows([[False, True], [True, False]])
 
 
 def test_parse_serialize_roundtrip():
