@@ -3,6 +3,12 @@
 A mapping on ``0..n-1`` is a tuple ``f`` of length ``n`` with ``f[x]`` the
 image of ``x``.  Enumeration helpers always yield mappings in lexicographic
 order of that tuple, so "first found" results are deterministic.
+
+``in_lt``, ``in_rt``, ``absorption_law`` and ``shifted_associativity`` trust
+``f`` to be a mapping on ``g``'s carrier and give any verdict or an error for
+another map: a length, int and range test in all four made the sweep's
+``involution_laws`` suite take 0.77 s, not 0.44-0.46 s (C9 config, 3
+alternating runs, 2 shared vCPUs, Python 3.11).
 """
 
 from __future__ import annotations
@@ -204,7 +210,8 @@ def e_fixed_involutive_automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
 
 
 def in_lt(g: Groupoid, f: Mapping) -> bool:
-    """Left-translation compatibility: ``f(x*y) == x * f(y)`` for all x, y."""
+    """Left-translation compatibility: ``f(x*y) == x * f(y)`` for all x, y
+    (``f`` unchecked)."""
     rows = g.rows
     return all(
         f[rows[x][y]] == rows[x][f[y]] for x in range(g.order) for y in range(g.order)
@@ -212,7 +219,8 @@ def in_lt(g: Groupoid, f: Mapping) -> bool:
 
 
 def in_rt(g: Groupoid, f: Mapping) -> bool:
-    """Right-translation compatibility: ``f(x*y) == f(x) * y`` for all x, y."""
+    """Right-translation compatibility: ``f(x*y) == f(x) * y`` for all x, y
+    (``f`` unchecked)."""
     rows = g.rows
     return all(
         f[rows[x][y]] == rows[f[x]][y] for x in range(g.order) for y in range(g.order)
@@ -220,13 +228,14 @@ def in_rt(g: Groupoid, f: Mapping) -> bool:
 
 
 def absorption_law(g: Groupoid, f: Mapping) -> bool:
-    """True when ``x * f(x) == f(x)`` for every x."""
+    """True when ``x * f(x) == f(x)`` for every x (``f`` unchecked)."""
     rows = g.rows
     return all(rows[x][f[x]] == f[x] for x in range(g.order))
 
 
 def shifted_associativity(g: Groupoid, f: Mapping) -> bool:
-    """True when ``(x*y)*z == f(x)*(y*z)`` for all x, y, z."""
+    """True when ``(x*y)*z == f(x)*(y*z)`` for all x, y, z
+    (``f`` unchecked)."""
     rows = g.rows
     enc, at, lookup = _compositions(rows)
     for x, rx in enumerate(rows):
@@ -291,5 +300,9 @@ def parse_mapping(text: str) -> Mapping:
 
 
 def serialize_mapping(f: Mapping) -> str:
-    """Render a mapping in the ``.map`` format (newline-terminated)."""
+    """Render a non-empty mapping with ``int`` images in ``0..len(f)-1``,
+    the maps :func:`parse_mapping` reads back, in the ``.map`` format
+    (newline-terminated); raise ``ValueError`` for any other."""
+    if not f or any(type(v) is not int or not 0 <= v < len(f) for v in f):
+        raise ValueError(f"not a mapping of 0..n-1 with n >= 1: {f!r}")
     return str(len(f)) + "\n" + " ".join(map(str, f)) + "\n"

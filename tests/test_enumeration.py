@@ -466,7 +466,7 @@ def test_sweep_partition_independent():
     r3 = run_sweep(_SMALL, jobs=3)
     assert r1.to_json() == r2.to_json() == r3.to_json()
     data = json.loads(r1.to_json())
-    assert data["schema"] == "sweep_report@1"
+    assert data["schema"] == "sweep_report@2"
     assert "elapsed" not in json.dumps(data)
     assert data["config"]["rng"] == "splitmix64"
 
@@ -628,9 +628,11 @@ def test_suite_reading_no_instances_builds_no_table(built):
 
 #: Tables each built-in suite builds per order on the tiny config below: the
 #: suites whose docstrings name sampled tables read both table sources, the
-#: rest read only the exhaustive tables, and goldens reads neither.
+#: rest read only the exhaustive tables, and goldens and
+#: construction_roundtrip (which reads only the specs) read neither.
 _BUILT_BY_SUITE = {
     "goldens": {},
+    "construction_roundtrip": {},
     "square_classes": {1: 1, 2: 16, 4: 3},
     "decision_coherence": {1: 1, 2: 16, 4: 3},
 }
@@ -854,8 +856,8 @@ def test_invalid_family_spec_is_a_counterexample(monkeypatch, capsys):
 
 
 def test_build_inverts_decompose_records_exceptions(monkeypatch, capsys):
-    # A decomposition that raises on a decided-positive exhaustive table is
-    # a counterexample of the law, not an exception out of the sweep.
+    # A decomposition that raises on a decided-positive table is a
+    # counterexample of the law, not an exception out of the sweep.
     from gpdtools.cli import main
 
     def refuse(g, alpha):
@@ -867,19 +869,19 @@ def test_build_inverts_decompose_records_exceptions(monkeypatch, capsys):
         sample_count=0,
         max_semilattice_order=1,
         max_group_order=1,
-        suites=("construction_roundtrip",),
+        suites=("decision_coherence",),
     )
     report = run_sweep(config, jobs=1)
     failures = [
         c for c in report.counterexamples if c.law == "build_inverts_decompose"
     ]
-    law = "construction_roundtrip.build_inverts_decompose"
+    law = "decision_coherence.build_inverts_decompose"
     assert len(failures) == report.counts[law] > 0
     assert all(c.instance.startswith("order=") for c in failures)
     assert {c.detail for c in failures} == {"forced"}
     argv = (
         "sweep --max-order 2 --samples 0 --max-semilattice-order 1"
-        " --max-group-order 1 --suites construction_roundtrip"
+        " --max-group-order 1 --suites decision_coherence"
     )
     assert main(argv.split()) == 1
     out, err = capsys.readouterr()
@@ -981,43 +983,90 @@ def test_involution_laws_gates_translation_and_automorphism(monkeypatch):
         assert shifted_associativity(g, f) and absorption_law(g, f)
 
 
-def test_roundtrip_decides_only_completely_inverse_tables(monkeypatch):
-    # The set that reaches build_inverts_decompose is exactly the set of
-    # decide-positive tables of order <= 3, found by the filtered loop.
+def test_build_inverts_decompose_runs_on_exactly_the_decided_positives(
+    monkeypatch,
+):
+    # decision_coherence decides every exhaustive table once, and the set
+    # that reaches build_inverts_decompose is exactly the set of
+    # decide-positive tables of order <= 3.
     import gpdtools.enumeration as enumeration
-    from gpdtools import decide, is_completely_inverse
+    from gpdtools import decide
 
     decided = []
     monkeypatch.setattr(enumeration, "decide", _counted(decided, lambda g: g, decide))
     reached = []
-    roundtrip = SUITES["construction_roundtrip"]
+    coherence = SUITES["decision_coherence"]
 
     def recording(chunk):
-        for verdicts, instance in roundtrip(chunk):
+        for verdicts, instance in coherence(chunk):
             if "build_inverts_decompose" in verdicts:
                 reached.append(instance())
             yield verdicts, instance
 
-    monkeypatch.setitem(SUITES, "construction_roundtrip", recording)
+    monkeypatch.setitem(SUITES, "decision_coherence", recording)
     config = SweepConfig(
         max_exhaustive_order=3,
         sample_count=0,
         max_semilattice_order=1,
         max_group_order=1,
-        suites=("construction_roundtrip",),
+        suites=("decision_coherence",),
     )
     report = run_sweep(config)
     assert report.passed
     tables = [g for n in (1, 2, 3) for g in enumerate_groupoids(n)]
-    assert all(map(is_completely_inverse, decided))
-    assert len(decided) == sum(map(is_completely_inverse, tables)) < len(tables)
+    # Then the one table built from the (1, 1) family.
+    assert [g.rows for g in decided] == [g.rows for g in tables] + [((0,),)]
     positives = sorted(
         f"order={g.order} rows={g.rows}" for g in tables if decide(g).determined
     )
     assert sorted(reached) == positives
     assert len(positives) == report.counts[
-        "construction_roundtrip.build_inverts_decompose"
+        "decision_coherence.build_inverts_decompose"
     ] == 32
+
+
+def test_construction_roundtrip_decides_nothing(monkeypatch):
+    # The suite reads only the built specs, which it checks structurally.
+    import gpdtools.enumeration as enumeration
+
+    decided = []
+    monkeypatch.setattr(enumeration, "decide", _counted(decided, id, enumeration.decide))
+    config = SweepConfig(
+        max_exhaustive_order=3,
+        sample_count=100,
+        max_semilattice_order=2,
+        max_group_order=2,
+        suites=("construction_roundtrip",),
+    )
+    report = run_sweep(config)
+    assert report.passed and report.counts
+    assert decided == []
+
+
+def test_a_full_sweep_decides_each_table_once(monkeypatch):
+    # Every exhaustive and sampled table is decided exactly once, by
+    # decision_coherence; the other calls are the goldens' fixtures and the
+    # built instances, whose semilattices here are all small enough.
+    import gpdtools.enumeration as enumeration
+    from gpdtools import fixtures as fx
+
+    decided = []
+    monkeypatch.setattr(
+        enumeration, "decide", _counted(decided, lambda g: g.rows, enumeration.decide)
+    )
+    config = SweepConfig(
+        max_exhaustive_order=2,
+        sample_order=3,
+        sample_count=50,
+        max_semilattice_order=2,
+        max_group_order=2,
+    )
+    assert run_sweep(config).passed
+    chunk = enumeration._Chunk(config, 0, 1)
+    built = tuple(b.determined for b in chunk.specs)
+    fixtures = (fx.BAND3, fx.FLIP2, fx.Z3_TWIST)
+    tables = chunk.exhaustive + chunk.samples + built + fixtures
+    assert Counter(decided) == Counter(g.rows for g in tables)
 
 
 def test_failure_details_keep_their_formats(monkeypatch):

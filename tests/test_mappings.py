@@ -371,6 +371,18 @@ def test_parse_serialize_mapping():
     assert parse_mapping("# c\n\n2\n1 0\n") == (1, 0)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [(False, True), (0, True), (0, 2), (0, -1), (1.0, 0), ("1", "0"), ()],
+    ids=repr,
+)
+def test_serialize_mapping_refuses_what_parse_mapping_refuses(f):
+    # A bool, float, str or out-of-range image, or no image at all, would be
+    # written as text that parse_mapping rejects.
+    with pytest.raises(ValueError, match="not a mapping"):
+        serialize_mapping(f)
+
+
 _MAPPING_ERRORS = [
     ("", 1),
     ("2\n1\n", 2),  # too few images
