@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 
 from .errors import InvalidSpec, NotDetermined, NotInverse
 from .groupoid import Groupoid, _check_square, _ContentLines
@@ -172,12 +172,10 @@ _MISFIT = "images do not fit the blocks"
 
 @lru_cache(maxsize=4096)
 def _map_problems(src: GroupSpec, dst: GroupSpec, images: Mapping) -> tuple[str, ...]:
-    """Violations of one connecting map: fitting the blocks, being a
-    homomorphism of the twisted blocks, and commuting with the block
-    mappings.  A map that does not fit gets :data:`_MISFIT` alone."""
-    if len(images) != src.order or any(
-        type(v) is not int or not 0 <= v < dst.order for v in images
-    ):
+    """Violations of one connecting map with int images: fitting the
+    blocks, being a homomorphism of the twisted blocks, and commuting with
+    the block mappings.  A map that does not fit gets :data:`_MISFIT` alone."""
+    if len(images) != src.order or not all(0 <= v < dst.order for v in images):
         return (_MISFIT,)
     problems = []
     # Homomorphism of the twisted block tables: the twisted product in
@@ -225,14 +223,14 @@ def validate_spec(spec: ConstructionSpec) -> list[str]:
         return problems  # hom-indexed checks below would mis-address blocks
 
     homs = spec.hom_map()
-    # The memo would take False and True for the equal 0 and 1, so images
-    # that are not all ints are checked outside it.
-    check = _map_problems
-    if not {*map(type, chain.from_iterable(homs.values()))} <= {int}:
-        check = _map_problems.__wrapped__
     fitting = set()
     for (f, e), images in homs.items():
-        found = check(spec.groups[f], spec.groups[e], tuple(images))
+        # The memo would take False and True for the equal 0 and 1, so a map
+        # with an image that is not an int misfits before it.
+        if all(type(v) is int for v in images):
+            found = _map_problems(spec.groups[f], spec.groups[e], tuple(images))
+        else:
+            found = (_MISFIT,)
         if found != (_MISFIT,):
             fitting.add((f, e))
         problems += [f"map ({f}>{e}): {msg}" for msg in found]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotInvolution, PreconditionViolated, TheoremViolation
 from .groupoid import (
@@ -106,24 +105,25 @@ def ad_membership_profile(g: Groupoid) -> dict[str, Mapping | None]:
     Equivalent to calling :func:`ad_membership_direct` once per tag.  A
     witness f is an involutive automorphism of ``untwist(g, f)``, hence of
     ``g``, whose untwisted table is associative; for such f that is
-    exactly the shifted triple law on ``g``.  So only the
-    :func:`_shift_candidates` are untwisted, each once, in lexicographic
-    order, and no untwisted table needs an associativity check.  Two
-    candidates with the same untwisted table satisfy the same classes, so
-    only the first of them is checked; the first witness per class stays
-    the same.  With no candidate every entry is ``None`` at once.  The
-    characterization-level counterpart is
-    :func:`ad_membership_characterized_profile`; neither reads the other.
+    exactly the shifted triple law on ``g``.  So only the maps of the
+    shift-law search (:func:`_shift_images`) are untwisted, each once, in
+    lexicographic order as the lazy search yields them, and no untwisted
+    table needs an associativity check.  Two candidates with the same
+    untwisted table satisfy the same classes, so only the first of them is
+    checked; the first witness per class stays the same.  With no shift
+    domain every entry is ``None`` at once.  The characterization-level
+    counterpart is :func:`ad_membership_characterized_profile`; neither
+    reads the other.
     """
     found: dict[str, Mapping | None] = dict.fromkeys(VARIETIES)
-    candidates = _shift_candidates(g)
-    if not candidates:
+    domain = _shift_images(g)
+    if domain is None:
         return found
     missing = set(VARIETIES)
     ids = {row: a for a, row in enumerate(g.rows)}
     rid = [ids[row] for row in g.rows]
     seen = set()
-    for f in candidates:
+    for f in _isomorphisms(g, g, domain):
         # The classes f satisfies depend only on its untwisted table, whose
         # row x is the row of f[x]: skip a table already seen.
         key = tuple(map(rid.__getitem__, f))
@@ -138,22 +138,6 @@ def ad_membership_profile(g: Groupoid) -> dict[str, Mapping | None]:
     return found
 
 
-@lru_cache(maxsize=4096)
-def _shift_candidates(g: Groupoid) -> tuple[Mapping, ...]:
-    """The involutive automorphisms f of ``g`` with the shifted triple law
-    ``(xy)z = f(x)(yz)``, in lexicographic order.
-
-    For an involutive automorphism f the law holds exactly when
-    ``untwist(g, f)`` is associative.  The involutive search visits only
-    maps with each ``f[x]`` among the shift images of x
-    (:func:`_shift_images`); the tuple is empty when some x has none.
-    """
-    domain = _shift_images(g)
-    if domain is None:
-        return ()
-    return tuple(_isomorphisms(g, g, domain))
-
-
 def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None]:
     """Characterization-level membership for all twelve classes in one pass.
 
@@ -166,11 +150,13 @@ def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None
     ``None``.  Provably agrees with :func:`ad_membership_direct` on every
     table.
 
-    The work the classes share is done once per table: the
-    :func:`_shift_candidates` are read once, associativity is tested once
-    for R0, IR0 and GR0, the constant-row test once for L0 and IL0, and
-    RB takes B's witness when the RB identity holds; with no candidate
-    the eight classes that need one are ``None`` at once.
+    The work the classes share is done once per table: associativity is
+    tested once for R0, IR0 and GR0, the constant-row test once for L0 and
+    IL0, and RB takes B's witness when the RB identity holds.  The eight
+    classes that need a shift candidate share one lazy walk of the
+    shift-law search (:func:`_shift_images`), in which each class takes
+    the first candidate that meets its law; with no shift domain they are
+    ``None`` at once.
     """
     rows = g.rows
     n = g.order
@@ -186,17 +172,9 @@ def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None
     if constant_rows and is_involution(f):
         found["L0"] = f
 
-    candidates = _shift_candidates(g)
-    if not candidates:
+    domain = _shift_images(g)
+    if domain is None:
         return found
-    first = candidates[0]
-
-    def first_candidate(law) -> Mapping | None:
-        return next((f for f in candidates if law(f)), None)
-
-    found["B"] = first_candidate(lambda f: absorption_law(g, f))
-    if satisfies_variety(g, "RB"):
-        found["RB"] = found["B"]
 
     # x·y = (f(x)·x)·(f(y)·y): row x is the row of s[x] read at s.
     def ib_law(f):
@@ -205,33 +183,39 @@ def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None
             row == tuple(map(rows[sx].__getitem__, s)) for row, sx in zip(rows, s)
         )
 
-    found["IB"] = first_candidate(ib_law)
-    if constant_rows:
-        found["IL0"] = first
-    # (x·y)·z = f(x)·z: the row of each product in row x is row f(x).
-    found["IRB"] = first_candidate(
-        lambda f: all(rows[p] == rows[f[x]] for x, row in enumerate(rows) for p in row)
-    )
-    found["GB"] = first_candidate(
-        lambda f: all(
+    laws = {
+        "B": lambda f: absorption_law(g, f),
+        "IB": ib_law,
+        # (x·y)·z = f(x)·z: the row of each product in row x is row f(x).
+        "IRB": lambda f: all(
+            rows[p] == rows[f[x]] for x, row in enumerate(rows) for p in row
+        ),
+        "GB": lambda f: all(
             rows[x][y] == rows[f[rows[x][y]]][rows[x][y]]
             or rows[x][y] == rows[rows[rows[x][y]][x]][y]
             for x in range(n)
             for y in range(n)
-        )
-    )
-    # (x·y)·z = f(x)·f(y): the row of x·y is constant f(x)·f(y).
-    found["GL0"] = first_candidate(
-        lambda f: all(
+        ),
+        # (x·y)·z = f(x)·f(y): the row of x·y is constant f(x)·f(y).
+        "GL0": lambda f: all(
             rows[p] == (rows[f[x]][f[y]],) * n
             for x, row in enumerate(rows)
             for y, p in enumerate(row)
-        )
-    )
-    # x·y = ((x·y)·f(z))·(x·y), and f(z) runs over every element as z
-    # does: the law is (p·w)·p = p for every product p, whatever f is.
+        ),
+    }
+    # IL0 asks only for constant rows.  GRB asks x·y = ((x·y)·f(z))·(x·y),
+    # and f(z) runs over every element as z does, so its law is (p·w)·p = p
+    # for every product p.  Neither reads f: any candidate is a witness.
+    if constant_rows:
+        laws["IL0"] = lambda f: True
     if all(rows[q][p] == p for p in g.products() for q in rows[p]):
-        found["GRB"] = first
+        laws["GRB"] = lambda f: True
+    for f in _isomorphisms(g, g, domain):
+        for tag, law in laws.items():
+            if found[tag] is None and law(f):
+                found[tag] = f
+    if satisfies_variety(g, "RB"):
+        found["RB"] = found["B"]
     return found
 
 

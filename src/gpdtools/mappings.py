@@ -25,9 +25,10 @@ def identity_mapping(n: int) -> Mapping:
 
 
 def is_involution(f: Mapping) -> bool:
-    """True when ``f`` is a self-inverse bijection (f(f(x)) == x)."""
+    """True when ``f`` is a self-inverse bijection (f(f(x)) == x) with
+    ``int`` images, the maps :func:`parse_mapping` reads."""
     n = len(f)
-    return all(0 <= y < n and f[y] == x for x, y in enumerate(f))
+    return all(type(y) is int and 0 <= y < n and f[y] == x for x, y in enumerate(f))
 
 
 @lru_cache(maxsize=64)
@@ -62,9 +63,10 @@ def involutions(n: int) -> tuple[Mapping, ...]:
 
 
 def is_homomorphism(f: Mapping, g: Groupoid, h: Groupoid) -> bool:
-    """True when ``f`` maps the carrier of ``g`` into that of ``h`` and
-    ``f(x *_g y) == f(x) *_h f(y)`` for all x, y."""
-    if len(f) != g.order or min(f) < 0 or max(f) >= h.order:
+    """True when ``f`` maps the carrier of ``g`` into that of ``h``, with
+    ``int`` images, and ``f(x *_g y) == f(x) *_h f(y)`` for all x, y."""
+    m = h.order
+    if len(f) != g.order or not all(type(v) is int and 0 <= v < m for v in f):
         return False
     grows = g.rows
     hrows = h.rows

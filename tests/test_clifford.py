@@ -333,6 +333,8 @@ def test_decompose_rejections():
         decompose(Z3, (0, 2, 1))  # wrong mapping for this table
     with pytest.raises(NotDetermined):
         decompose(Z3_TWIST, (1, 2, 0))  # not an involution
+    with pytest.raises(NotDetermined):
+        decompose(Z3_TWIST, (False, 2, True))  # images are not ints
 
 
 #: The refusals of decompose, numbers replaced by ``#`` and details cut at

@@ -101,6 +101,12 @@ def test_twist_requires_involution():
         twist(Z3, (1, 2, 0))
     with pytest.raises(NotInvolution):
         untwist(Z3, (0, 0, 0))
+    # Images are ints, as parse_mapping reads them: (True, False) is not
+    # taken for the involution (1, 0).
+    assert twist(FLIP2, FLIP2_SWAP) == Groupoid(((0, 0), (1, 1)))
+    for f in ((True, False), (1, 0.0), (1, "0")):
+        with pytest.raises(NotInvolution):
+            twist(FLIP2, f)
 
 
 def test_automorphism_transfers_across_twist():
@@ -243,12 +249,31 @@ def test_membership_profile_agrees_with_direct_on_small_tables():
     for g in itertools.chain(exhaustive, random_groupoids(4, 2000, seed=67)):
         tables[g] = None
         tables[square_subgroupoid(g)[0]] = None
+    # Every square subgroupoid is an exhaustive table or its own sample.
+    assert len(tables) == 19_700 + 2000
+    # The twists of the semigroups of order <= 4 by their involutive
+    # automorphisms hold hundreds of tables with two or more shift candidates,
+    # where a class's first witness need not be the first candidate.
+    twists = {
+        twist(s, f)
+        for n in (1, 2, 3, 4)
+        for s in _semigroups(n)
+        for f in involutive_automorphisms(s)
+    }
+    assert len(twists) == 4212
+    several = 0
+    for g in twists:
+        tables[g] = None
+        shifts = [f for f in involutive_automorphisms(g) if shifted_associativity(g, f)]
+        several += len(shifts) > 1
+    assert several == 341
+    # The twists of order <= 3 are exhaustive tables, and no order-4 twist
+    # is a sample.
+    assert len(tables) == 19_700 + 2000 + 4071
     for g in tables:
         expected = {tag: ad_membership_direct(g, tag) for tag in VARIETIES}
         assert ad_membership_profile(g) == expected, g.rows
         assert ad_membership_characterized_profile(g) == expected, g.rows
-    # Every square subgroupoid is an exhaustive table or its own sample.
-    assert len(tables) == 19_700 + 2000
 
 
 def _squares_to_one(n):
@@ -294,7 +319,8 @@ def test_membership_profile_untwists_each_distinct_table_once(g, tables, monkeyp
     monkeypatch.setattr(det, "untwist", counted)
     profile = ad_membership_profile(g)
     assert None in profile.values()
-    assert len({untwist(g, f).rows for f in det._shift_candidates(g)}) == tables
+    candidates = det._isomorphisms(g, g, det._shift_images(g))
+    assert len({untwist(g, f).rows for f in candidates}) == tables
     assert len({untwist(g, f).rows for f in untwisted}) == len(untwisted) == tables
 
 
@@ -759,7 +785,6 @@ def test_membership_routes_never_list_involutions(g, members, monkeypatch):
     monkeypatch.setattr(det, "involutive_automorphisms", refuse, raising=False)
     monkeypatch.setattr(mappings, "involutions", refuse)
     monkeypatch.setattr(mappings, "involutive_automorphisms", refuse)
-    det._shift_candidates.cache_clear()
     profile = ad_membership_profile(g)
     characterized = ad_membership_characterized_profile(g)
     assert {tag for tag, f in characterized.items() if f is not None} == members

@@ -31,7 +31,6 @@ from gpdtools import (
     serialize_mapping,
     shifted_associativity,
 )
-from gpdtools.determination import _shift_candidates
 from gpdtools.mappings import _isomorphisms, _shift_images
 from gpdtools.fixtures import (
     BAND3,
@@ -87,6 +86,12 @@ def test_is_involution():
     assert is_involution((1, 0, 2))
     assert not is_involution((1, 2, 0))
     assert not is_involution((0, 0))
+    # Images are ints, as parse_mapping reads them: not bools, floats or
+    # strings, even when they compare equal to an involution's.
+    assert not is_involution((False, True))
+    assert not is_involution((0, True))
+    assert not is_involution((0, 1.0))
+    assert not is_involution(("0", 1))
 
 
 def test_automorphisms_against_permutation_oracle():
@@ -210,8 +215,6 @@ def test_shift_domain_search_agrees_with_filter():
         expected = tuple(
             f for f in involutive_automorphisms(g) if shifted_associativity(g, f)
         )
-        # The membership routes read the same tuple, in the same order.
-        assert _shift_candidates(g) == expected, g.rows
         domain = _shift_images(g)
         if domain is None:
             assert expected == (), g.rows
@@ -291,6 +294,10 @@ def test_homomorphism_and_swap_facts():
     assert not is_homomorphism((0, 1), Z3, Z3)
     null2 = _null_semigroup(2)
     assert not is_homomorphism((0, -1), null2, null2)
+    # An image that is not an int is no image, as in parse_mapping.
+    assert is_homomorphism((0, 1), null2, null2)
+    for f in ((False, True), (0, True), (0, 1.0), ("0", 1)):
+        assert not is_homomorphism(f, null2, null2), f
 
 
 def test_find_isomorphism():

@@ -115,7 +115,6 @@ def test_caches_are_pinned():
         "_meet_problems",
         "_block_problems",
         "_map_problems",
-        "_shift_candidates",
         "enumerate_semilattices",
         "enumerate_group_tables",
         "_group_homomorphisms",
@@ -127,6 +126,34 @@ def test_caches_are_pinned():
     }
     # No cache is made outside a decorator either.
     assert uses == len(cached)
+
+
+def test_only_the_public_listings_list_the_isomorphism_search():
+    # mappings._isomorphisms yields its maps lazily, so a caller that reads
+    # part of the search never builds the rest, and a listing can be
+    # factorial in size; only the three public listings materialise it.
+    import ast
+    from pathlib import Path
+
+    def called(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", None) or getattr(func, "attr", None)
+
+    src = Path(gpdtools.__file__).parent
+    listers = {
+        fn.name
+        for path in src.glob("*.py")
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if called(node) in {"tuple", "list", "sorted"}
+        and any(called(arg) == "_isomorphisms" for arg in node.args)
+    }
+    assert listers == {
+        "automorphisms",
+        "involutive_automorphisms",
+        "e_fixed_involutive_automorphisms",
+    }
 
 
 def test_import_leaves_out_multiprocessing():
