@@ -26,10 +26,9 @@ from .groupoid import (
 from .inverses import _Facts, idempotents_form_semilattice, is_right_bol
 from .mappings import (
     Mapping,
-    _idempotents_fixed,
     _isomorphisms,
+    _restricted,
     _shift_images,
-    absorption_law,
     identity_mapping,
     involutions,
     is_homomorphism,
@@ -139,24 +138,23 @@ def ad_membership_profile(g: Groupoid) -> dict[str, Mapping | None]:
 
 
 def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None]:
-    """Characterization-level membership for all twelve classes in one pass.
+    """Characterization-level membership for all twelve classes in one call.
 
     Evaluates, per class, an equation list over the input table alone
-    (no untwisting): most classes demand a self-inverse automorphism with
-    the shifted triple law ``(xy)z = f(x)(yz)`` plus class-specific
-    equations; one class quantifies over bare involutions; three need no
-    mapping at all.  Each class gets the first witness in lexicographic
-    order (the identity mapping for the three mapping-free classes), or
-    ``None``.  Provably agrees with :func:`ad_membership_direct` on every
-    table.
+    (no untwisting).  Each class gets the first witness in lexicographic
+    order (the identity mapping for R0, IR0 and GR0, which need no map),
+    or ``None``; provably the one :func:`ad_membership_direct` finds.
 
-    The work the classes share is done once per table: associativity is
-    tested once for R0, IR0 and GR0, the constant-row test once for L0 and
-    IL0, and RB takes B's witness when the RB identity holds.  The eight
-    classes that need a shift candidate share one lazy walk of the
-    shift-law search (:func:`_shift_images`), in which each class takes
-    the first candidate that meets its law; with no shift domain they are
-    ``None`` at once.
+    L0 needs a bare involution, the row-constant map.  Every other class
+    needs a shift candidate, a self-inverse automorphism in the shift-law
+    domain (:func:`_shift_images`); with no domain they are ``None`` at
+    once.  On an automorphism the laws of B, IRB, GB and GL0 test one
+    image ``f[x]`` at a time, so each of these classes takes the first map
+    of the domain cut by its law (:func:`_restricted`).  IB cuts it by the
+    ``y = x`` instance of its law and takes the first map that meets the
+    whole law.  The laws of IL0 and GRB do not read ``f``: when one holds,
+    its class takes the first candidate.  RB takes B's witness when the RB
+    identity holds.
     """
     rows = g.rows
     n = g.order
@@ -176,6 +174,26 @@ def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None
     if domain is None:
         return found
 
+    def first(keep):
+        return next(_isomorphisms(g, g, _restricted(domain, keep)), None)
+
+    # B: x·f(x) = f(x).  IRB: (x·y)·z = f(x)·z, so each product in row x
+    # has the row of f(x).
+    found["B"] = first(lambda x, a: rows[x][a] == a)
+    found["IRB"] = first(lambda x, a: all(rows[p] == rows[a] for p in rows[x]))
+    # GB: p = f(p)·p for each product p = x·y with ((x·y)·x)·y != x·y.
+    unsettled = {
+        p
+        for x, row in enumerate(rows)
+        for y, p in enumerate(row)
+        if rows[rows[p][x]][y] != p
+    }
+    found["GB"] = first(lambda x, a: x not in unsettled or rows[a][x] == x)
+    # GL0: (x·y)·z = f(x)·f(y) = f(x·y), so each product p has the
+    # constant row f(p).
+    products = set(g.products())
+    found["GL0"] = first(lambda x, a: x not in products or rows[x] == (a,) * n)
+
     # x·y = (f(x)·x)·(f(y)·y): row x is the row of s[x] read at s.
     def ib_law(f):
         s = [rows[fx][x] for x, fx in enumerate(f)]
@@ -183,37 +201,17 @@ def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None
             row == tuple(map(rows[sx].__getitem__, s)) for row, sx in zip(rows, s)
         )
 
-    laws = {
-        "B": lambda f: absorption_law(g, f),
-        "IB": ib_law,
-        # (x·y)·z = f(x)·z: the row of each product in row x is row f(x).
-        "IRB": lambda f: all(
-            rows[p] == rows[f[x]] for x, row in enumerate(rows) for p in row
-        ),
-        "GB": lambda f: all(
-            rows[x][y] == rows[f[rows[x][y]]][rows[x][y]]
-            or rows[x][y] == rows[rows[rows[x][y]][x]][y]
-            for x in range(n)
-            for y in range(n)
-        ),
-        # (x·y)·z = f(x)·f(y): the row of x·y is constant f(x)·f(y).
-        "GL0": lambda f: all(
-            rows[p] == (rows[f[x]][f[y]],) * n
-            for x, row in enumerate(rows)
-            for y, p in enumerate(row)
-        ),
-    }
+    # At y = x: x·x = s·s with s = f(x)·x.
+    cut = _restricted(domain, lambda x, a: rows[x][x] == rows[rows[a][x]][rows[a][x]])
+    found["IB"] = next(filter(ib_law, _isomorphisms(g, g, cut)), None)
     # IL0 asks only for constant rows.  GRB asks x·y = ((x·y)·f(z))·(x·y),
     # and f(z) runs over every element as z does, so its law is (p·w)·p = p
-    # for every product p.  Neither reads f: any candidate is a witness.
-    if constant_rows:
-        laws["IL0"] = lambda f: True
-    if all(rows[q][p] == p for p in g.products() for q in rows[p]):
-        laws["GRB"] = lambda f: True
-    for f in _isomorphisms(g, g, domain):
-        for tag, law in laws.items():
-            if found[tag] is None and law(f):
-                found[tag] = f
+    # for every product p.
+    grb = all(rows[q][p] == p for p in products for q in rows[p])
+    if constant_rows or grb:
+        candidate = next(_isomorphisms(g, g, domain), None)
+        found["IL0"] = candidate if constant_rows else None
+        found["GRB"] = candidate if grb else None
     if satisfies_variety(g, "RB"):
         found["RB"] = found["B"]
     return found
@@ -569,7 +567,7 @@ def _criterion_strongly_regular(facts: _Facts) -> CriterionVerdict:
     alpha = None
     domain = facts.shift_images
     if domain is not None:
-        domain = _idempotents_fixed(g, domain)
+        domain = _restricted(domain, lambda x, a: x not in facts.idempotents or a == x)
         alpha = next(_isomorphisms(g, g, domain), None)
     if alpha is None:
         failed.append("shifted_associativity")

@@ -18,6 +18,8 @@ from functools import lru_cache
 from .groupoid import Groupoid, _ContentLines, _compositions
 
 Mapping = tuple[int, ...]
+#: Per position, the ascending tuple of its admissible images.
+Domain = tuple[tuple[int, ...], ...]
 
 
 def identity_mapping(n: int) -> Mapping:
@@ -77,11 +79,7 @@ def is_homomorphism(f: Mapping, g: Groupoid, h: Groupoid) -> bool:
     )
 
 
-def _isomorphisms(
-    g: Groupoid,
-    h: Groupoid,
-    domain: tuple[tuple[int, ...], ...] | None = None,
-):
+def _isomorphisms(g: Groupoid, h: Groupoid, domain: Domain | None = None):
     """Backtracking search for bijective homomorphisms ``g -> h``, yielding
     each map as soon as it is found, in lexicographic order.
 
@@ -106,10 +104,12 @@ def _isomorphisms(
     is unassigned and with ``k`` in ``domain[c]``, so the image it forces is
     admissible too.  Any admissible self-inverse map agreeing with the
     assigned prefix meets these rules, so the search yields all of them
-    without visiting the other automorphisms.
+    without visiting the other automorphisms.  Hence a domain cut position
+    by position (:func:`_restricted`) yields exactly the maps of the wider
+    domain whose images all pass the cut, in the same lexicographic order.
     """
     n = g.order
-    if h.order != n:
+    if h.order != n or (domain is not None and () in domain):
         return
     grows = g.rows
     hrows = h.rows
@@ -192,23 +192,21 @@ def involutive_automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
     return tuple(_isomorphisms(g, g, (tuple(range(g.order)),) * g.order))
 
 
-def _idempotents_fixed(
-    g: Groupoid, domain: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """``domain`` with each idempotent e restricted to ``(e,)``, or to
-    ``()`` when e is not in its own domain."""
-    idem = g.idempotents()
+def _restricted(domain: Domain, keep) -> Domain:
+    """``domain`` with each position x keeping only the images a for which
+    ``keep(x, a)`` holds, in the same order."""
     return tuple(
-        ((k,) if k in images else ()) if k in idem else images
-        for k, images in enumerate(domain)
+        tuple([a for a in images if keep(x, a)]) for x, images in enumerate(domain)
     )
 
 
 def e_fixed_involutive_automorphisms(g: Groupoid) -> tuple[Mapping, ...]:
     """Self-inverse automorphisms fixing every idempotent pointwise, in
     lexicographic order; each idempotent's only candidate is itself."""
-    domain = _idempotents_fixed(g, (tuple(range(g.order)),) * g.order)
-    return tuple(_isomorphisms(g, g, domain))
+    n = g.order
+    idem = g.idempotents()
+    fixed = _restricted((tuple(range(n)),) * n, lambda x, a: x not in idem or a == x)
+    return tuple(_isomorphisms(g, g, fixed))
 
 
 def in_lt(g: Groupoid, f: Mapping) -> bool:
@@ -248,7 +246,7 @@ def shifted_associativity(g: Groupoid, f: Mapping) -> bool:
     return True
 
 
-def _shift_images(g: Groupoid) -> tuple[tuple[int, ...], ...] | None:
+def _shift_images(g: Groupoid) -> Domain | None:
     """Per element x, the ascending tuple of all a with
     ``(x*y)*z == a*(y*z)`` for all y, z; ``None`` when some x has no such
     a (returned at the first x whose law fails for every a).

@@ -795,6 +795,47 @@ def test_membership_routes_never_list_involutions(g, members, monkeypatch):
         assert profile == characterized == expected
 
 
+#: Over the 4,212 twists of order <= 4, the built tables of
+#: enumerate_specs(3, 4) and the shift corpus, no class search of the
+#: characterised route yields more than two maps; this is the first of the
+#: 108 tables where one yields two: IB's filter walks two candidates and
+#: neither meets the whole IB law.
+_WIDEST_CLASS_SEARCH = Groupoid(
+    ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 2, 3))
+)
+
+
+@pytest.mark.parametrize(
+    "g, members, yielded, widest",
+    [
+        (_null_semigroup(16), _NULL_CLASSES, 5, 1),
+        (_left_zero_band(16), _BAND_CLASSES, 6, 1),
+        (_squares_to_one(16), set(), 0, 0),
+        (_WIDEST_CLASS_SEARCH, set(), 2, 2),
+    ],
+    ids=["null16", "band16", "squares16", "widest"],
+)
+def test_characterized_profile_takes_few_maps(g, members, yielded, widest, monkeypatch):
+    """Each class searches the shift domain cut by its own law, so the
+    route takes a handful of maps where the candidates run to millions."""
+    searched = []
+
+    def bounded_search(*args):
+        searched.append(0)
+        for f in det_isomorphisms(*args):
+            searched[-1] += 1
+            if sum(searched) > 8:
+                raise AssertionError("characterised route took more than 8 maps")
+            yield f
+
+    det_isomorphisms = det._isomorphisms
+    monkeypatch.setattr(det, "_isomorphisms", bounded_search)
+    profile = ad_membership_characterized_profile(g)
+    assert {tag for tag, f in profile.items() if f is not None} == members
+    assert sum(searched) == yielded
+    assert max(searched, default=0) == widest
+
+
 @pytest.mark.parametrize(
     "g",
     [_left_zero_band(9), _left_zero_band(12), _null_semigroup(12)],

@@ -31,7 +31,7 @@ from gpdtools import (
     serialize_mapping,
     shifted_associativity,
 )
-from gpdtools.mappings import _isomorphisms, _shift_images
+from gpdtools.mappings import _isomorphisms, _restricted, _shift_images
 from gpdtools.fixtures import (
     BAND3,
     BAND3_SWAP,
@@ -210,7 +210,8 @@ def test_shift_images_make_quadratically_many_row_compositions(g, monkeypatch):
 
 
 def test_shift_domain_search_agrees_with_filter():
-    several = 0
+    rng = random.Random(37)
+    several = cut_some = 0
     for g in _shift_corpus():
         expected = tuple(
             f for f in involutive_automorphisms(g) if shifted_associativity(g, f)
@@ -223,7 +224,22 @@ def test_shift_domain_search_agrees_with_filter():
         assert tuple(_isomorphisms(g, g, domain)) == expected, g.rows
         assert next(_isomorphisms(g, g, domain), None) == next(iter(expected), None)
         several += len(expected) > 1
+        # A domain cut position by position keeps exactly the maps whose
+        # images all pass, in the same order: B's absorption law and a
+        # seeded random cut.
+        rows = g.rows
+        kept = {
+            (x, a)
+            for x, images in enumerate(domain)
+            for a in images
+            if rng.random() < 0.8
+        }
+        for keep in (lambda x, a: rows[x][a] == a, lambda x, a: (x, a) in kept):
+            cut = tuple(f for f in expected if all(map(keep, range(g.order), f)))
+            assert tuple(_isomorphisms(g, g, _restricted(domain, keep))) == cut, g.rows
+            cut_some += 0 < len(cut) < len(expected)
     assert several == 14
+    assert cut_some == 9
 
 
 def test_domain_search_keeps_exactly_the_admissible_involutions():
