@@ -25,20 +25,38 @@ def inverses_of(g: Groupoid, x: int) -> frozenset[int]:
     )
 
 
+def _inverse_images(rows) -> Mapping | None:
+    """The inverse table of ``rows``, or ``None`` at the first element with
+    no inverse or a second one.  Raises and caches nothing: most decided
+    tables have no inverse table, and an exception or a cache entry per
+    table costs more than the scan."""
+    table = []
+    for x, rx in enumerate(rows):
+        inv = None
+        for y, ry in enumerate(rows):
+            if rows[rx[y]][x] == x and rows[ry[x]][y] == y:
+                if inv is not None:
+                    return None
+                inv = y
+        if inv is None:
+            return None
+        table.append(inv)
+    return tuple(table)
+
+
 @lru_cache(maxsize=4096)
 def inverse_table(g: Groupoid) -> Mapping:
     """The map sending each element to its unique inverse.
 
     Raises :class:`NotInverse` naming the first element (in ascending
-    order) whose inverse count differs from one.
+    order) whose inverse count differs from one; only a failure of
+    :func:`_inverse_images` counts inverses, to name that element.
     """
-    table = []
-    for x in range(g.order):
-        invs = inverses_of(g, x)
-        if len(invs) != 1:
-            raise NotInverse(x, len(invs))
-        table.append(next(iter(invs)))
-    return tuple(table)
+    table = _inverse_images(g.rows)
+    if table is None:
+        counts = (len(inverses_of(g, x)) for x in range(g.order))
+        raise NotInverse(*next((x, c) for x, c in enumerate(counts) if c != 1))
+    return table
 
 
 def is_completely_inverse(g: Groupoid) -> bool:
@@ -140,8 +158,10 @@ def canonical_twist(g: Groupoid) -> Mapping:
 
     Raises :class:`NotInverse` when some element lacks a unique inverse.
     """
-    inverse_table(g)  # raises the NotInverse naming the first such element
-    return _Facts(g).canonical
+    facts = _Facts(g)
+    if facts.inv is None:
+        inverse_table(g)  # raises the NotInverse naming the first such element
+    return facts.canonical
 
 
 class _fact:
@@ -176,11 +196,9 @@ class _Facts:
     @_fact
     def inv(self) -> Mapping | None:
         """The inverse table, or ``None`` when some element does not have
-        exactly one inverse (kept as plain data, not as the exception)."""
-        try:
-            return inverse_table(self.g)
-        except NotInverse:
-            return None
+        exactly one inverse: :func:`_inverse_images`, not the cache of
+        :func:`inverse_table`, which tables decided one by one only churn."""
+        return _inverse_images(self.g.rows)
 
     @_fact
     def idempotents(self) -> frozenset[int]:

@@ -259,18 +259,27 @@ def _shift_images(g: Groupoid) -> Domain | None:
     set equals ``v``.  So ``shifted_associativity(g, f)`` holds iff
     ``f[x]`` is in the returned tuple of every x, and the whole test costs
     O(n^2) row comparisons.
+
+    For x = 0 the pass that finds each product's first pair checks the law
+    cell by cell (``v`` is one value per product), so most failing tables
+    exit before any row is composed, and the row of 0 is not composed.
     """
     rows = g.rows
-    enc, at, lookup = _compositions(rows)
+    r0 = rows[0]
     pair: dict[int, tuple[int, int]] = {}
+    v = [0] * len(rows)
     for y, ry in enumerate(rows):
+        r0y = rows[r0[y]]
         for z, u in enumerate(ry):
             if u not in pair:
                 pair[u] = (y, z)
+                v[u] = r0y[z]
+            elif v[u] != r0y[z]:
+                return None
     products = sorted(pair)
-    v = [0] * len(rows)
-    wanted = []
-    for rx in rows:
+    wanted = [tuple(map(v.__getitem__, products))]
+    enc, at, lookup = _compositions(rows)
+    for rx in rows[1:]:
         for u, (y, z) in pair.items():
             v[u] = rows[rx[y]][z]
         t = lookup(v)

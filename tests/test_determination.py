@@ -67,7 +67,12 @@ from gpdtools.fixtures import (
 from gpdtools.inverses import _Facts
 
 from .test_clifford import _relabel
-from .test_inverses import _cyclic_chain_cspec, _mutations, _negation_twist
+from .test_inverses import (
+    _cyclic_chain_cspec,
+    _mutations,
+    _negation_twist,
+    _oracle_inverses,
+)
 from .test_mappings import (
     SHIFT_CORPUS_SIZE,
     _left_zero_band,
@@ -710,13 +715,16 @@ def test_completely_inverse_criterion_walks_candidates_only_when_needed(
 
 def test_decide_reports_are_pinned():
     # sha256 of the concatenated decide(g).to_json() over the corpus,
-    # measured before the shift-law domain entered the search.
+    # measured before the shift-law domain entered the search.  decide
+    # reads the inverse kernel directly: inverse_table's cache is untouched.
     digest = hashlib.sha256()
+    cache = inverse_table.cache_info()
     for g in _shift_corpus():
         digest.update(decide(g).to_json().encode())
     assert digest.hexdigest() == (
         "2ff23abba247b6184996344426c7954f4635091de1f1c52f7fe70fae088dc5fa"
     )
+    assert inverse_table.cache_info() == cache
 
 
 def test_large_positive_reports_are_pinned():
@@ -944,10 +952,19 @@ def test_facts_agree_with_public_predicates():
     kinds = set()
     for g in _fact_corpus():
         facts = _Facts(g)
-        try:
-            inv = inverse_table(g)
-        except NotInverse:
-            inv = None
+        # The inverse table by the definition, not by the kernel that both
+        # facts.inv and inverse_table read.
+        oracle = [_oracle_inverses(g, x) for x in g]
+        bad = next((x for x, invs in enumerate(oracle) if len(invs) != 1), None)
+        inv = None
+        if bad is None:
+            inv = tuple(min(invs) for invs in oracle)
+            assert inverse_table(g) == inv, g.rows
+        else:
+            with pytest.raises(NotInverse) as err:
+                inverse_table(g)
+            assert (err.value.element, err.value.count) == (bad, len(oracle[bad]))
+        assert inverses._inverse_images(g.rows) == inv, g.rows
         assert facts.inv == inv, g.rows
         assert facts.idempotents == g.idempotents()
         assert facts.e_semilattice == idempotents_form_semilattice(g)
@@ -988,8 +1005,9 @@ def test_facts_agree_with_public_predicates():
     ids=["band3", "z3twist", "null12", "z64twist"],
 )
 def test_decide_computes_each_table_fact_once(g, determined, monkeypatch):
-    """One decide computes the shift images once and the inverse table at
-    most once, however many criteria read them."""
+    """One decide computes the shift images and the inverse table once,
+    however many criteria read them, and never through the cached
+    ``inverse_table``."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -1000,13 +1018,14 @@ def test_decide_computes_each_table_fact_once(g, determined, monkeypatch):
         return wrapper
 
     for module in (inverses, det, mappings):
-        for name in ("_shift_images", "inverse_table"):
+        for name in ("_shift_images", "_inverse_images", "inverse_table"):
             if hasattr(module, name):
                 fn = getattr(module, name)
                 monkeypatch.setattr(module, name, counted(name, fn))
     assert decide(g).determined == determined
     assert calls["_shift_images"] == 1
-    assert calls["inverse_table"] <= 1
+    assert calls["_inverse_images"] == 1
+    assert calls["inverse_table"] == 0
 
 
 def test_decide_disagreement_raises(monkeypatch):

@@ -666,9 +666,10 @@ def test_benchmark_sweep_covers_every_suite():
 
 def test_inverse_laws_computes_table_facts_once(monkeypatch):
     # Each per-table predicate runs at most once per table, however many
-    # mappings reach it; NotInverse tables are skipped after one attempt.
-    # The suite reads them through _Facts, which calls these names in
-    # the inverses module and computes complete inverseness itself.
+    # mappings reach it; tables without an inverse table are skipped after
+    # one attempt.  The suite reads them through _Facts, which calls these
+    # names in the inverses module (the inverse kernel with the table's
+    # rows) and computes complete inverseness itself.
     import gpdtools.inverses as inverses
 
     calls = Counter()
@@ -684,7 +685,7 @@ def test_inverse_laws_computes_table_facts_once(monkeypatch):
         return wrapper
 
     facts = (
-        "inverse_table",
+        "_inverse_images",
         "idempotents_form_semilattice",
         "is_right_bol",
         "strongly_regular_witness",
