@@ -15,13 +15,13 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
-from .errors import InvalidSpec, NotDetermined, NotInverse
+from .errors import InvalidSpec, NotDetermined
 from .groupoid import Groupoid, _check_square, _ContentLines
-from .inverses import inverse_table
+from .inverses import _inverse_images, _not_inverse
 from .mappings import Mapping, is_homomorphism, is_involution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeetSemilattice:
     """A meet table over elements ``0..k-1``; ``f >= e`` iff ``meet[e][f] == e``."""
 
@@ -51,7 +51,7 @@ class MeetSemilattice:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupSpec:
     """One block: a group table (identity at local index 0) plus its
     self-inverse identity-fixing automorphism."""
@@ -89,7 +89,7 @@ class GroupSpec:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstructionSpec:
     """Full construction data.
 
@@ -374,6 +374,10 @@ def decompose(g: Groupoid, alpha: Mapping) -> ConstructionSpec:
     the lower idempotent.  The result always rebuilds to exactly
     ``(g, alpha)`` and its carrier is ``None`` whenever the recovered
     numbering is already canonical.
+
+    The inverse table comes from the uncached kernel, not from the cache
+    of :func:`~gpdtools.inverses.inverse_table`: decompositions meet their
+    tables one by one, and a cache would only keep them alive.
     """
     n = g.order
     rows = g.rows
@@ -384,10 +388,9 @@ def decompose(g: Groupoid, alpha: Mapping) -> ConstructionSpec:
         raise NotDetermined("no idempotents, so no blocks to recover")
     index_of = {label: e for e, label in enumerate(idem)}
 
-    try:
-        inv = inverse_table(g)
-    except NotInverse as exc:
-        raise NotDetermined(f"no inverse table: {exc}") from None
+    inv = _inverse_images(rows)
+    if inv is None:
+        raise NotDetermined(f"no inverse table: {_not_inverse(g)}")
 
     meet_rows = []
     for e_label in idem:

@@ -60,7 +60,7 @@ def _check_square(rows: tuple, rows_name: str, entry_name: str) -> None:
                 raise ValueError(f"{entry_name} entry {v!r} outside 0..{n - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Groupoid:
     """An immutable finite magma given by its full multiplication table."""
 

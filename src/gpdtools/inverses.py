@@ -44,6 +44,20 @@ def _inverse_images(rows) -> Mapping | None:
     return tuple(table)
 
 
+def _not_inverse(g: Groupoid) -> NotInverse:
+    """The :class:`NotInverse` naming the first element (in ascending
+    order) whose inverse count differs from one.  Only for a table on
+    which :func:`_inverse_images` failed; it counts inverses up to that
+    element, and every failure path raises what it returns."""
+    rows = g.rows
+    for x, rx in enumerate(rows):
+        count = 0
+        for y, ry in enumerate(rows):
+            count += rows[rx[y]][x] == x and rows[ry[x]][y] == y
+        if count != 1:
+            return NotInverse(x, count)
+
+
 @lru_cache(maxsize=4096)
 def inverse_table(g: Groupoid) -> Mapping:
     """The map sending each element to its unique inverse.
@@ -51,11 +65,15 @@ def inverse_table(g: Groupoid) -> Mapping:
     Raises :class:`NotInverse` naming the first element (in ascending
     order) whose inverse count differs from one; only a failure of
     :func:`_inverse_images` counts inverses, to name that element.
+
+    The cache serves direct callers only: ``decide``, ``check``, the sweep
+    and ``decompose`` read the uncached kernel, because tables met one by
+    one never hit it.  It stays because it is public and its
+    ``cache_info()`` is read by callers that report cache counters.
     """
     table = _inverse_images(g.rows)
     if table is None:
-        counts = (len(inverses_of(g, x)) for x in range(g.order))
-        raise NotInverse(*next((x, c) for x, c in enumerate(counts) if c != 1))
+        raise _not_inverse(g)
     return table
 
 
@@ -160,7 +178,7 @@ def canonical_twist(g: Groupoid) -> Mapping:
     """
     facts = _Facts(g)
     if facts.inv is None:
-        inverse_table(g)  # raises the NotInverse naming the first such element
+        raise _not_inverse(g)
     return facts.canonical
 
 

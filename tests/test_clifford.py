@@ -1,10 +1,16 @@
 """Block construction data: validation, build, decompose, .cspec format."""
 
+import collections
+import copy
+import dataclasses
+import pickle
 import random
 import re
 
 import pytest
 
+import gpdtools.clifford as clifford
+import gpdtools.inverses as inverses
 from gpdtools import (
     ConstructionSpec,
     Groupoid,
@@ -13,6 +19,7 @@ from gpdtools import (
     MalformedInput,
     MeetSemilattice,
     NotDetermined,
+    NotInverse,
     build_determined,
     build_strong_slg,
     decide,
@@ -20,6 +27,7 @@ from gpdtools import (
     enumerate_groupoids,
     enumerate_specs,
     involutions,
+    inverse_table,
     is_homomorphism,
     is_involution,
     is_semilattice_of_groups,
@@ -325,8 +333,11 @@ def test_decompose_noncanonical_numbering():
 
 
 def test_decompose_rejections():
-    with pytest.raises(NotDetermined):
+    with pytest.raises(NotInverse) as not_inverse:
+        inverse_table(BAND3)
+    with pytest.raises(NotDetermined) as err:
         decompose(BAND3, (0, 1, 2))  # no unique inverses
+    assert str(err.value) == f"no inverse table: {not_inverse.value}"
     with pytest.raises(NotDetermined):
         decompose(FLIP2, (1, 0))  # not even associative after untwisting
     with pytest.raises(NotDetermined):
@@ -358,7 +369,9 @@ def test_decompose_is_total_on_small_tables():
     # decompose refuses with NotDetermined or returns data that rebuilds
     # the pair, and it succeeds exactly on decide's positives with their
     # witness mappings.
+    # None of it goes through the cache of inverse_table.
     decomposed, refusals = {}, set()
+    before = inverse_table.cache_info()
     for n in (1, 2, 3):
         for g in enumerate_groupoids(n):
             for f in involutions(n):
@@ -369,6 +382,7 @@ def test_decompose_is_total_on_small_tables():
                     continue
                 assert build_determined(spec) == (g, f)
                 decomposed[g] = f
+    assert inverse_table.cache_info() == before
     assert refusals == _DECOMPOSE_REFUSALS
     positives = {
         g: report.witness.alpha
@@ -379,6 +393,59 @@ def test_decompose_is_total_on_small_tables():
     }
     assert decomposed == positives
     assert len(positives) == 32
+
+
+@pytest.mark.parametrize(
+    "g, alpha",
+    [(Z3_TWIST, (0, 2, 1)), build_determined(TWISTED_CHAIN_SPEC)],
+    ids=["z3twist", "twisted_chain"],
+)
+def test_decompose_computes_the_inverse_table_once(g, alpha, monkeypatch):
+    """One decompose reads the uncached inverse kernel once and never the
+    cached ``inverse_table``."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (inverses, clifford):
+        for name in ("_inverse_images", "inverse_table"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, counted(name, fn))
+    assert build_determined(decompose(g, alpha)) == (g, alpha)
+    assert calls["_inverse_images"] == 1
+    assert calls["inverse_table"] == 0
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Z3_TWIST, CHAIN, Z3_NEG, TWISTED_CHAIN_SPEC],
+    ids=lambda value: type(value).__name__,
+)
+def test_value_types_are_slotted(value):
+    """The four value types keep no ``__dict__`` and still compare, hash,
+    pickle, copy and refuse assignment as frozen dataclasses."""
+    assert not hasattr(value, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert twin == value and hash(twin) == hash(value)
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_replace_works_on_a_slotted_spec():
+    # replace goes through the validating constructor, as before.
+    spec = dataclasses.replace(CHAIN_SPEC, carrier=((2,), (0, 1)))
+    assert spec.carrier == ((2,), (0, 1)) and spec.homs is CHAIN_SPEC.homs
+    assert validate_spec(spec) == []
+    assert build_determined(spec)[0] != build_determined(CHAIN_SPEC)[0]
+    with pytest.raises(ValueError):
+        dataclasses.replace(CHAIN_SPEC, groups=())
 
 
 def test_serialize_cspec_bytes():

@@ -438,6 +438,18 @@ def test_enumerate_specs_deterministic():
     )
 
 
+def test_enumerate_specs_shares_connecting_maps_within_one_call():
+    # One call holds each distinct system of connecting maps once; a second
+    # call builds its own, so nothing shared outlives the call.
+    first = list(enumerate_specs(3, 4))
+    assert len(first) == 10_933
+    assert len({spec.homs for spec in first}) == 935
+    assert len({id(spec.homs) for spec in first}) == 935
+    second = list(enumerate_specs(3, 4))
+    assert second == first
+    assert not any(a.homs is b.homs for a, b in zip(first, second) if a.homs)
+
+
 # ---------------------------------------------------------------------------
 # Sweep engine.
 # ---------------------------------------------------------------------------
