@@ -145,20 +145,26 @@ def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None
     order (the identity mapping for R0, IR0 and GR0, which need no map),
     or ``None``; provably the one :func:`ad_membership_direct` finds.
 
-    L0 needs a bare involution, the row-constant map.  Every other class
-    needs a shift candidate, a self-inverse automorphism in the shift-law
-    domain (:func:`_shift_images`); with no domain they are ``None`` at
-    once.  On an automorphism the laws of B, IRB, GB and GL0 test one
-    image ``f[x]`` at a time, so each of these classes takes the first map
-    of the domain cut by its law (:func:`_restricted`).  IB cuts it by the
+    Every witness is a shift candidate, a self-inverse automorphism in the
+    shift-law domain (:func:`_shift_images`): the identity is one exactly
+    when ``g`` is associative, and L0's row-constant involution f
+    (``x·y = f(x)``) meets ``(x·y)·z = x = f(x)·(y·z)``.  So with no
+    domain every entry is ``None`` at once, before any class law is read.
+
+    On an automorphism the laws of B, IRB, GB and GL0 test one image
+    ``f[x]`` at a time, so each of these classes takes the first map of
+    the domain cut by its law (:func:`_restricted`).  IB cuts it by the
     ``y = x`` instance of its law and takes the first map that meets the
     whole law.  The laws of IL0 and GRB do not read ``f``: when one holds,
     its class takes the first candidate.  RB takes B's witness when the RB
     identity holds.
     """
+    found: dict[str, Mapping | None] = dict.fromkeys(VARIETIES)
+    domain = _shift_images(g)
+    if domain is None:
+        return found
     rows = g.rows
     n = g.order
-    found: dict[str, Mapping | None] = dict.fromkeys(VARIETIES)
     if g.is_associative():
         for tag in ("R0", "IR0", "GR0"):
             if satisfies_variety(g, tag):
@@ -169,10 +175,6 @@ def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None
     f = tuple(row[0] for row in rows)
     if constant_rows and is_involution(f):
         found["L0"] = f
-
-    domain = _shift_images(g)
-    if domain is None:
-        return found
 
     def first(keep):
         return next(_isomorphisms(g, g, _restricted(domain, keep)), None)
@@ -215,15 +217,6 @@ def ad_membership_characterized_profile(g: Groupoid) -> dict[str, Mapping | None
     if satisfies_variety(g, "RB"):
         found["RB"] = found["B"]
     return found
-
-
-def ad_membership_characterized(g: Groupoid, variety: str) -> Mapping | None:
-    """Characterization-level membership test for one derived class: the
-    entry of ``variety`` in :func:`ad_membership_characterized_profile`.
-    Raises :class:`ValueError` for an unknown tag."""
-    if variety not in VARIETIES:
-        raise ValueError(f"unknown variety tag {variety!r}")
-    return ad_membership_characterized_profile(g)[variety]
 
 
 def _require(condition: bool, message: str):

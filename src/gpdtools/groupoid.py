@@ -67,10 +67,9 @@ class Groupoid:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rows)
         if not isinstance(self.rows, tuple):
             raise TypeError("rows must be a tuple of tuples")
-        if n == 0:
+        if not self.rows:
             raise ValueError("a table needs at least one element")
         _check_square(self.rows, "rows", "table")
 

@@ -248,13 +248,10 @@ class _Facts:
         return _shift_images(self.g)
 
     @_fact
-    def canonical(self) -> Mapping | None:
-        """The canonical map ``a -> a * (a * a')``, or ``None`` without an
-        inverse table."""
-        inv = self.inv
-        if inv is None:
-            return None
-        rows = self.g.rows
+    def canonical(self) -> Mapping:
+        """The canonical map ``a -> a * (a * a')``.  Read only when
+        :attr:`inv` is a table: every reader checks that first."""
+        rows, inv = self.g.rows, self.inv
         return tuple(rows[a][rows[a][inv[a]]] for a in range(self.g.order))
 
     def antihomomorphism(self, f: Mapping) -> bool:

@@ -1136,6 +1136,92 @@ def test_failure_details_keep_their_formats(monkeypatch):
     assert got == sorted(expected)
 
 
+def test_square_equivalence_failure_names_both_sides(monkeypatch):
+    # A generalized identity that reads the opposite of the truth fails
+    # every product-set equivalence on every associative table, and each
+    # counterexample names both sides of the law.
+    from gpdtools import satisfies_variety, square_subgroupoid
+    from gpdtools.determination import DESCENT_PAIRS
+
+    generalized_tags = {generalized for *_, generalized in DESCENT_PAIRS}
+    real = enumeration.satisfies_variety
+
+    def flipped(g, tag):
+        return real(g, tag) != (tag in generalized_tags)
+
+    monkeypatch.setattr(enumeration, "satisfies_variety", flipped)
+    config = SweepConfig(
+        max_exhaustive_order=2, sample_count=0, suites=("square_classes",)
+    )
+    got = sorted(
+        (c.law, c.instance, c.detail) for c in run_sweep(config).counterexamples
+    )
+    expected = []
+    for g in itertools.chain(enumerate_groupoids(1), enumerate_groupoids(2)):
+        if not g.is_associative():
+            continue
+        squares, _ = square_subgroupoid(g)
+        for base, _inflation, generalized in DESCENT_PAIRS:
+            square_holds = satisfies_variety(squares, base)
+            detail = f"generalized={not square_holds} square_base={square_holds}"
+            law = f"square_equivalence.{generalized}"
+            expected.append((law, f"order={g.order} rows={g.rows}", detail))
+    assert len(expected) == 4 * 9
+    assert got == sorted(expected)
+
+
+def test_swapped_absorbing_pair_failure_names_the_mapping(monkeypatch):
+    # With no map equal to the identity, the identity of each band passes
+    # for a nontrivial automorphism and has no swapped pair: one
+    # counterexample per band, naming the mapping.
+    monkeypatch.setattr(enumeration, "identity_mapping", lambda n: ())
+    config = SweepConfig(
+        max_exhaustive_order=2,
+        sample_count=0,
+        max_semilattice_order=1,
+        max_group_order=1,
+        suites=("involution_laws",),
+    )
+    law = "nontrivial_automorphism_swaps_absorbing_pair"
+    got = sorted(
+        (c.instance, c.detail)
+        for c in run_sweep(config).counterexamples
+        if c.law == law and c.instance.startswith("order=")
+    )
+    bands = [
+        g
+        for g in itertools.chain(enumerate_groupoids(1), enumerate_groupoids(2))
+        if g.is_associative() and all(g.product(x, x) == x for x in g)
+    ]
+    expected = [
+        (f"order={g.order} rows={g.rows}", f"mapping={tuple(range(g.order))}")
+        for g in bands
+    ]
+    assert len(expected) == 5
+    assert got == sorted(expected)
+
+
+def test_decision_coherence_decides_built_specs_over_two_element_semilattices():
+    # Of the 33 specs of the (3, 2) family, the 26 over a 3-element
+    # semilattice are skipped; the other 7 are decided.
+    specs = list(enumerate_specs(3, 2))
+    assert len(specs) == 33
+    assert sum(spec.semilattice.order == 3 for spec in specs) == 26
+    config = SweepConfig(
+        max_exhaustive_order=0,
+        sample_count=0,
+        max_semilattice_order=3,
+        max_group_order=2,
+        suites=("decision_coherence",),
+    )
+    report = run_sweep(config)
+    assert report.passed
+    assert report.counts == {
+        "decision_coherence.constructed_shift_law": 7,
+        "decision_coherence.constructed_is_determined": 7,
+    }
+
+
 def test_verdict_maps_record_each_false_and_skip_none(monkeypatch):
     # Each failed law in a verdict map is one counterexample: no detail for
     # False, the string itself for a string verdict.  Every law that is not

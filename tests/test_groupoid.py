@@ -309,6 +309,10 @@ def test_groupoid_validation():
         Groupoid(())
     with pytest.raises(TypeError):
         Groupoid([(0,)])
+    with pytest.raises(TypeError, match="rows must be a tuple of tuples"):
+        Groupoid(None)
+    with pytest.raises(TypeError, match="rows must be a tuple of tuples"):
+        Groupoid(tuple(row) for row in ((0,),))
     with pytest.raises(ValueError, match="table entry False outside 0..1"):
         Groupoid.from_rows([[False, True], [True, False]])
 
