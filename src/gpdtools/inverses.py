@@ -47,13 +47,10 @@ def _inverse_images(rows) -> Mapping | None:
 def _not_inverse(g: Groupoid) -> NotInverse:
     """The :class:`NotInverse` naming the first element (in ascending
     order) whose inverse count differs from one.  Only for a table on
-    which :func:`_inverse_images` failed; it counts inverses up to that
-    element, and every failure path raises what it returns."""
-    rows = g.rows
-    for x, rx in enumerate(rows):
-        count = 0
-        for y, ry in enumerate(rows):
-            count += rows[rx[y]][x] == x and rows[ry[x]][y] == y
+    which :func:`_inverse_images` failed; every failure path raises what
+    it returns."""
+    for x in g:
+        count = len(inverses_of(g, x))
         if count != 1:
             return NotInverse(x, count)
 

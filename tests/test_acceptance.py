@@ -265,8 +265,8 @@ def test_c8_conditional_law_sweep():
         jobs=8,
     )
     assert report.passed and report.counterexamples == ()
-    assert report.counts["class_relations.inclusion_chain.B"] == 19_869
-    assert report.counts["class_relations.semigroup_identity.GRB"] == 19_869
+    assert report.counts["class_relations.inclusion_chain.B"] == 30_633
+    assert report.counts["class_relations.semigroup_identity.GRB"] == 30_633
     assert report.counts["inverse_laws.unique_inverses_shift_efixed_iff_canonical"] == 13_018
     assert report.counts["inverse_laws.canonical_shift_iff_right_bol"] == 11_088
     assert report.counts["involution_laws.strong_shift_forces_idempotency"] == 61

@@ -795,6 +795,16 @@ def test_instance_ids_are_formatted_only_on_failure(monkeypatch):
         ("max_group_order", 0, LimitsTooLarge),
         ("max_group_order", 7, LimitsTooLarge),
         ("suites", ("no_such_suite",), ValueError),
+        # An int field takes exactly an int: a bool would write `true` into
+        # the canonical report, and a float would fail only when the sweep
+        # runs.
+        ("max_exhaustive_order", True, ValueError),
+        ("max_exhaustive_order", 1.0, ValueError),
+        ("sample_order", True, ValueError),
+        ("sample_count", 2.5, ValueError),
+        ("seed", 1.0, ValueError),
+        ("max_semilattice_order", True, ValueError),
+        ("max_group_order", 2.0, ValueError),
     ],
 )
 def test_sweep_config_rejects_invalid_values(field, value, error):
@@ -929,6 +939,17 @@ def test_sweep_config_rejects_duplicate_suites():
 
 
 _TINY_FAMILY = dict(sample_count=0, max_semilattice_order=2, max_group_order=2)
+_BUILT_IN_SUITES = (
+    "goldens",
+    "square_classes",
+    "ad_equivalence",
+    "class_relations",
+    "involution_laws",
+    "inverse_laws",
+    "slg_conclusions",
+    "decision_coherence",
+    "construction_roundtrip",
+)
 
 
 def _counted(calls, key, fn):
@@ -1058,8 +1079,8 @@ def test_construction_roundtrip_decides_nothing(monkeypatch):
 
 def test_a_full_sweep_decides_each_table_once(monkeypatch):
     # Every exhaustive and sampled table is decided exactly once, by
-    # decision_coherence; the other calls are the goldens' fixtures and the
-    # built instances, whose semilattices here are all small enough.
+    # decision_coherence; the other calls are the goldens' fixtures and
+    # every built instance.
     import gpdtools.enumeration as enumeration
     from gpdtools import fixtures as fx
 
@@ -1201,25 +1222,33 @@ def test_swapped_absorbing_pair_failure_names_the_mapping(monkeypatch):
     assert got == sorted(expected)
 
 
-def test_decision_coherence_decides_built_specs_over_two_element_semilattices():
-    # Of the 33 specs of the (3, 2) family, the 26 over a 3-element
-    # semilattice are skipped; the other 7 are decided.
-    specs = list(enumerate_specs(3, 2))
-    assert len(specs) == 33
-    assert sum(spec.semilattice.order == 3 for spec in specs) == 26
+def test_suites_read_every_built_spec():
+    # A suite that reads a source reads all of it: on the 251 specs of
+    # the (3, 3) family, class_relations checks every built table and
+    # decision_coherence decides every one, whatever its order or the
+    # size of its semilattice.  goldens reads the bundled fixtures, not a
+    # source; every other suite yields no map or one per spec at least.
+    assert sum(1 for _ in enumerate_specs(3, 3)) == 251
     config = SweepConfig(
         max_exhaustive_order=0,
         sample_count=0,
         max_semilattice_order=3,
-        max_group_order=2,
-        suites=("decision_coherence",),
+        max_group_order=3,
     )
-    report = run_sweep(config)
+    report = run_sweep(
+        replace(config, suites=("class_relations", "decision_coherence"))
+    )
     assert report.passed
-    assert report.counts == {
-        "decision_coherence.constructed_shift_law": 7,
-        "decision_coherence.constructed_is_determined": 7,
-    }
+    for law in (
+        "class_relations.inclusion_chain.B",
+        "decision_coherence.constructed_shift_law",
+        "decision_coherence.constructed_is_determined",
+    ):
+        assert report.counts[law] == 251, law
+    chunk = enumeration._Chunk(config, 0, 1)
+    maps = {name: sum(1 for _ in SUITES[name](chunk)) for name in _BUILT_IN_SUITES}
+    assert maps.pop("goldens") == 3
+    assert all(n == 0 or n >= 251 for n in maps.values()), maps
 
 
 def test_verdict_maps_record_each_false_and_skip_none(monkeypatch):
@@ -1334,19 +1363,8 @@ def test_built_in_suites_leave_out_the_laws_they_skip():
         max_group_order=3,
     )
     chunk = enumeration._Chunk(config, 0, 1)
-    built_in = (
-        "goldens",
-        "square_classes",
-        "ad_equivalence",
-        "class_relations",
-        "involution_laws",
-        "inverse_laws",
-        "slg_conclusions",
-        "decision_coherence",
-        "construction_roundtrip",
-    )
     skipped = {}
-    for name in built_in:
+    for name in _BUILT_IN_SUITES:
         maps = [verdicts for verdicts, _ in SUITES[name](chunk)]
         assert any(maps), name
         skipped[name] = sum(None in verdicts.values() for verdicts in maps)
