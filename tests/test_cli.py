@@ -406,10 +406,24 @@ def test_sweep_passes(capsys):
     code, out, _ = _run(capsys, _TINY_SWEEP + ["--format", "json"])
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == "sweep_report@2"
+    assert report["schema"] == "sweep_report@3"
     assert report["passed"] is True
     assert report["counterexamples"] == []
     assert report["config"]["sample_count"] == 25
+
+
+def test_bare_sweep_runs_the_default_config(capsys, monkeypatch):
+    # The CLI reads its defaults from SweepConfig, so the two cannot drift.
+    ran = []
+
+    def fake_run_sweep(config, jobs):
+        ran.append((config, jobs))
+        return enumeration.SweepReport(config, {}, (), 0.0)
+
+    monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
+    code, _, _ = _run(capsys, ["sweep"])
+    assert code == 0
+    assert ran == [(enumeration.SweepConfig(), 1)]
 
 
 def test_sweep_report_to_file(tmp_path, capsys):

@@ -21,12 +21,17 @@ from gpdtools import (
     SweepConfig,
     SweepReport,
     TheoremViolation,
+    absorption_law,
+    build_determined,
+    build_strong_slg,
     decompose,
     enumerate_group_tables,
     enumerate_groupoids,
     enumerate_semilattices,
     enumerate_specs,
     find_isomorphism,
+    identity_mapping,
+    inverse_antihomomorphism_law,
     involutions,
     involutive_automorphisms,
     is_homomorphism,
@@ -34,7 +39,9 @@ from gpdtools import (
     register_suite,
     run_sweep,
     serialize_cspec,
+    shifted_associativity,
     stream_value,
+    untwist,
     validate_spec,
 )
 import gpdtools.enumeration as enumeration
@@ -478,7 +485,7 @@ def test_sweep_partition_independent():
     r3 = run_sweep(_SMALL, jobs=3)
     assert r1.to_json() == r2.to_json() == r3.to_json()
     data = json.loads(r1.to_json())
-    assert data["schema"] == "sweep_report@2"
+    assert data["schema"] == "sweep_report@3"
     assert "elapsed" not in json.dumps(data)
     assert data["config"]["rng"] == "splitmix64"
 
@@ -638,14 +645,14 @@ def test_suite_reading_no_instances_builds_no_table(built):
     assert built == {1: 1, 2: 16, 4: 3}
 
 
-#: Tables each built-in suite builds per order on the tiny config below: the
-#: suites whose docstrings name sampled tables read both table sources, the
-#: rest read only the exhaustive tables, and goldens and
-#: construction_roundtrip (which reads only the specs) read neither.
+#: Tables each built-in suite builds per order on the tiny config below:
+#: decision_coherence, the one suite whose docstring names sampled tables,
+#: reads both table sources, the rest read only the exhaustive tables, and
+#: goldens and construction_roundtrip (which reads only the specs) read
+#: neither.
 _BUILT_BY_SUITE = {
     "goldens": {},
     "construction_roundtrip": {},
-    "square_classes": {1: 1, 2: 16, 4: 3},
     "decision_coherence": {1: 1, 2: 16, 4: 3},
 }
 
@@ -938,6 +945,22 @@ def test_sweep_config_rejects_duplicate_suites():
     SweepConfig(suites=("goldens", "square_classes"))
 
 
+@pytest.mark.parametrize("suites", ["goldens", ("goldens", 1), ["goldens"]])
+def test_sweep_config_takes_suites_as_a_tuple_of_str(suites):
+    # A string would be read as its letters, a non-str name would fail in
+    # str.join, and a list would leave the frozen config unhashable.
+    with pytest.raises(ValueError, match="suites must be a tuple of str"):
+        SweepConfig(suites=suites)
+
+
+@pytest.mark.parametrize("jobs", [2.0, True, "2"])
+def test_run_sweep_takes_jobs_as_an_int(jobs):
+    # A float or a str would fail inside the runner; True would run as 1.
+    config = SweepConfig(max_exhaustive_order=1, sample_count=0, suites=("goldens",))
+    with pytest.raises(ValueError, match="jobs must be an int"):
+        run_sweep(config, jobs=jobs)
+
+
 _TINY_FAMILY = dict(sample_count=0, max_semilattice_order=2, max_group_order=2)
 _BUILT_IN_SUITES = (
     "goldens",
@@ -982,12 +1005,60 @@ def test_involution_laws_reads_table_facts_once(monkeypatch):
         max_exhaustive_order=3, suites=("involution_laws",), **_TINY_FAMILY
     )
     assert run_sweep(config).passed
-    tables = 1 + 16 + 19683 + 2 * sum(1 for _ in enumerate_specs(2, 2))
+    tables = 1 + 16 + 19683 + sum(1 for _ in enumerate_specs(2, 2))
     assert len(band) == len({id(g) for g, _ in band}) == tables
     assert {tag for _, tag in band} == {"B"}
     # The family build also calls is_associative, on tables of its own.
     swept = Counter(map(id, assoc))
     assert all(swept[id(g)] == 1 for g, _ in band)
+
+
+def test_strong_table_meets_no_battery_hypothesis():
+    # Why involution_laws and inverse_laws read only the determined table of
+    # a built spec: with a glued mapping other than the identity, the strong
+    # table meets neither the shifted nor the absorption law, its untwist
+    # is not associative and the mapping is no inverse antihomomorphism;
+    # with the identity, the strong table is the determined one.
+    moved = fixed = 0
+    for spec in enumerate_specs(3, 3):
+        strong = build_strong_slg(spec)
+        determined, alpha = build_determined(spec)
+        if alpha == identity_mapping(strong.order):
+            fixed += 1
+            assert strong == determined
+        else:
+            moved += 1
+            assert not shifted_associativity(strong, alpha)
+            assert not absorption_law(strong, alpha)
+            assert not untwist(strong, alpha).is_associative()
+            assert not inverse_antihomomorphism_law(strong, alpha)
+    assert moved > 0 and fixed > 0
+
+
+def test_inverse_laws_lists_each_failure_once(monkeypatch):
+    # A law forced to fail on every built spec is listed once per spec,
+    # also where the glued mapping is the identity.
+    import gpdtools.inverses as inverses
+
+    fact = vars(inverses._Facts)["completely_inverse"]
+    monkeypatch.setattr(fact, "compute", lambda facts: False)
+    config = SweepConfig(
+        max_exhaustive_order=0,
+        sample_count=0,
+        max_semilattice_order=2,
+        max_group_order=3,
+        suites=("inverse_laws",),
+    )
+    failures = run_sweep(config).counterexamples
+    specs = list(enumerate_specs(2, 3))
+    alphas = [build_determined(spec)[1] for spec in specs]
+    fixed = {
+        enumeration._spec_id(spec)
+        for spec, alpha in zip(specs, alphas)
+        if alpha == identity_mapping(len(alpha))
+    }
+    assert len(failures) == len({(c.law, c.instance) for c in failures}) == len(specs)
+    assert fixed and {c.instance for c in failures} >= fixed
 
 
 def test_involution_laws_gates_translation_and_automorphism(monkeypatch):
