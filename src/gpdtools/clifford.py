@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import InvalidSpec, NotDetermined
 from .groupoid import Groupoid, _check_square, _ContentLines
@@ -119,24 +119,26 @@ class ConstructionSpec:
 
 @lru_cache(maxsize=4096)
 def _meet_problems(sl: MeetSemilattice) -> tuple[str, ...]:
-    """Violations of idempotence, commutativity and associativity."""
+    """The first violation of each of idempotence, commutativity and
+    associativity, so a bad table costs at most three messages."""
     meet = sl.meet
     k = sl.order
     if k == 0:
         return ("semilattice is empty",)
     problems = []
-    for e in range(k):
+    span = range(k)
+    for e in span:
         if meet[e][e] != e:
             problems.append(f"meet not idempotent at {e}")
-    for e in range(k):
-        for f in range(e + 1, k):
-            if meet[e][f] != meet[f][e]:
-                problems.append(f"meet not commutative at ({e},{f})")
-    for e in range(k):
-        for f in range(k):
-            for h in range(k):
-                if meet[meet[e][f]][h] != meet[e][meet[f][h]]:
-                    problems.append(f"meet not associative at ({e},{f},{h})")
+            break
+    for e, f in combinations(span, 2):
+        if meet[e][f] != meet[f][e]:
+            problems.append(f"meet not commutative at ({e},{f})")
+            break
+    for e, f, h in product(span, repeat=3):
+        if meet[meet[e][f]][h] != meet[e][meet[f][h]]:
+            problems.append(f"meet not associative at ({e},{f},{h})")
+            break
     return tuple(problems)
 
 

@@ -5,11 +5,11 @@ counter-based reproducible random stream of larger tables, and the full
 family of construction data up to stated size limits (semilattice
 representatives, group-table representatives, compatible connecting maps).
 
-Sweep side: a registry of property suites, each a filtered universal over
+Sweep side: a fixed table of property suites, each a filtered universal over
 tables, mappings, or construction data that yields one map from law name
 to verdict per instance.  A sweep partitions the instance space into
 deterministic chunks (instance index modulo the chunk count), runs every
-active suite on every chunk — in parallel when asked — and merges
+named suite on every chunk — in parallel when asked — and merges
 per-chunk tallies and counterexamples into one report whose canonical
 JSON form is independent of the partitioning.
 """
@@ -22,7 +22,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .clifford import (
     ConstructionSpec,
@@ -411,10 +411,6 @@ class SweepConfig:
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(unknown)}")
 
-    def active_suites(self) -> tuple[str, ...]:
-        """The named suites, or every registered suite when none is named."""
-        return self.suites or tuple(SUITES)
-
 
 @dataclass(frozen=True, order=True)
 class Counterexample:
@@ -486,6 +482,17 @@ class _Chunk:
 
         Each spec is built in two trusted passes, strong and twisted, and
         validated only by ``construction_roundtrip.spec_valid``.
+
+        ``involution_laws`` and ``inverse_laws`` do not read the strong table
+        S, as it counts nothing new there.  S is a semilattice of groups and
+        α fixes its idempotents, so x and α(x) lie in the group whose
+        identity is e = x⁻¹x.  Each hypothesis of the two batteries forces
+        x = α(x): the shifted law at y = x⁻¹, z = x; absorption
+        x·α(x) = α(x), which makes x idempotent; an associative
+        ``untwist(S, α)`` at y = z = e; and the antihomomorphism law at
+        a = x, b = e, which gives x⁻¹ = α(x⁻¹).  So when α ≠ id no law of
+        either battery is checked on S, and when α = id, S is the
+        determined table.
         """
         family = enumerate_specs(
             self.config.max_semilattice_order, self.config.max_group_order
@@ -690,14 +697,7 @@ def _suite_involution_laws(chunk: _Chunk):
     """Laws tying a self-inverse mapping's absorption, shift, translation,
     and automorphism properties together, over every exhaustive table with
     every self-inverse mapping, and over built determined tables with their
-    glued mapping α.
-
-    The strong table S of a spec is not read, as it counts nothing new.  S
-    is a semilattice of groups and α fixes its idempotents, so x and α(x)
-    lie in the group whose identity is e = x⁻¹x.  The shifted law at
-    y = x⁻¹, z = x gives x = α(x); absorption x·α(x) = α(x) makes x
-    idempotent, so α(x) = x.  So when α ≠ id no law here is checked on S,
-    and when α = id, S is the determined table."""
+    glued mapping α (``_Chunk.specs`` says why the strong table is not read)."""
     for g in chunk.exhaustive:
         yield from _involution_laws_for(g, involutions(g.order), partial(_table_id, g))
     for built in chunk.specs:
@@ -762,15 +762,8 @@ def _suite_inverse_laws(chunk: _Chunk):
     """Laws about unique inverses, idempotent products, the canonical map,
     and the inverse-antihomomorphism condition, over every exhaustive table
     with every self-inverse mapping, and over built determined tables with
-    their glued mapping α.
-
-    The strong table S of a spec is not read, as it counts nothing new.  S
-    is a semilattice of groups and α fixes its idempotents, so x and α(x)
-    lie in the group whose identity is e = x⁻¹x.  If ``untwist(S, α)`` is
-    associative, then x = α(x) (take y = z = e); the shifted law at
-    y = x⁻¹, z = x gives x = α(x); the antihomomorphism law at a = x, b = e
-    gives x⁻¹ = α(x⁻¹).  So when α ≠ id no law here is checked on S, and
-    when α = id, S is the determined table."""
+    their glued mapping α (``_Chunk.specs`` says why the strong table is not
+    read)."""
     for g in chunk.exhaustive:
         facts = _Facts(g)
         if facts.inv is None:
@@ -894,42 +887,25 @@ def _suite_construction_roundtrip(chunk: _Chunk):
         )
 
 
-#: A suite's runner: it yields one ``(verdicts, instance)`` pair per instance.
-_Runner = Callable[[_Chunk], Iterator[tuple[dict[str, bool | str | None], object]]]
-
-SUITES: dict[str, _Runner] = {}
-
-
-def register_suite(name: str, runner: _Runner):
-    """Add a property suite to the registry under a unique name.
-
-    ``runner(chunk)`` reads ``chunk.exhaustive``, ``chunk.samples`` and
-    ``chunk.specs``, so a suite that never reads one never pays for it, and
-    yields one ``(verdicts, instance)`` pair per instance.  ``verdicts`` maps
-    each law name to ``True`` (holds), ``None`` (hypotheses not met, not
-    counted), ``False``, or a string that is the failure's detail, written
-    ``ok or f"..."`` so that it is made only on failure.  ``instance`` is a
-    string or a zero-argument callable that makes it, called only when a law
-    of the map fails.  ``list(SUITES[name](chunk))`` lists a suite's output.
-    A config that names a suite twice or names an unregistered one is
-    rejected."""
-    if name in SUITES:
-        raise ValueError(f"suite {name!r} is already registered")
-    SUITES[name] = runner
-
-
-for _name, _runner in (
-    ("goldens", _suite_goldens),
-    ("square_classes", _suite_square_classes),
-    ("ad_equivalence", _suite_ad_equivalence),
-    ("class_relations", _suite_class_relations),
-    ("involution_laws", _suite_involution_laws),
-    ("inverse_laws", _suite_inverse_laws),
-    ("slg_conclusions", _suite_slg_conclusions),
-    ("decision_coherence", _suite_decision_coherence),
-    ("construction_roundtrip", _suite_construction_roundtrip),
-):
-    register_suite(_name, _runner)
+#: The sweep's suites, in report order.  A runner reads ``chunk.exhaustive``,
+#: ``chunk.samples`` and ``chunk.specs`` (a suite never pays for a source it
+#: does not read) and yields one ``(verdicts, instance)`` pair per instance.
+#: ``verdicts`` maps each law name to ``True`` (holds), ``None`` (hypotheses
+#: not met, not counted), ``False``, or a string that is the failure's detail,
+#: written ``ok or f"..."`` so that it is made only on failure.  ``instance``
+#: is a string or a zero-argument callable that makes it, called only when a
+#: law of the map fails.
+SUITES = {
+    "goldens": _suite_goldens,
+    "square_classes": _suite_square_classes,
+    "ad_equivalence": _suite_ad_equivalence,
+    "class_relations": _suite_class_relations,
+    "involution_laws": _suite_involution_laws,
+    "inverse_laws": _suite_inverse_laws,
+    "slg_conclusions": _suite_slg_conclusions,
+    "decision_coherence": _suite_decision_coherence,
+    "construction_roundtrip": _suite_construction_roundtrip,
+}
 
 
 #: The verdicts of a law that did not fail.
@@ -939,12 +915,12 @@ _NOT_FAILED = frozenset((True, None))
 def _run_chunk(
     config: SweepConfig, chunk_index: int, chunks: int
 ) -> tuple[Counter, list[Counterexample]]:
-    """Run the active suites on one chunk.  The only code that turns the
-    pairs a suite yields into law counts and counterexamples."""
+    """Run the suites that ``config`` names on one chunk.  The only code
+    that turns the pairs a suite yields into law counts and counterexamples."""
     chunk = _Chunk(config, chunk_index, chunks)
     counts: Counter = Counter()
     failures: list[Counterexample] = []
-    for name in config.active_suites():
+    for name in config.suites:
         laws: Counter = Counter()
         for verdicts, instance in SUITES[name](chunk):
             # Every verdict that is not None counts; any other than True fails.
@@ -962,7 +938,7 @@ def _run_chunk(
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
-    """Run the active suites over the configured instance space.
+    """Run the named suites (all of ``SUITES`` if none) over the instance space.
 
     ``jobs`` fixes the number of chunks; the worker pool runs them on at
     most one process per CPU.  Because every check is per-instance and the
@@ -973,7 +949,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
         raise ValueError("jobs must be an int")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    resolved = replace(config, suites=config.active_suites())
+    resolved = replace(config, suites=config.suites or tuple(SUITES))
     start = time.perf_counter()
     if jobs == 1:
         results = [_run_chunk(resolved, 0, 1)]

@@ -8,7 +8,9 @@ From configuration to the end of the run, ``sys.settrace`` records each
 line that runs in a frame whose code lies in ``src/gpdtools``; other frames
 get no line tracer.  The summary then lists every executable line that no
 test ran, as ``path:line: source``.  The executable lines are those of the
-compiled modules' code objects (``co_lines()``).  Code run in a subprocess
+code objects (``co_lines()``) compiled from each module's source as read at
+configuration, before the tests import it, so an edit made while the trace
+runs does not shift the lines it reports.  Code run in a subprocess
 or a pool worker is not traced, so its lines are listed as never run.  The
 trace slows the run several times over.
 """
@@ -25,6 +27,8 @@ _PREFIX = str(SRC) + os.sep
 
 #: Lines seen per code object: on a call its first line, then each line.
 _hits: dict = {}
+#: Each module's source, read at configuration.
+_sources: dict[Path, str] = {}
 
 
 def _lines_of(code) -> set[int]:
@@ -52,6 +56,7 @@ def _trace(frame, event, arg):
 
 
 def pytest_configure(config):
+    _sources.update((path, path.read_text()) for path in sorted(SRC.glob("*.py")))
     threading.settrace(_trace)
     sys.settrace(_trace)
 
@@ -65,8 +70,7 @@ def pytest_terminal_summary(terminalreporter):
     write = terminalreporter.write_line
     terminalreporter.section("lines of src/gpdtools no test ran")
     total = 0
-    for path in sorted(SRC.glob("*.py")):
-        source = path.read_text()
+    for path, source in _sources.items():
         text = source.splitlines()
         unrun = _lines_of(compile(source, str(path), "exec"))
         unrun -= ran.get(os.path.realpath(path), set())

@@ -116,9 +116,22 @@ NON_TRANSITIVE_CSPEC = (
 
 
 def test_validate_spec_meet_not_transitive():
+    # Six triples fail associativity; only the first is listed.
     assert validate_spec(parse_cspec(NON_TRANSITIVE_CSPEC)) == [
-        f"meet not associative at {triple}"
-        for triple in ("(0,0,2)", "(0,1,2)", "(0,2,1)", "(1,2,0)", "(2,0,0)", "(2,1,0)")
+        "meet not associative at (0,0,2)"
+    ]
+
+
+def test_meet_check_lists_one_failure_per_law():
+    k = 120
+    meet = tuple(tuple((e * f + 1) % k for f in range(k)) for e in range(k))
+    spec = ConstructionSpec(MeetSemilattice(meet), (Z1,) * k, ())
+    meet_problems = [m for m in validate_spec(spec) if m.startswith("meet ")]
+    # Commutative, but 120 elements fail idempotence and 1,713,600 triples
+    # fail associativity.
+    assert meet_problems == [
+        "meet not idempotent at 0",
+        "meet not associative at (0,0,1)",
     ]
 
 
@@ -537,18 +550,24 @@ def _reference_validate_spec(spec):
     meet = sl.meet
     k = sl.order
 
-    for e in range(k):
-        if meet[e][e] != e:
-            problems.append(f"meet not idempotent at {e}")
-    for e in range(k):
-        for f in range(e + 1, k):
-            if meet[e][f] != meet[f][e]:
-                problems.append(f"meet not commutative at ({e},{f})")
-    for e in range(k):
-        for f in range(k):
-            for h in range(k):
-                if meet[meet[e][f]][h] != meet[e][meet[f][h]]:
-                    problems.append(f"meet not associative at ({e},{f},{h})")
+    # Each meet law lists every failure, and the first one is reported.
+    idempotent = [e for e in range(k) if meet[e][e] != e]
+    commutative = [
+        (e, f) for e in range(k) for f in range(e + 1, k) if meet[e][f] != meet[f][e]
+    ]
+    associative = [
+        (e, f, h)
+        for e in range(k)
+        for f in range(k)
+        for h in range(k)
+        if meet[meet[e][f]][h] != meet[e][meet[f][h]]
+    ]
+    if idempotent:
+        problems.append(f"meet not idempotent at {idempotent[0]}")
+    if commutative:
+        problems.append("meet not commutative at ({},{})".format(*commutative[0]))
+    if associative:
+        problems.append("meet not associative at ({},{},{})".format(*associative[0]))
 
     for e, group in enumerate(spec.groups):
         for msg in _reference_is_group(group.rows):

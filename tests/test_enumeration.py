@@ -36,7 +36,6 @@ from gpdtools import (
     involutive_automorphisms,
     is_homomorphism,
     random_groupoids,
-    register_suite,
     run_sweep,
     serialize_cspec,
     shifted_associativity,
@@ -543,23 +542,20 @@ def test_sweep_suite_selection_and_errors():
         run_sweep(SweepConfig(max_exhaustive_order=4), jobs=1)
 
 
-def test_sweep_detects_corrupted_property():
+def test_sweep_detects_corrupted_property(monkeypatch):
     # A deliberately false law must surface as a counterexample, proving the
     # sweep machinery can actually fail.
     def bad_suite(chunk):
         for g in chunk.exhaustive:
             yield {"all_tables_commute": g.rows == tuple(zip(*g.rows))}, "x"
 
-    register_suite("deliberately_wrong", bad_suite)
-    try:
-        report = run_sweep(
-            SweepConfig(
-                max_exhaustive_order=2, sample_count=0, suites=("deliberately_wrong",)
-            ),
-            jobs=1,
-        )
-    finally:
-        del SUITES["deliberately_wrong"]
+    monkeypatch.setitem(SUITES, "deliberately_wrong", bad_suite)
+    report = run_sweep(
+        SweepConfig(
+            max_exhaustive_order=2, sample_count=0, suites=("deliberately_wrong",)
+        ),
+        jobs=1,
+    )
     assert not report.passed
     assert report.counts["deliberately_wrong.all_tables_commute"] == 17
     assert any(
@@ -568,14 +564,14 @@ def test_sweep_detects_corrupted_property():
     assert "all_tables_commute" in report.to_json()
 
 
-def test_registered_suite_alone_reads_specs():
-    # A user suite that reads chunk.specs sees the construction family even
-    # when no built-in suite that also reads it is active.
+def test_registered_suite_alone_reads_specs(monkeypatch):
+    # A suite that reads chunk.specs sees the construction family even when
+    # no other suite that reads it runs.
     def spec_counter(chunk):
         for built in chunk.specs:
             yield {"instances": True}, "x"
 
-    register_suite("spec_counter", spec_counter)
+    monkeypatch.setitem(SUITES, "spec_counter", spec_counter)
     config = SweepConfig(
         max_exhaustive_order=1,
         sample_count=0,
@@ -583,10 +579,7 @@ def test_registered_suite_alone_reads_specs():
         max_group_order=2,
         suites=("spec_counter",),
     )
-    try:
-        counts = [run_sweep(config, jobs=jobs).counts for jobs in (1, 2)]
-    finally:
-        del SUITES["spec_counter"]
+    counts = [run_sweep(config, jobs=jobs).counts for jobs in (1, 2)]
     assert counts == [{"spec_counter.instances": 2}] * 2
 
 
@@ -610,7 +603,7 @@ def built(monkeypatch):
     return counts
 
 
-def test_suite_reading_no_instances_builds_no_table(built):
+def test_suite_reading_no_instances_builds_no_table(built, monkeypatch):
     # chunk.exhaustive and chunk.samples, like chunk.specs, are each built on
     # first read.
     def no_reads(chunk):
@@ -624,24 +617,20 @@ def test_suite_reading_no_instances_builds_no_table(built):
         for _g in chunk.samples:
             yield {"samples": True}, "x"
 
-    register_suite("no_reads", no_reads)
-    register_suite("table_reads", table_reads)
-    register_suite("sample_reads", sample_reads)
+    for runner in (no_reads, table_reads, sample_reads):
+        monkeypatch.setitem(SUITES, runner.__name__, runner)
     config = SweepConfig(max_exhaustive_order=2, sample_count=3, suites=("no_reads",))
-    try:
-        assert run_sweep(config).counts == {"no_reads.ran": 1}
-        assert not built
-        config = replace(config, suites=("sample_reads",))
-        assert run_sweep(config).counts == {"sample_reads.samples": 3}
-        assert built == {4: 3}
-        built.clear()
-        config = replace(config, suites=("no_reads", "table_reads"))
-        assert run_sweep(config).counts == {
-            "no_reads.ran": 1,
-            "table_reads.instances": 1 + 16 + 3,
-        }
-    finally:
-        del SUITES["no_reads"], SUITES["table_reads"], SUITES["sample_reads"]
+    assert run_sweep(config).counts == {"no_reads.ran": 1}
+    assert not built
+    config = replace(config, suites=("sample_reads",))
+    assert run_sweep(config).counts == {"sample_reads.samples": 3}
+    assert built == {4: 3}
+    built.clear()
+    config = replace(config, suites=("no_reads", "table_reads"))
+    assert run_sweep(config).counts == {
+        "no_reads.ran": 1,
+        "table_reads.instances": 1 + 16 + 3,
+    }
     assert built == {1: 1, 2: 16, 4: 3}
 
 
@@ -919,23 +908,15 @@ def test_build_inverts_decompose_records_exceptions(monkeypatch, capsys):
     assert "not determined" not in err
 
 
-def test_register_suite_rejects_duplicates():
-    with pytest.raises(ValueError):
-        register_suite("goldens", lambda chunk: iter(()))
-
-
-def test_runner_with_the_old_recorder_signature_fails_loudly():
+def test_runner_with_the_old_recorder_signature_fails_loudly(monkeypatch):
     # A runner takes the chunk alone and yields its verdict maps; one still
     # written as runner(chunk, rec) is a TypeError, not a silent empty run.
     def old_style(chunk, rec):
         rec.check({"ran": True}, "x")
 
-    register_suite("old_style", old_style)
-    try:
-        with pytest.raises(TypeError):
-            run_sweep(SweepConfig(sample_count=0, suites=("old_style",)))
-    finally:
-        del SUITES["old_style"]
+    monkeypatch.setitem(SUITES, "old_style", old_style)
+    with pytest.raises(TypeError):
+        run_sweep(SweepConfig(sample_count=0, suites=("old_style",)))
 
 
 def test_sweep_config_rejects_duplicate_suites():
