@@ -197,9 +197,10 @@ def _map_problems(src: GroupSpec, dst: GroupSpec, images: Mapping) -> tuple[str,
 
 
 def validate_spec(spec: ConstructionSpec) -> list[str]:
-    """All invariant violations in the construction data, as messages.
+    """The invariant violations in the construction data, as messages.
 
-    An empty list means the spec is valid.  Checked: the meet table is a
+    An empty list means the spec is valid.  Each meet law, each law of a
+    connecting map and each chain is reported at its first failure only.  Checked: the meet table is a
     semilattice; each block is a group with identity at local 0 whose
     mapping is a self-inverse identity-fixing automorphism; the connecting
     maps cover exactly the strictly comparable pairs in order, are
