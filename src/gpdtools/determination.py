@@ -445,11 +445,34 @@ def check_class_relations(g: Groupoid) -> dict[str, bool | None]:
 
 @dataclass(frozen=True)
 class CriterionVerdict:
-    """Outcome of one decision criterion."""
+    """Outcome of one decision criterion.
+
+    A verdict is immutable, so a criterion that finds no map returns the
+    one shared verdict for its failure tuple (:func:`_verdict`) instead of
+    a new one per call: most decided tables fail every criterion, and
+    there are at most 16 such tuples, 4 for each search criterion and 8
+    for ``right_bol_canonical``.  A verdict that carries a map is made per
+    call.
+    """
 
     passed: bool
     alpha: Mapping | None
     failed_conditions: tuple[str, ...]
+
+
+#: The verdicts without a map, by failure tuple, made on first use.
+_MAPLESS: dict[tuple[str, ...], CriterionVerdict] = {}
+
+
+def _verdict(alpha: Mapping | None, failed: tuple[str, ...]) -> CriterionVerdict:
+    """The verdict of a criterion that found ``alpha`` and failed the
+    conditions ``failed``; shared when there is no map, which never passes."""
+    if alpha is not None:
+        return CriterionVerdict(not failed, alpha, failed)
+    verdict = _MAPLESS.get(failed)
+    if verdict is None:
+        verdict = _MAPLESS[failed] = CriterionVerdict(False, None, failed)
+    return verdict
 
 
 def _report_json(value, indent: str = "\n") -> str:
@@ -520,9 +543,6 @@ class DecisionReport:
 
 def _criterion_completely_inverse(facts: _Facts) -> CriterionVerdict:
     g = facts.g
-    failed = []
-    if not facts.completely_inverse:
-        failed.append("completely_inverse")
     # The shift candidates are the involutive automorphisms f with
     # f[x] in domain[x] for every x (the shifted triple law).
     domain = facts.shift_images
@@ -541,51 +561,48 @@ def _criterion_completely_inverse(facts: _Facts) -> CriterionVerdict:
                 break
             if inv is None:
                 break
+    failed = () if facts.completely_inverse else ("completely_inverse",)
     if alpha is None:
-        failed.append(
-            "shifted_associativity"
-            if not shift_seen
-            else "idempotent_semilattice_or_inverse_antihomomorphism"
+        failed += (
+            ("idempotent_semilattice_or_inverse_antihomomorphism",)
+            if shift_seen
+            else ("shifted_associativity",)
         )
-    return CriterionVerdict(not failed, alpha, tuple(failed))
+    return _verdict(alpha, failed)
 
 
 def _criterion_strongly_regular(facts: _Facts) -> CriterionVerdict:
     g = facts.g
-    failed = []
-    if not facts.strongly_regular:
-        failed.append("strongly_regular")
+    failed = () if facts.strongly_regular else ("strongly_regular",)
     if not facts.e_semilattice:
-        failed.append("idempotent_semilattice")
+        failed += ("idempotent_semilattice",)
     alpha = None
     domain = facts.shift_images
     if domain is not None:
         domain = _restricted(domain, lambda x, a: x not in facts.idempotents or a == x)
         alpha = next(_isomorphisms(g, g, domain), None)
     if alpha is None:
-        failed.append("shifted_associativity")
-    return CriterionVerdict(not failed, alpha, tuple(failed))
+        failed += ("shifted_associativity",)
+    return _verdict(alpha, failed)
 
 
 def _criterion_right_bol(facts: _Facts) -> CriterionVerdict:
     g = facts.g
-    failed = []
-    if not facts.completely_inverse:
-        failed.append("completely_inverse")
+    failed = () if facts.completely_inverse else ("completely_inverse",)
     if not facts.right_bol:
-        failed.append("right_bol")
+        failed += ("right_bol",)
     alpha = None
     if facts.inv is None:
-        failed.append("canonical_map_undefined")
+        failed += ("canonical_map_undefined",)
     else:
         candidate = facts.canonical
         if is_involution(candidate) and is_homomorphism(candidate, g, g):
             alpha = candidate
             if not (facts.e_semilattice or facts.antihomomorphism(candidate)):
-                failed.append("idempotent_semilattice_or_inverse_antihomomorphism")
+                failed += ("idempotent_semilattice_or_inverse_antihomomorphism",)
         else:
-            failed.append("canonical_involutive_automorphism")
-    return CriterionVerdict(not failed, alpha, tuple(failed))
+            failed += ("canonical_involutive_automorphism",)
+    return _verdict(alpha, failed)
 
 
 def decide(g: Groupoid) -> DecisionReport:
@@ -617,20 +634,19 @@ def decide(g: Groupoid) -> DecisionReport:
     """
     facts = _Facts(g)
     source, regular, right_bol = CRITERIA
-    criteria = {
-        source: _criterion_completely_inverse(facts),
-        regular: _criterion_strongly_regular(facts),
-        right_bol: _criterion_right_bol(facts),
-    }
-    verdicts = {name: v.passed for name, v in criteria.items()}
-    if len(set(verdicts.values())) != 1:
+    first = _criterion_completely_inverse(facts)
+    second = _criterion_strongly_regular(facts)
+    third = _criterion_right_bol(facts)
+    criteria = {source: first, regular: second, right_bol: third}
+    determined = first.passed
+    if not determined == second.passed == third.passed:
+        verdicts = {name: v.passed for name, v in criteria.items()}
         raise TheoremViolation(
             f"decision criteria disagree: {verdicts} on table {g.rows!r}"
         )
-    determined = verdicts[source]
     witness = None
     if determined:
-        alpha = criteria[source].alpha
+        alpha = first.alpha
         star = untwist(g, alpha)
         if _slg_twist_problem(g, star, alpha) is not None:
             raise TheoremViolation(

@@ -47,6 +47,35 @@ def _compositions(rows) -> tuple:
     return enc, [row.translate for row in enc], lambda v: bytes(v) + pad
 
 
+def _homomorphic(f, rows, hrows) -> bool:
+    """True when ``f[rows[x][y]] == hrows[f[x]][f[y]]`` for all x, y, for a
+    map ``f`` of ``0..len(rows)-1`` into ``0..len(hrows)-1`` (unchecked).
+
+    One row at a time: the row of x read through f, ``f o rows[x]``, is
+    the row of f(x) read at f, ``hrows[f[x]] o f``.  Where
+    :func:`_compositions` would encode ``rows`` as bytes, and ``hrows``
+    fits in a byte too, each side is one ``bytes.translate``; otherwise
+    each is one ``itemgetter`` call on tuples (at order 1 both give a bare
+    element, which compares alike).  A row is encoded only when it is
+    compared, so a map that fails in its first rows pays for those alone.
+    """
+    n = len(rows)
+    if _BYTE_ROWS_FROM <= n <= 256 and len(hrows) <= 256:
+        image = bytes(f)
+        through = image + bytes(256 - n)
+        pad = bytes(256 - len(hrows))
+        for row, fx in zip(rows, f):
+            at_image = bytes(hrows[fx]) + pad
+            if bytes(row).translate(through) != image.translate(at_image):
+                return False
+        return True
+    at = itemgetter(*f)
+    for row, fx in zip(rows, f):
+        if itemgetter(*row)(f) != at(hrows[fx]):
+            return False
+    return True
+
+
 def _check_square(rows: tuple, rows_name: str, entry_name: str) -> None:
     """Raise ``ValueError`` unless ``rows`` is n tuples of length n with
     int entries in ``0..n-1`` (a ``bool`` is not one); the messages name

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .groupoid import Groupoid, _ContentLines, _compositions
+from .groupoid import Groupoid, _ContentLines, _compositions, _homomorphic
 
 Mapping = tuple[int, ...]
 #: Per position, the ascending tuple of its admissible images.
@@ -66,17 +66,15 @@ def involutions(n: int) -> tuple[Mapping, ...]:
 
 def is_homomorphism(f: Mapping, g: Groupoid, h: Groupoid) -> bool:
     """True when ``f`` maps the carrier of ``g`` into that of ``h``, with
-    ``int`` images, and ``f(x *_g y) == f(x) *_h f(y)`` for all x, y."""
+    ``int`` images, and ``f(x *_g y) == f(x) *_h f(y)`` for all x, y.
+
+    The law is checked a whole row at a time (:func:`_homomorphic`): row x
+    of ``g`` read through f against the row of f(x) in ``h`` read at f.
+    """
     m = h.order
     if len(f) != g.order or not all(type(v) is int and 0 <= v < m for v in f):
         return False
-    grows = g.rows
-    hrows = h.rows
-    return all(
-        f[grows[x][y]] == hrows[f[x]][f[y]]
-        for x in range(g.order)
-        for y in range(g.order)
-    )
+    return _homomorphic(f, g.rows, h.rows)
 
 
 def _isomorphisms(g: Groupoid, h: Groupoid, domain: Domain | None = None):
@@ -107,9 +105,19 @@ def _isomorphisms(g: Groupoid, h: Groupoid, domain: Domain | None = None):
     without visiting the other automorphisms.  Hence a domain cut position
     by position (:func:`_restricted`) yields exactly the maps of the wider
     domain whose images all pass the cut, in the same lexicographic order.
+
+    A pinned domain, one image per position, admits at most that one map:
+    it is checked whole (:func:`is_involution`, :func:`is_homomorphism`)
+    and yielded if it passes, with no search set up.  The shift-law
+    domain of every built table of ``enumerate_specs(3, 4)`` is pinned.
     """
     n = g.order
     if h.order != n or (domain is not None and () in domain):
+        return
+    pinned = None if domain is None else _pinned(domain)
+    if pinned is not None:
+        if is_involution(pinned) and is_homomorphism(pinned, g, h):
+            yield pinned
         return
     grows = g.rows
     hrows = h.rows
@@ -167,6 +175,14 @@ def _isomorphisms(g: Groupoid, h: Groupoid, domain: Domain | None = None):
         image[k] = forced
 
     yield from extend(0)
+
+
+def _pinned(domain: Domain) -> Mapping | None:
+    """The one map of a domain with no empty position, when every position
+    holds one image; ``None`` when some position holds more."""
+    if sum(map(len, domain)) == len(domain):
+        return tuple(a for (a,) in domain)
+    return None
 
 
 def find_isomorphism(g: Groupoid, h: Groupoid) -> Mapping | None:

@@ -1069,5 +1069,28 @@ def test_decide_disagreement_raises(monkeypatch):
         )
 
     monkeypatch.setattr(det, "_criterion_right_bol", flipped)
-    with pytest.raises(TheoremViolation):
-        decide(Z3_TWIST)
+    # A positive, and a negative whose right-Bol verdict is a shared one.
+    for g, determined in ((Z3_TWIST, True), (_null_semigroup(2), False)):
+        verdicts = dict.fromkeys(det.CRITERIA, determined)
+        verdicts["right_bol_canonical"] = not determined
+        with pytest.raises(TheoremViolation) as raised:
+            decide(g)
+        assert str(raised.value) == (
+            f"decision criteria disagree: {verdicts} on table {g.rows!r}"
+        )
+
+
+def test_decide_shares_its_verdicts_without_a_map():
+    # A verdict without a map is immutable, so each failure tuple has one
+    # shared instance: at most 16 exist, however many tables are decided.
+    tables = itertools.chain(
+        itertools.chain.from_iterable(enumerate_groupoids(n) for n in (1, 2, 3)),
+        random_groupoids(4, 2000, seed=73),
+    )
+    verdicts = [v for g in tables for v in decide(g).criteria.values()]
+    assert len(verdicts) == 3 * 21_700
+    mapless = {id(v): v for v in verdicts if v.alpha is None}
+    assert len(mapless) <= 16
+    assert len({v.failed_conditions for v in mapless.values()}) == len(mapless)
+    for v in mapless.values():
+        assert v == det.CriterionVerdict(False, None, v.failed_conditions)

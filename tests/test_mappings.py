@@ -30,6 +30,7 @@ from gpdtools import (
     random_groupoids,
     serialize_mapping,
     shifted_associativity,
+    twist,
 )
 from gpdtools.mappings import _isomorphisms, _restricted, _shift_images
 from gpdtools.fixtures import (
@@ -269,6 +270,44 @@ def test_domain_search_keeps_exactly_the_admissible_involutions():
         assert next(_isomorphisms(g, g, domain), None) == next(iter(expected), None)
 
 
+def _shift_domains():
+    """Each table of order <= 3 with a shift domain and each built table of
+    ``enumerate_specs(3, 4)``, with its shift domain and then with that
+    domain cut to the maps that fix every idempotent."""
+    tables = itertools.chain(
+        itertools.chain.from_iterable(enumerate_groupoids(n) for n in (1, 2, 3)),
+        (build_determined(spec)[0] for spec in enumerate_specs(3, 4)),
+    )
+    for g in tables:
+        domain = _shift_images(g)
+        if domain is not None:
+            idem = g.idempotents()
+            yield g, domain
+            yield g, _restricted(domain, lambda x, a: x not in idem or a == x)
+
+
+def test_pinned_domains_yield_what_the_search_yields(monkeypatch):
+    # A domain with one image per position is checked as one map; with
+    # that branch off, the backtracking search must yield the same tuples.
+    cases = list(_shift_domains())
+    assert len(cases) == 2 * 11_136
+    pinned = [() not in d and mappings._pinned(d) is not None for _, d in cases]
+    assert sum(pinned[0::2]) == 11_021
+    assert sum(pinned[1::2]) == 11_023
+    # Pinned maps that are no involution or no automorphism: a 3-cycle
+    # that is an automorphism of the left-zero band, an involution that is
+    # not one of BAND3, and a map that is neither on Z3.
+    cases += [
+        (_left_zero_band(3), ((1,), (2,), (0,))),
+        (BAND3, tuple((a,) for a in BAND3_SWAP)),
+        (Z3, ((1,), (2,), (0,))),
+    ]
+    fast = [tuple(_isomorphisms(g, g, d)) for g, d in cases]
+    assert fast[-3:] == [(), (), ()]
+    monkeypatch.setattr(mappings, "_pinned", lambda domain: None)
+    assert [tuple(_isomorphisms(g, g, d)) for g, d in cases] == fast
+
+
 def test_e_fixed_involutive_automorphisms_agree_with_filter():
     for g in _shift_corpus():
         idem = g.idempotents()
@@ -324,6 +363,78 @@ def test_homomorphism_and_swap_facts():
     assert is_homomorphism((0, 1), null2, null2)
     for f in ((False, True), (0, True), (0, 1.0), ("0", 1)):
         assert not is_homomorphism(f, null2, null2), f
+
+
+def _reference_homomorphism(f, g, h):
+    """The definition, cell by cell, after the shape checks."""
+    n, m = g.order, h.order
+    return (
+        len(f) == n
+        and all(type(v) is int and 0 <= v < m for v in f)
+        and all(
+            f[g.rows[x][y]] == h.rows[f[x]][f[y]] for x in range(n) for y in range(n)
+        )
+    )
+
+
+def _cyclic(n):
+    return Groupoid(tuple(tuple((x + y) % n for y in range(n)) for x in range(n)))
+
+
+def test_row_homomorphism_check_matches_the_cell_loop():
+    rng = random.Random(43)
+    cases = []
+    # Orders on both sides of the bytes encoding, and g and h of
+    # different orders: random maps (most fail) and the multiplications
+    # by c, which are homomorphisms Z_n -> Z_m when m divides c * n.
+    for n, m in ((8, 8), (12, 12), (16, 16), (12, 4), (8, 16), (16, 8), (5, 10)):
+        g, h = _cyclic(n), _cyclic(m)
+        cases += [(tuple(rng.randrange(m) for _ in range(n)), g, h) for _ in range(50)]
+        cases += [(tuple(c * x % m for x in range(n)), g, h) for c in range(m)]
+    # Negation on Z_n against Z_n with one cell changed: the map fails in
+    # that cell's row alone, whichever row it is.
+    for n in (5, 8, 12, 16):
+        h = _cyclic(n)
+        negation = tuple(-x % n for x in range(n))
+        for x in range(n):
+            rows = [list(row) for row in h.rows]
+            y = rng.randrange(n)
+            rows[x][y] = (rows[x][y] + 1) % n
+            cases.append((negation, Groupoid.from_rows(rows), h))
+    # Random tables with random maps, most of which fail at once.
+    for n in (8, 12, 16):
+        for g in random_groupoids(n, 20, seed=n):
+            cases += [(tuple(rng.randrange(n) for _ in range(n)), g, g)]
+            cases += [(identity_mapping(n), g, g)]
+    # A target too large for a byte, and a source too large for one.
+    cases += [
+        (tuple(75 * x for x in range(8)), _cyclic(8), _cyclic(300)),
+        (tuple(75 * x + 1 for x in range(8)), _cyclic(8), _cyclic(300)),
+        (tuple(-x % 257 for x in range(257)), _cyclic(257), _cyclic(257)),
+    ]
+    # Maps of the wrong length, with bool images, or out of range.
+    z8 = _cyclic(8)
+    ident = identity_mapping(8)
+    for f in (
+        ident[:7],
+        ident + (0,),
+        (False,) + ident[1:],
+        (0, True) + ident[2:],
+        (0.0,) + ident[1:],
+        (-1,) + ident[1:],
+        ident[:7] + (8,),
+        ident[:7] + (256,),
+    ):
+        cases.append((f, z8, z8))
+    # Every built positive of enumerate_specs(3, 4): its map against the
+    # table, the base table, and from the base table onto the table.
+    for spec in enumerate_specs(3, 4):
+        g, alpha = build_determined(spec)
+        star = twist(g, alpha)
+        cases += [(alpha, g, g), (alpha, star, star), (alpha, star, g)]
+    verdicts = [is_homomorphism(f, g, h) for f, g, h in cases]
+    assert verdicts == [_reference_homomorphism(f, g, h) for f, g, h in cases]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_find_isomorphism():
