@@ -7,174 +7,22 @@ back into that data, and sweeps exhaustive/sampled instance spaces against
 the full battery of structural laws the decision rests on.
 """
 
-from .clifford import (
-    ConstructionSpec,
-    GroupSpec,
-    MeetSemilattice,
-    build_determined,
-    build_strong_slg,
-    decompose,
-    parse_cspec,
-    serialize_cspec,
-    validate_spec,
-)
-from .determination import (
-    CLASS_RELATION_LAWS,
-    CRITERIA,
-    DESCENT_PAIRS,
-    ISOMORPHISM_CLASSES,
-    SLG_CONCLUSIONS,
-    CriterionVerdict,
-    DecisionReport,
-    Witness,
-    ad_membership_characterized_profile,
-    ad_membership_direct,
-    ad_membership_profile,
-    check_class_relations,
-    check_twisted_semigroup,
-    check_twisted_slg,
-    decide,
-    is_semilattice_of_groups,
-    twist,
-    untwist,
-)
-from .enumeration import (
-    Counterexample,
-    SweepConfig,
-    SweepReport,
-    enumerate_group_tables,
-    enumerate_groupoids,
-    enumerate_semilattices,
-    enumerate_specs,
-    random_groupoids,
-    run_sweep,
-    stream_value,
-)
-from .errors import (
-    GpdError,
-    InvalidSpec,
-    LimitsTooLarge,
-    MalformedInput,
-    NotDetermined,
-    NotInverse,
-    NotInvolution,
-    OrderTooLarge,
-    PreconditionViolated,
-    TheoremViolation,
-)
-from .groupoid import (
-    VARIETIES,
-    Groupoid,
-    in_semigroup_class,
-    parse_groupoid,
-    satisfies_variety,
-    serialize_groupoid,
-    square_subgroupoid,
-)
-from .inverses import (
-    canonical_twist,
-    idempotents_form_semilattice,
-    inverse_antihomomorphism_law,
-    inverse_table,
-    inverses_of,
-    is_completely_inverse,
-    is_right_bol,
-    strongly_regular_witness,
-)
-from .mappings import (
-    absorption_law,
-    automorphisms,
-    e_fixed_involutive_automorphisms,
-    find_isomorphism,
-    identity_mapping,
-    in_lt,
-    in_rt,
-    involutions,
-    involutive_automorphisms,
-    is_homomorphism,
-    is_involution,
-    parse_mapping,
-    serialize_mapping,
-    shifted_associativity,
-)
+from .clifford import *
+from .determination import *
+from .enumeration import *
+from .errors import *
+from .groupoid import *
+from .inverses import *
+from .mappings import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CLASS_RELATION_LAWS",
-    "CRITERIA",
-    "DESCENT_PAIRS",
-    "ISOMORPHISM_CLASSES",
-    "SLG_CONCLUSIONS",
-    "VARIETIES",
-    "ConstructionSpec",
-    "Counterexample",
-    "CriterionVerdict",
-    "DecisionReport",
-    "GpdError",
-    "GroupSpec",
-    "Groupoid",
-    "InvalidSpec",
-    "LimitsTooLarge",
-    "MalformedInput",
-    "MeetSemilattice",
-    "NotDetermined",
-    "NotInverse",
-    "NotInvolution",
-    "OrderTooLarge",
-    "PreconditionViolated",
-    "SweepConfig",
-    "SweepReport",
-    "TheoremViolation",
-    "Witness",
-    "absorption_law",
-    "ad_membership_characterized_profile",
-    "ad_membership_direct",
-    "ad_membership_profile",
-    "automorphisms",
-    "build_determined",
-    "build_strong_slg",
-    "canonical_twist",
-    "check_class_relations",
-    "check_twisted_semigroup",
-    "check_twisted_slg",
-    "decide",
-    "decompose",
-    "e_fixed_involutive_automorphisms",
-    "enumerate_group_tables",
-    "enumerate_groupoids",
-    "enumerate_semilattices",
-    "enumerate_specs",
-    "find_isomorphism",
-    "identity_mapping",
-    "idempotents_form_semilattice",
-    "in_lt",
-    "in_rt",
-    "in_semigroup_class",
-    "inverse_antihomomorphism_law",
-    "inverse_table",
-    "inverses_of",
-    "involutions",
-    "involutive_automorphisms",
-    "is_completely_inverse",
-    "is_homomorphism",
-    "is_involution",
-    "is_right_bol",
-    "is_semilattice_of_groups",
-    "parse_cspec",
-    "parse_groupoid",
-    "parse_mapping",
-    "random_groupoids",
-    "run_sweep",
-    "satisfies_variety",
-    "serialize_cspec",
-    "serialize_groupoid",
-    "serialize_mapping",
-    "shifted_associativity",
-    "square_subgroupoid",
-    "stream_value",
-    "strongly_regular_witness",
-    "twist",
-    "untwist",
-    "validate_spec",
-]
+__all__ = (
+    clifford.__all__
+    + determination.__all__
+    + enumeration.__all__
+    + errors.__all__
+    + groupoid.__all__
+    + inverses.__all__
+    + mappings.__all__
+)

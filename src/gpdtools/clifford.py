@@ -20,6 +20,18 @@ from .groupoid import Groupoid, _check_square, _ContentLines
 from .inverses import _inverse_images, _not_inverse
 from .mappings import Mapping, is_homomorphism, is_involution
 
+__all__ = [
+    "ConstructionSpec",
+    "GroupSpec",
+    "MeetSemilattice",
+    "build_determined",
+    "build_strong_slg",
+    "decompose",
+    "parse_cspec",
+    "serialize_cspec",
+    "validate_spec",
+]
+
 
 @dataclass(frozen=True, slots=True)
 class MeetSemilattice:

@@ -36,6 +36,27 @@ from .mappings import (
     shifted_associativity,
 )
 
+__all__ = [
+    "CLASS_RELATION_LAWS",
+    "CRITERIA",
+    "DESCENT_PAIRS",
+    "ISOMORPHISM_CLASSES",
+    "SLG_CONCLUSIONS",
+    "CriterionVerdict",
+    "DecisionReport",
+    "Witness",
+    "ad_membership_characterized_profile",
+    "ad_membership_direct",
+    "ad_membership_profile",
+    "check_class_relations",
+    "check_twisted_semigroup",
+    "check_twisted_slg",
+    "decide",
+    "is_semilattice_of_groups",
+    "twist",
+    "untwist",
+]
+
 #: Names of the three decision criteria, in evaluation order.
 CRITERIA = (
     "completely_inverse_automorphism",

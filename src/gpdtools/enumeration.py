@@ -85,6 +85,19 @@ from .mappings import (
     shifted_associativity,
 )
 
+__all__ = [
+    "Counterexample",
+    "SweepConfig",
+    "SweepReport",
+    "enumerate_group_tables",
+    "enumerate_groupoids",
+    "enumerate_semilattices",
+    "enumerate_specs",
+    "random_groupoids",
+    "run_sweep",
+    "stream_value",
+]
+
 #: Largest order enumerated exhaustively without an explicit override.
 MAX_EXHAUSTIVE_ORDER = 3
 #: Hard limits for the construction-data family.
@@ -802,10 +815,10 @@ def _suite_slg_conclusions(chunk: _Chunk):
 
 def _suite_decision_coherence(chunk: _Chunk):
     """The three decision criteria agree on every table (exhaustive and
-    sampled), positives carry verified witnesses and are rebuilt by
-    building the decomposition along the witness mapping, and every built
-    instance decides positive with the glued mapping satisfying the
-    shifted triple law."""
+    sampled), positives carry verified witnesses and decompose along the
+    witness mapping into data that rebuilds them (``decompose`` checks it),
+    and every built instance decides positive with the glued mapping
+    satisfying the shifted triple law."""
     for g in chunk.exhaustive + chunk.samples:
         try:
             report = decide(g)
@@ -815,15 +828,11 @@ def _suite_decision_coherence(chunk: _Chunk):
             verdicts = {"criteria_agree": True}
             if report.determined:
                 w = report.witness
-                verdicts["witness_shift_law"] = (
-                    w is not None and shifted_associativity(g, w.alpha)
-                )
-                verdicts["witness_reconstructs"] = (
-                    w is not None and twist(w.star, w.alpha) == g
-                )
+                verdicts["witness_shift_law"] = shifted_associativity(g, w.alpha)
+                verdicts["witness_reconstructs"] = twist(w.star, w.alpha) == g
                 try:
-                    rebuilt = build_determined(decompose(g, w.alpha)) == (g, w.alpha)
-                    verdicts["build_inverts_decompose"] = rebuilt or f"alpha={w.alpha}"
+                    decompose(g, w.alpha)
+                    verdicts["build_inverts_decompose"] = True
                 except NotDetermined as exc:
                     verdicts["build_inverts_decompose"] = str(exc)
         yield verdicts, partial(_table_id, g)

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GpdError",
+    "InvalidSpec",
+    "LimitsTooLarge",
+    "MalformedInput",
+    "NotDetermined",
+    "NotInverse",
+    "NotInvolution",
+    "OrderTooLarge",
+    "PreconditionViolated",
+    "TheoremViolation",
+]
+
 
 class GpdError(Exception):
     """Base class for every library-specific error."""

@@ -15,6 +15,16 @@ from typing import Iterator
 
 from .errors import MalformedInput
 
+__all__ = [
+    "VARIETIES",
+    "Groupoid",
+    "in_semigroup_class",
+    "parse_groupoid",
+    "satisfies_variety",
+    "serialize_groupoid",
+    "square_subgroupoid",
+]
+
 
 #: The smallest order whose rows compose as bytes.  Encoding the rows
 #: costs O(n²) up front; a full kernel pass wins it back by 10-35% at

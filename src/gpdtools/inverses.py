@@ -14,6 +14,17 @@ from .errors import NotInverse
 from .groupoid import Groupoid, _compositions
 from .mappings import Mapping, _shift_images
 
+__all__ = [
+    "canonical_twist",
+    "idempotents_form_semilattice",
+    "inverse_antihomomorphism_law",
+    "inverse_table",
+    "inverses_of",
+    "is_completely_inverse",
+    "is_right_bol",
+    "strongly_regular_witness",
+]
+
 
 def inverses_of(g: Groupoid, x: int) -> frozenset[int]:
     """All inverses of ``x``."""

@@ -17,6 +17,23 @@ from functools import lru_cache
 
 from .groupoid import Groupoid, _ContentLines, _compositions, _homomorphic
 
+__all__ = [
+    "absorption_law",
+    "automorphisms",
+    "e_fixed_involutive_automorphisms",
+    "find_isomorphism",
+    "identity_mapping",
+    "in_lt",
+    "in_rt",
+    "involutions",
+    "involutive_automorphisms",
+    "is_homomorphism",
+    "is_involution",
+    "parse_mapping",
+    "serialize_mapping",
+    "shifted_associativity",
+]
+
 Mapping = tuple[int, ...]
 #: Per position, the ascending tuple of its admissible images.
 Domain = tuple[tuple[int, ...], ...]

@@ -1111,6 +1111,35 @@ def test_build_inverts_decompose_runs_on_exactly_the_decided_positives(
     ] == 32
 
 
+def test_decision_coherence_builds_each_decided_positive_once(monkeypatch):
+    # decompose rebuilds the data it recovers and refuses data that does not
+    # give back (g, alpha), so once the specs are built the suite makes one
+    # table build per decided positive, inside decompose, and no other.
+    import gpdtools.clifford as clifford
+
+    config = SweepConfig(
+        max_exhaustive_order=3,
+        sample_count=0,
+        max_semilattice_order=2,
+        max_group_order=2,
+        suites=("decision_coherence",),
+    )
+    chunk = enumeration._Chunk(config, 0, 1)
+    assert chunk.specs
+    built = []
+    products = clifford._products
+
+    def counted(spec, twisted):
+        built.append(spec)
+        return products(spec, twisted)
+
+    monkeypatch.setattr(clifford, "_products", counted)
+    maps = [verdicts for verdicts, _ in SUITES["decision_coherence"](chunk)]
+    positives = [m for m in maps if "build_inverts_decompose" in m]
+    assert all(m["build_inverts_decompose"] is True for m in positives)
+    assert len(built) == len(positives) == 32
+
+
 def test_construction_roundtrip_decides_nothing(monkeypatch):
     # The suite reads only the built specs, which it checks structurally.
     import gpdtools.enumeration as enumeration

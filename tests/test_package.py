@@ -17,6 +17,43 @@ def test_all_lists_every_public_name():
     assert set(gpdtools.__all__) == public
 
 
+def test_each_public_name_is_declared_once_in_its_module():
+    # Each public name is written once, in the __all__ of the module that
+    # binds it, and the package's __all__ is those lists end to end, in
+    # this module order.
+    import importlib
+
+    everything = []
+    for name in (
+        "clifford",
+        "determination",
+        "enumeration",
+        "errors",
+        "groupoid",
+        "inverses",
+        "mappings",
+    ):
+        module = importlib.import_module(f"gpdtools.{name}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+        everything += module.__all__
+    assert len(everything) == len(set(everything)) == 76
+    assert gpdtools.__all__ == everything
+
+
+def test_readme_library_block_imports_public_names():
+    # The README's Library section imports from gpdtools; every name it
+    # shows has to be one the package publishes.
+    import re
+    from pathlib import Path
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    library = readme.read_text().split("## Library", 1)[1]
+    block = re.search(r"from gpdtools import \((.*?)\)", library, re.S).group(1)
+    names = re.sub(r"#.*", "", block).replace(",", " ").split()
+    assert len(names) > 20
+    assert sorted(set(names) - set(gpdtools.__all__)) == []
+
+
 def test_package_imports_only_the_standard_library():
     # Every import in the package is relative, from __future__, or of a
     # standard-library module: the package has no third-party dependency.
