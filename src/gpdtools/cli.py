@@ -223,39 +223,47 @@ def cmd_examples(args) -> int:
     return 0
 
 
-def _add_format(p) -> None:
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default text)",
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser: every subcommand with all its arguments."""
+    parser = argparse.ArgumentParser(
+        prog="gpdtools",
+        description=(
+            "Verify, decide, construct, and sweep finite one-operation "
+            "tables determined by twisted semilattices of groups."
+        ),
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+    fmt = {
+        "choices": ("text", "json"), "default": "text",
+        "help": "report format (default text)",
+    }
 
-
-def _check_args(p) -> None:
+    p = sub.add_parser("check", help="print structural predicates of a table")
     p.add_argument("table", help="path to a .gpd file")
     p.add_argument("mapping", nargs="?", help="optional path to a .map file")
-    _add_format(p)
+    p.add_argument("--format", **fmt)
+    p.set_defaults(func=cmd_check)
 
-
-def _decide_args(p) -> None:
+    p = sub.add_parser("decide", help="decide whether a table is determined")
     p.add_argument("table", help="path to a .gpd file")
-    _add_format(p)
+    p.add_argument("--format", **fmt)
+    p.set_defaults(func=cmd_decide)
 
-
-def _build_args(p) -> None:
+    p = sub.add_parser("build", help="build table + mapping from a .cspec")
     p.add_argument("spec", help="path to a .cspec file")
     p.add_argument("--out", help="output prefix (writes PREFIX.gpd and PREFIX.map)")
+    p.set_defaults(func=cmd_build)
 
-
-def _decompose_args(p) -> None:
+    p = sub.add_parser("decompose", help="decompose a determined table into a .cspec")
     p.add_argument("table", help="path to a .gpd file")
     p.add_argument(
         "mapping", nargs="?",
         help="optional path to a .map file (default: the decision witness)",
     )
     p.add_argument("--out", help="output prefix (writes PREFIX.cspec)")
+    p.set_defaults(func=cmd_decompose)
 
-
-def _sweep_args(p) -> None:
+    p = sub.add_parser("sweep", help="run property suites over the instance space")
     config = SweepConfig()
     p.add_argument("--max-order", type=int, default=config.max_exhaustive_order,
                    help="largest exhaustively enumerated order"
@@ -279,70 +287,22 @@ def _sweep_args(p) -> None:
     p.add_argument("--allow-large", action="store_true",
                    help=f"permit exhaustive orders above {MAX_EXHAUSTIVE_ORDER}")
     p.add_argument("--out", help="write the JSON report to this path")
-    _add_format(p)
+    p.add_argument("--format", **fmt)
+    p.set_defaults(func=cmd_sweep)
 
-
-def _examples_args(p) -> None:
+    p = sub.add_parser("examples", help="write the bundled fixtures to a directory")
     p.add_argument("--out", default=".", help="target directory (default: .)")
-
-
-#: Each subcommand: its handler, the function that adds its arguments, and
-#: its help line.
-_COMMANDS = {
-    "check": (cmd_check, _check_args, "print structural predicates of a table"),
-    "decide": (cmd_decide, _decide_args, "decide whether a table is determined"),
-    "build": (cmd_build, _build_args, "build table + mapping from a .cspec"),
-    "decompose": (
-        cmd_decompose, _decompose_args, "decompose a determined table into a .cspec"
-    ),
-    "sweep": (cmd_sweep, _sweep_args, "run property suites over the instance space"),
-    "examples": (
-        cmd_examples, _examples_args, "write the bundled fixtures to a directory"
-    ),
-}
-
-
-def _full_parser() -> argparse.ArgumentParser:
-    """Every subcommand with all its arguments: words top-level help and errors."""
-    parser = argparse.ArgumentParser(
-        prog="gpdtools",
-        description=(
-            "Verify, decide, construct, and sweep finite one-operation "
-            "tables determined by twisted semilattices of groups."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, add_arguments, help_line) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        add_arguments(p)
-        p.set_defaults(func=func)
+    p.set_defaults(func=cmd_examples)
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """Parse one command line, with the invoked subcommand's parser alone.
-
-    The full parser has no option but ``-h`` before the subcommand, so it
-    hands ``argv[1:]`` to the subparser ``gpdtools <argv[0]>``, which gives
-    the namespace, help and errors on its own.  Lines that do not start
-    with a subcommand, or leave arguments over, go to the full parser.
-    """
-    if argv and argv[0] in _COMMANDS:
-        func, add_arguments, _ = _COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"gpdtools {argv[0]}")
-        add_arguments(parser)
-        parser.set_defaults(command=argv[0], func=func)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return _full_parser().parse_args(argv)
+#: Built once per process; every call of :func:`main` parses with it.
+_PARSER = _parser()
 
 
 def main(argv=None) -> int:
-    """Run one command and map its outcome to the exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _parse_args(argv)
+    """Run one command line (default ``sys.argv[1:]``); return its exit code."""
+    args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
         # Flush here so that a closed pipe is met inside this block.

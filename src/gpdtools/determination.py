@@ -18,6 +18,7 @@ from .errors import NotInvolution, PreconditionViolated, TheoremViolation
 from .groupoid import (
     VARIETIES,
     Groupoid,
+    _checker,
     _compositions,
     in_semigroup_class,
     satisfies_variety,
@@ -110,8 +111,7 @@ def ad_membership_direct(g: Groupoid, variety: str) -> Mapping | None:
     is an automorphism of that table.  Returns the witness ``f`` or
     ``None``.
     """
-    if variety not in VARIETIES:
-        raise ValueError(f"unknown variety tag {variety!r}")
+    _checker(variety)  # an unknown tag is refused before the search
     for f in involutions(g.order):
         star = untwist(g, f)
         if in_semigroup_class(star, variety) and is_homomorphism(f, star, star):

@@ -156,6 +156,13 @@ def _sample_tables(order: int, seed: int, indices: range):
         yield Groupoid._trusted(tuple(map(shared.setdefault, rows, rows)))
 
 
+def _check_ints(**values) -> None:
+    """Refuse, by name, a value that is not exactly an ``int`` (a bool is not)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int")
+
+
 def enumerate_groupoids(order: int, allow_large: bool = False):
     """Yield every table of the given order in lexicographic order.
 
@@ -163,6 +170,7 @@ def enumerate_groupoids(order: int, allow_large: bool = False):
     MAX_EXHAUSTIVE_ORDER need ``allow_large=True``.  The tables share
     their row tuples: there are ``order ** order`` distinct row objects.
     """
+    _check_ints(order=order)
     if order < 1:
         raise ValueError("order must be at least 1")
     if order > MAX_EXHAUSTIVE_ORDER and not allow_large:
@@ -181,6 +189,7 @@ def random_groupoids(order: int, count: int, seed: int):
     the index range is split across workers.  Equal rows within one call
     are one shared tuple.
     """
+    _check_ints(order=order, count=count, seed=seed)
     if order < 1:
         raise ValueError("order must be at least 1")
     if count < 0:
@@ -310,6 +319,9 @@ def _between(sl: MeetSemilattice, f: int, e: int) -> list[int]:
 
 
 def _check_family_limits(max_semilattice_order: int, max_group_order: int):
+    _check_ints(
+        max_semilattice_order=max_semilattice_order, max_group_order=max_group_order
+    )
     if not 1 <= max_semilattice_order <= MAX_SEMILATTICE_ORDER:
         raise LimitsTooLarge(
             f"semilattice order limit must be 1..{MAX_SEMILATTICE_ORDER}"
@@ -397,9 +409,9 @@ class SweepConfig:
     allow_large_exhaustive: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "int" and type(getattr(self, f.name)) is not int:
-                raise ValueError(f"{f.name} must be an int")
+        _check_ints(**{
+            f.name: getattr(self, f.name) for f in fields(self) if f.type == "int"
+        })
         if type(self.suites) is not tuple or set(map(type, self.suites)) - {str}:
             raise ValueError("suites must be a tuple of str")
         if self.max_exhaustive_order < 0:
@@ -954,8 +966,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     merge is order-independent, the report's canonical form does not depend
     on ``jobs``.
     """
-    if type(jobs) is not int:
-        raise ValueError("jobs must be an int")
+    _check_ints(jobs=jobs)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     resolved = replace(config, suites=config.suites or tuple(SUITES))

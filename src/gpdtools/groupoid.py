@@ -282,6 +282,14 @@ _CHECKERS = {
 VARIETIES = tuple(_CHECKERS)
 
 
+def _checker(variety: str):
+    """The test of one identity tag; an unknown tag is a ``ValueError``."""
+    try:
+        return _CHECKERS[variety]
+    except KeyError:
+        raise ValueError(f"unknown variety tag {variety!r}") from None
+
+
 def satisfies_variety(g: Groupoid, variety: str) -> bool:
     """Exhaustively test one of the twelve product identities.
 
@@ -289,20 +297,17 @@ def satisfies_variety(g: Groupoid, variety: str) -> bool:
     Use :func:`in_semigroup_class` for membership in the corresponding
     semigroup class.
     """
-    try:
-        checker = _CHECKERS[variety]
-    except KeyError:
-        raise ValueError(f"unknown variety tag {variety!r}") from None
-    return checker(g)
+    return _checker(variety)(g)
 
 
 def in_semigroup_class(g: Groupoid, variety: str) -> bool:
     """Membership in one of the twelve semigroup classes.
 
     A table belongs to the class when it is associative *and* satisfies the
-    class identity.
+    class identity.  An unknown tag is refused before either test.
     """
-    return g.is_associative() and satisfies_variety(g, variety)
+    checker = _checker(variety)
+    return g.is_associative() and checker(g)
 
 
 def parse_groupoid(text: str) -> Groupoid:

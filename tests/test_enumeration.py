@@ -109,6 +109,12 @@ def test_random_groupoids_deterministic_and_partitionable():
     for seed in (-1, MASK64 + 1):
         with pytest.raises(ValueError, match="seed must be in"):
             next(random_groupoids(2, 1, seed))
+    # Each argument takes exactly an int, as in SweepConfig: a bool would
+    # draw tables, and a float would fail inside `range`.
+    for args, name in [((2.0, 1, 1), "order"), ((2, True, 1), "count"),
+                       ((2, 1, True), "seed")]:
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            next(random_groupoids(*args))
     # Table i is a pure function of (seed, i): recomputing any index alone
     # gives the same table, which is what makes chunking sound.
     cells = 16
@@ -191,6 +197,8 @@ def test_enumerate_groupoids_guard():
     assert next(gen).rows[0] == (0, 0, 0, 0)
     with pytest.raises(ValueError):
         next(enumerate_groupoids(0))
+    with pytest.raises(ValueError, match="order must be an int"):
+        next(enumerate_groupoids(True))
 
 
 def test_enumerate_semilattices():
@@ -390,6 +398,10 @@ def test_enumerate_specs_limits():
         next(enumerate_specs(4, 2))
     with pytest.raises(LimitsTooLarge):
         next(enumerate_specs(1, 7))
+    with pytest.raises(ValueError, match="max_semilattice_order must be an int"):
+        next(enumerate_specs(True, 2))
+    with pytest.raises(ValueError, match="max_group_order must be an int"):
+        next(enumerate_specs(1, 2.0))
 
 
 def test_family_over_four_element_semilattices_is_transitive(monkeypatch):

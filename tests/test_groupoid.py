@@ -240,6 +240,11 @@ def test_unknown_tag_rejected():
         satisfies_variety(BAND3, "XX")
     with pytest.raises(ValueError):
         in_semigroup_class(BAND3, "")
+    # The tag is checked before the associativity test, so a table that is
+    # not associative refuses it too, with the same message.
+    for g in (BAND3, FLIP2):
+        with pytest.raises(ValueError, match="unknown variety tag 'bogus'"):
+            in_semigroup_class(g, "bogus")
 
 
 def test_idempotents_and_products():
