@@ -75,7 +75,7 @@ def _write_outputs(files: dict[str, str]) -> None:
 def _render_text(data, prefix: str = "") -> list[str]:
     """Flatten a report into sorted ``path: value`` lines."""
     lines: list[str] = []
-    if isinstance(data, dict):
+    if isinstance(data, dict) and data:
         for key in sorted(data):
             path = f"{prefix}.{key}" if prefix else str(key)
             lines.extend(_render_text(data[key], path))

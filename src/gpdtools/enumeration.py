@@ -124,6 +124,7 @@ def stream_value(seed: int, index: int) -> int:
     Random access by construction: value ``i`` never depends on value
     ``j``, so any partition of the index space draws identical values.
     """
+    _check_ints(seed=seed, index=index)
     return _mix64(seed + (index + 1) * _GOLDEN)
 
 
@@ -204,9 +205,9 @@ def random_groupoids(order: int, count: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _table_classes(n: int, values) -> list[Groupoid]:
-    """The first associative table of each isomorphism class, in
-    lexicographic order, where cell ``(x, y)`` ranges over ``values(rows, x, y)``.
+def _associative_tables(n: int, values):
+    """Yield every associative table of order ``n`` in lexicographic order,
+    where cell ``(x, y)`` ranges over ``values(rows, x, y)``.
 
     Cells are filled row by row.  A value is kept only when every triple
     that reads the new cell (as ``x*y``, as ``y*z`` or as the outer product
@@ -216,13 +217,10 @@ def _table_classes(n: int, values) -> list[Groupoid]:
     """
     rows = [[n] * (n + 1) for _ in range(n + 1)]
     span = range(n)
-    reps: list[Groupoid] = []
 
     def fill(i: int):
         if i == n * n:
-            g = Groupoid._trusted(tuple(tuple(row[:n]) for row in rows[:n]))
-            if all(find_isomorphism(g, rep) is None for rep in reps):
-                reps.append(g)
+            yield Groupoid._trusted(tuple(tuple(row[:n]) for row in rows[:n]))
             return
         x, y = divmod(i, n)
         for v in values(rows, x, y):
@@ -235,45 +233,48 @@ def _table_classes(n: int, values) -> list[Groupoid]:
             )
             sides = ((rows[rows[a][b]][c], rows[a][rows[b][c]]) for a, b, c in triples)
             if all(left == right or n in (left, right) for left, right in sides):
-                fill(i + 1)
+                yield from fill(i + 1)
         rows[x][y] = n
 
-    fill(0)
+    yield from fill(0)
+
+
+def _table_classes(kind: str, order: int, cap: int, values) -> list[Groupoid]:
+    """The first of :func:`_associative_tables` in each isomorphism class,
+    for an ``order`` from 1 up to ``cap``."""
+    _check_ints(order=order)
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if order > cap:
+        raise LimitsTooLarge(f"{kind} enumeration is capped at order {cap}")
+    reps: list[Groupoid] = []
+    for g in _associative_tables(order, values):
+        if all(find_isomorphism(g, rep) is None for rep in reps):
+            reps.append(g)
     return reps
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_semilattices(order: int) -> tuple[MeetSemilattice, ...]:
     """Representatives of every meet semilattice of the given order, one
     per isomorphism class, each the lexicographically least table in its
     class: the diagonal is ``e*e = e``, a lower cell mirrors the upper one
     and an upper cell is free, so tables are visited in lexicographic order.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if order > MAX_SEMILATTICE_ORDER:
-        raise LimitsTooLarge(
-            f"semilattice enumeration is capped at order {MAX_SEMILATTICE_ORDER}"
-        )
 
     def values(rows, x: int, y: int):
         return (x,) if x == y else (rows[y][x],) if y < x else range(order)
 
-    return tuple(MeetSemilattice(g.rows) for g in _table_classes(order, values))
+    reps = _table_classes("semilattice", order, MAX_SEMILATTICE_ORDER, values)
+    return tuple(MeetSemilattice(g.rows) for g in reps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_group_tables(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Representatives of every group of the given order, one table per
     isomorphism class, with the identity at index 0: the identity's row and
     column are fixed, and every other cell takes each element at most once
     per row and once per column."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if order > MAX_GROUP_ORDER:
-        raise LimitsTooLarge(
-            f"group enumeration is capped at order {MAX_GROUP_ORDER}"
-        )
 
     def values(rows, x: int, y: int):
         if x == 0 or y == 0:
@@ -281,7 +282,8 @@ def enumerate_group_tables(order: int) -> tuple[tuple[tuple[int, ...], ...], ...
         used = {*rows[x][:y], *(row[y] for row in rows[:x])}
         return [v for v in range(order) if v not in used]
 
-    return tuple(g.rows for g in _table_classes(order, values))
+    reps = _table_classes("group", order, MAX_GROUP_ORDER, values)
+    return tuple(g.rows for g in reps)
 
 
 @lru_cache(maxsize=None)

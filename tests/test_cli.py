@@ -412,6 +412,17 @@ def test_sweep_passes(capsys):
     assert report["config"]["sample_count"] == 25
 
 
+def test_sweep_text_prints_an_empty_map(capsys):
+    # A sweep that reads no instance tallies nothing; the text form keeps
+    # the key, as the JSON form does.
+    argv = ["sweep", "--max-order", "0", "--samples", "0", "--suites", "square_classes"]
+    code, out, _ = _run(capsys, argv + ["--format", "text"])
+    assert code == 0
+    assert "counts: {}" in out.splitlines()
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0 and json.loads(out)["counts"] == {}
+
+
 def test_bare_sweep_runs_the_default_config(capsys, monkeypatch):
     # The CLI reads its defaults from SweepConfig, so the two cannot drift.
     ran = []

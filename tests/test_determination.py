@@ -1,6 +1,7 @@
 """Twisting, membership scans, conclusion batteries, and the decision."""
 
 import collections
+import functools
 import hashlib
 import itertools
 import random
@@ -8,6 +9,7 @@ import random
 import pytest
 
 import gpdtools.determination as det
+import gpdtools.enumeration as enumeration
 import gpdtools.inverses as inverses
 import gpdtools.mappings as mappings
 from gpdtools import (
@@ -537,42 +539,18 @@ def test_class_relations_matches_reference_profiling_squares():
             assert check_class_relations(g) == _reference_class_relations(g)
 
 
+@functools.cache
 def _semigroups(n):
-    """Every associative table on 0..n-1: the cells are filled in row-major
-    order, and a partial table with a defined triple (xy)z != x(yz) is
-    pruned."""
-    rows = [[None] * n for _ in range(n)]
-    triples = list(itertools.product(range(n), repeat=3))
-
-    def consistent():
-        for x, y, z in triples:
-            xy, yz = rows[x][y], rows[y][z]
-            if xy is None or yz is None:
-                continue
-            left, right = rows[xy][z], rows[x][yz]
-            if left is not None and right is not None and left != right:
-                return False
-        return True
-
-    def fill(cell):
-        if cell == n * n:
-            yield Groupoid(tuple(map(tuple, rows)))
-            return
-        x, y = divmod(cell, n)
-        for v in range(n):
-            rows[x][y] = v
-            if consistent():
-                yield from fill(cell + 1)
-        rows[x][y] = None
-
-    yield from fill(0)
+    """Every associative table on 0..n-1, in lexicographic order, listed
+    once per session."""
+    return tuple(enumeration._associative_tables(n, lambda rows, x, y: range(n)))
 
 
 def test_class_relations_match_reference_on_twisted_order_4_semigroups():
     # A twist of a semigroup by an involutive automorphism is in the derived
     # class of every class its base is in, so, unlike the tables of order
     # <= 3, this corpus is rich in reports that are not all vacuous.
-    semigroups = list(_semigroups(4))
+    semigroups = _semigroups(4)
     assert len(semigroups) == 3492
     corpus = {twist(s, f) for s in semigroups for f in involutive_automorphisms(s)}
     assert len(corpus) == 4071
@@ -594,7 +572,7 @@ def test_decided_twists_are_the_twisted_semilattices_of_groups(n, twists, determ
     # The census from the definition: among all twists of the semigroups of
     # order n by their involutive automorphisms, decide accepts exactly the
     # twists of semilattices of groups by maps fixing every idempotent.
-    semigroups = list(_semigroups(n))
+    semigroups = _semigroups(n)
     corpus = {twist(s, f) for s in semigroups for f in involutive_automorphisms(s)}
     assert len(corpus) == twists
     defined = {

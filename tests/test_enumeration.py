@@ -77,6 +77,10 @@ def test_stream_frozen_values():
     assert stream_value(1, 2) == 0xF893A2EEFB32555E
     assert stream_value(1, 3) == 0x71C18690EE42C90B
     assert stream_value(7, 0) == 0x63CBE1E459320DD7
+    # Each argument takes exactly an int: True would read as seed 1.
+    for args, name in [((True, 0), "seed"), ((1, 2.0), "index"), (("1", 0), "seed")]:
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            stream_value(*args)
 
 
 def test_stream_uniformity_chi_square():
@@ -219,6 +223,11 @@ def test_enumerate_semilattices():
         enumerate_semilattices(4)
     with pytest.raises(ValueError):
         enumerate_semilattices(0)
+    # Exactly an int: True, called after 1, misses the cache entry of 1,
+    # and neither a float nor a string reaches `range`.
+    for order in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="order must be an int"):
+            enumerate_semilattices(order)
     # Every representative really is one: commutative idempotent associative.
     for r in reps:
         g = Groupoid(r.meet)
@@ -250,9 +259,24 @@ def test_semilattice_classes_match_independent_counts(monkeypatch):
     ]
 
 
+def _free(n):
+    return lambda rows, x, y: range(n)
+
+
+def test_associative_tables_are_the_associative_groupoids_in_order():
+    # OEIS A023814: 1, 8 and 113 labelled semigroups, each once and in
+    # lexicographic order, against the definition table by table.
+    counts = []
+    for n in (1, 2, 3):
+        tables = list(enumeration._associative_tables(n, _free(n)))
+        assert tables == [g for g in enumerate_groupoids(n) if g.is_associative()]
+        counts.append(len(tables))
+    assert counts == [1, 8, 113]
+
+
 def _semigroup_classes(n):
-    """The backtracker with every cell free: one table per semigroup class."""
-    reps = enumeration._table_classes(n, lambda rows, x, y: range(n))
+    """The class pass with every cell free: one table per semigroup class."""
+    reps = enumeration._table_classes("semigroup", n, 4, _free(n))
     assert all(g.is_associative() for g in reps)
     return reps
 
@@ -310,6 +334,9 @@ def test_enumerate_group_tables():
         enumerate_group_tables(7)
     with pytest.raises(ValueError):
         enumerate_group_tables(0)
+    for order in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="order must be an int"):
+            enumerate_group_tables(order)
     # Representatives are pairwise non-isomorphic genuine groups with the
     # identity at 0.
     for m in range(1, 5):
