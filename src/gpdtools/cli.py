@@ -24,14 +24,13 @@ from pathlib import Path
 
 from .clifford import decompose, build_determined, parse_cspec, serialize_cspec
 from .determination import _report_json, decide, is_semilattice_of_groups
-from .enumeration import MAX_EXHAUSTIVE_ORDER, SweepConfig, run_sweep
+from .enumeration import SweepConfig, run_sweep
 from .errors import (
     GpdError,
     LimitsTooLarge,
     MalformedInput,
     InvalidSpec,
     NotDetermined,
-    OrderTooLarge,
 )
 from .fixtures import FIXTURES
 from .groupoid import (
@@ -58,7 +57,6 @@ from .mappings import (
 _INPUT_ERRORS = (
     MalformedInput,
     InvalidSpec,
-    OrderTooLarge,
     LimitsTooLarge,
     OSError,
     ValueError,
@@ -200,7 +198,6 @@ def cmd_sweep(args) -> int:
         max_semilattice_order=args.max_semilattice_order,
         max_group_order=args.max_group_order,
         suites=suites,
-        allow_large_exhaustive=args.allow_large,
     )
     report = run_sweep(config, jobs=args.jobs)
     if args.out:
@@ -284,8 +281,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-group-order", type=int, default=config.max_group_order,
                    help="construction family: largest block group"
                    " (default %(default)s)")
-    p.add_argument("--allow-large", action="store_true",
-                   help=f"permit exhaustive orders above {MAX_EXHAUSTIVE_ORDER}")
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_sweep)

@@ -51,7 +51,6 @@ from .determination import (
 from .errors import (
     LimitsTooLarge,
     NotDetermined,
-    OrderTooLarge,
     PreconditionViolated,
     TheoremViolation,
 )
@@ -98,7 +97,7 @@ __all__ = [
     "stream_value",
 ]
 
-#: Largest order enumerated exhaustively without an explicit override.
+#: Largest order enumerated exhaustively.
 MAX_EXHAUSTIVE_ORDER = 3
 #: Hard limits for the construction-data family.
 MAX_SEMILATTICE_ORDER = 3
@@ -164,21 +163,23 @@ def _check_ints(**values) -> None:
             raise ValueError(f"{name} must be an int")
 
 
-def enumerate_groupoids(order: int, allow_large: bool = False):
-    """Yield every table of the given order in lexicographic order.
-
-    There are ``order ** (order * order)`` of them; orders above
-    MAX_EXHAUSTIVE_ORDER need ``allow_large=True``.  The tables share
-    their row tuples: there are ``order ** order`` distinct row objects.
-    """
+def _check_order(kind: str, order: int, cap: int) -> None:
+    """Refuse an ``order`` that is not an int from 1 up to ``cap``."""
     _check_ints(order=order)
     if order < 1:
         raise ValueError("order must be at least 1")
-    if order > MAX_EXHAUSTIVE_ORDER and not allow_large:
-        raise OrderTooLarge(
-            f"exhaustive enumeration of order {order} needs allow_large=True"
-            f" ({order ** (order * order)} tables)"
-        )
+    if order > cap:
+        raise LimitsTooLarge(f"{kind} enumeration is capped at order {cap}")
+
+
+def enumerate_groupoids(order: int):
+    """Yield every table of the given order in lexicographic order.
+
+    There are ``order ** (order * order)`` of them, for an order up to
+    MAX_EXHAUSTIVE_ORDER.  The tables share their row tuples: there are
+    ``order ** order`` distinct row objects.
+    """
+    _check_order("exhaustive", order, MAX_EXHAUSTIVE_ORDER)
     yield from _exhaustive_tables((order,), 0, 1)
 
 
@@ -242,11 +243,7 @@ def _associative_tables(n: int, values):
 def _table_classes(kind: str, order: int, cap: int, values) -> list[Groupoid]:
     """The first of :func:`_associative_tables` in each isomorphism class,
     for an ``order`` from 1 up to ``cap``."""
-    _check_ints(order=order)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if order > cap:
-        raise LimitsTooLarge(f"{kind} enumeration is capped at order {cap}")
+    _check_order(kind, order, cap)
     reps: list[Groupoid] = []
     for g in _associative_tables(order, values):
         if all(find_isomorphism(g, rep) is None for rep in reps):
@@ -393,7 +390,7 @@ def enumerate_specs(max_semilattice_order: int = 3, max_group_order: int = 4):
 # ---------------------------------------------------------------------------
 
 
-SWEEP_SCHEMA = "sweep_report@3"
+SWEEP_SCHEMA = "sweep_report@4"
 
 
 @dataclass(frozen=True)
@@ -408,7 +405,6 @@ class SweepConfig:
     max_semilattice_order: int = 3
     max_group_order: int = 4
     suites: tuple[str, ...] = ()
-    allow_large_exhaustive: bool = False
 
     def __post_init__(self):
         _check_ints(**{
@@ -424,12 +420,8 @@ class SweepConfig:
             raise ValueError("sample_count must be at least 0")
         if not 0 <= self.seed <= MASK64:
             raise ValueError(f"seed must be in 0..{MASK64}")
-        large = self.max_exhaustive_order > MAX_EXHAUSTIVE_ORDER
-        if large and not self.allow_large_exhaustive:
-            raise OrderTooLarge(
-                f"exhaustive order {self.max_exhaustive_order} needs "
-                "allow_large_exhaustive=True"
-            )
+        if self.max_exhaustive_order:
+            _check_order("exhaustive", self.max_exhaustive_order, MAX_EXHAUSTIVE_ORDER)
         _check_family_limits(self.max_semilattice_order, self.max_group_order)
         duplicates = sorted({s for s in self.suites if self.suites.count(s) > 1})
         if duplicates:

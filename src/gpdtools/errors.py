@@ -8,7 +8,6 @@ __all__ = [
     "NotDetermined",
     "NotInverse",
     "NotInvolution",
-    "OrderTooLarge",
     "PreconditionViolated",
     "TheoremViolation",
 ]
@@ -31,12 +30,9 @@ class MalformedInput(GpdError):
         super().__init__(message)
 
 
-class OrderTooLarge(GpdError):
-    """Exhaustive enumeration was requested beyond the supported order."""
-
-
 class LimitsTooLarge(GpdError):
-    """Construction-family limits exceed what brute-force enumeration supports."""
+    """An order or a construction-family limit exceeds the cap of its
+    brute-force enumeration."""
 
 
 class NotInvolution(GpdError):

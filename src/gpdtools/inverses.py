@@ -17,7 +17,6 @@ from .mappings import Mapping, _shift_images
 __all__ = [
     "canonical_twist",
     "idempotents_form_semilattice",
-    "inverse_antihomomorphism_law",
     "inverse_table",
     "inverses_of",
     "is_completely_inverse",
@@ -168,15 +167,6 @@ def idempotents_form_semilattice(g: Groupoid) -> bool:
     return all(
         (p := rows[e][f]) == rows[f][e] and p in idem for e in idem for f in idem
     )
-
-
-def inverse_antihomomorphism_law(g: Groupoid, f: Mapping) -> bool:
-    """True when ``(a*b)' == f(b') * f(a')`` for all a, b.
-
-    Requires a total inverse table; returns ``False`` if some element does
-    not have a unique inverse.
-    """
-    return _Facts(g).antihomomorphism(f)
 
 
 def canonical_twist(g: Groupoid) -> Mapping:

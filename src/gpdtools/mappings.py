@@ -50,7 +50,7 @@ def is_involution(f: Mapping) -> bool:
     return all(type(y) is int and 0 <= y < n and f[y] == x for x, y in enumerate(f))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def involutions(n: int) -> tuple[Mapping, ...]:
     """All self-inverse bijections of ``0..n-1`` in lexicographic order.
 
@@ -58,6 +58,8 @@ def involutions(n: int) -> tuple[Mapping, ...]:
     a larger unplaced point; choices are explored in ascending image order,
     which yields the tuples lexicographically sorted.
     """
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be an int of at least 0")
     result: list[Mapping] = []
     images = [-1] * n
 

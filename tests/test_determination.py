@@ -38,7 +38,6 @@ from gpdtools import (
     idempotents_form_semilattice,
     identity_mapping,
     in_semigroup_class,
-    inverse_antihomomorphism_law,
     inverse_table,
     involutions,
     involutive_automorphisms,
@@ -69,6 +68,7 @@ from gpdtools.inverses import _Facts
 
 from .test_clifford import _relabel
 from .test_inverses import (
+    _antihomomorphism,
     _cyclic_chain_cspec,
     _mutations,
     _negation_twist,
@@ -647,7 +647,7 @@ def _reference_criterion_completely_inverse(g):
         if not shifted_associativity(g, f):
             continue
         shift_seen = True
-        if idempotents_form_semilattice(g) or inverse_antihomomorphism_law(g, f):
+        if idempotents_form_semilattice(g) or _antihomomorphism(g, f):
             alpha = f
             break
     if alpha is None:

@@ -17,7 +17,6 @@ from gpdtools import (
     LimitsTooLarge,
     MeetSemilattice,
     NotDetermined,
-    OrderTooLarge,
     SweepConfig,
     SweepReport,
     TheoremViolation,
@@ -31,7 +30,6 @@ from gpdtools import (
     enumerate_specs,
     find_isomorphism,
     identity_mapping,
-    inverse_antihomomorphism_law,
     involutions,
     involutive_automorphisms,
     is_homomorphism,
@@ -45,6 +43,8 @@ from gpdtools import (
 )
 import gpdtools.enumeration as enumeration
 from gpdtools.enumeration import MASK64, SUITES
+
+from .test_inverses import _antihomomorphism
 
 # ---------------------------------------------------------------------------
 # Random stream.
@@ -173,7 +173,7 @@ def test_exhaustive_tables_match_flat_cell_reference():
         assert list(_exhaustive_tables((1, 2, 3), index, chunks)) == list(
             _reference_exhaustive((1, 2, 3), index, chunks)
         )
-    first = itertools.islice(enumerate_groupoids(4, allow_large=True), 5000)
+    first = itertools.islice(_exhaustive_tables((4,), 0, 1), 5000)
     reference = itertools.islice(_reference_exhaustive((4,), 0, 1), 5000)
     assert list(first) == list(reference)
 
@@ -195,10 +195,8 @@ def test_enumerate_groupoids_counts_and_order():
 
 
 def test_enumerate_groupoids_guard():
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(LimitsTooLarge, match="capped at order 3"):
         next(enumerate_groupoids(4))
-    gen = enumerate_groupoids(4, allow_large=True)
-    assert next(gen).rows[0] == (0, 0, 0, 0)
     with pytest.raises(ValueError):
         next(enumerate_groupoids(0))
     with pytest.raises(ValueError, match="order must be an int"):
@@ -523,7 +521,7 @@ def test_sweep_partition_independent():
     r3 = run_sweep(_SMALL, jobs=3)
     assert r1.to_json() == r2.to_json() == r3.to_json()
     data = json.loads(r1.to_json())
-    assert data["schema"] == "sweep_report@3"
+    assert data["schema"] == "sweep_report@4"
     assert "elapsed" not in json.dumps(data)
     assert data["config"]["rng"] == "splitmix64"
 
@@ -577,8 +575,6 @@ def test_sweep_suite_selection_and_errors():
         run_sweep(SweepConfig(suites=("no_such_suite",)), jobs=1)
     with pytest.raises(ValueError):
         run_sweep(_SMALL, jobs=0)
-    with pytest.raises(OrderTooLarge):
-        run_sweep(SweepConfig(max_exhaustive_order=4), jobs=1)
 
 
 def test_sweep_detects_corrupted_property(monkeypatch):
@@ -840,6 +836,8 @@ def test_instance_ids_are_formatted_only_on_failure(monkeypatch):
         ("seed", 1.0, ValueError),
         ("max_semilattice_order", True, ValueError),
         ("max_group_order", 2.0, ValueError),
+        # The exhaustive order is capped like the family limits.
+        ("max_exhaustive_order", 4, LimitsTooLarge),
     ],
 )
 def test_sweep_config_rejects_invalid_values(field, value, error):
@@ -1051,7 +1049,7 @@ def test_strong_table_meets_no_battery_hypothesis():
             assert not shifted_associativity(strong, alpha)
             assert not absorption_law(strong, alpha)
             assert not untwist(strong, alpha).is_associative()
-            assert not inverse_antihomomorphism_law(strong, alpha)
+            assert not _antihomomorphism(strong, alpha)
     assert moved > 0 and fixed > 0
 
 

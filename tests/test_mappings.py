@@ -80,6 +80,12 @@ def test_involutions_lex_order_and_counts():
     for n in range(1, 6):
         assert sorted(involutions(n)) == _oracle_involutions(n)
         assert list(involutions(n)) == sorted(involutions(n))
+    assert involutions(0) == ((),)
+    # n is exactly an int of at least 0: True does not read the cache entry
+    # of 1, which the loop above filled.
+    for n in (True, 2.0, -1):
+        with pytest.raises(ValueError, match="n must be an int"):
+            involutions(n)
 
 
 def test_is_involution():

@@ -36,7 +36,7 @@ def test_each_public_name_is_declared_once_in_its_module():
         module = importlib.import_module(f"gpdtools.{name}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
         everything += module.__all__
-    assert len(everything) == len(set(everything)) == 76
+    assert len(everything) == len(set(everything)) == 74
     assert gpdtools.__all__ == everything
 
 
