@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .clifford import decompose, build_determined, parse_cspec, serialize_cspec
@@ -190,15 +191,10 @@ def cmd_sweep(args) -> int:
     suites = tuple(s for s in (args.suites or "").split(",") if s)
     if args.suites is not None and not suites:
         raise ValueError(f"--suites {args.suites!r} names no suite")
-    config = SweepConfig(
-        max_exhaustive_order=args.max_order,
-        sample_order=args.sample_order,
-        sample_count=args.samples,
-        seed=args.seed,
-        max_semilattice_order=args.max_semilattice_order,
-        max_group_order=args.max_group_order,
-        suites=suites,
-    )
+    # Every other sweep flag stores into the SweepConfig field of its name.
+    flags = {f.name: getattr(args, f.name) for f in fields(SweepConfig)
+             if f.name != "suites"}
+    config = SweepConfig(**flags, suites=suites)
     report = run_sweep(config, jobs=args.jobs)
     if args.out:
         _write_outputs({args.out: report.to_json()})
@@ -262,12 +258,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run property suites over the instance space")
     config = SweepConfig()
-    p.add_argument("--max-order", type=int, default=config.max_exhaustive_order,
+    p.add_argument("--max-order", dest="max_exhaustive_order", type=int,
+                   default=config.max_exhaustive_order,
                    help="largest exhaustively enumerated order"
                    " (default %(default)s)")
     p.add_argument("--sample-order", type=int, default=config.sample_order,
                    help="order of randomly sampled tables (default %(default)s)")
-    p.add_argument("--samples", type=int, default=config.sample_count,
+    p.add_argument("--samples", dest="sample_count", type=int,
+                   default=config.sample_count,
                    help="number of sampled tables (default %(default)s)")
     p.add_argument("--seed", type=int, default=config.seed,
                    help="sample stream seed (default %(default)s)")

@@ -123,7 +123,10 @@ def stream_value(seed: int, index: int) -> int:
     Random access by construction: value ``i`` never depends on value
     ``j``, so any partition of the index space draws identical values.
     """
-    _check_ints(seed=seed, index=index)
+    _check_ints(index=index)
+    _check_samples(seed)
+    if index < 0:
+        raise ValueError("index must be at least 0")
     return _mix64(seed + (index + 1) * _GOLDEN)
 
 
@@ -167,9 +170,22 @@ def _check_order(kind: str, order: int, cap: int) -> None:
     """Refuse an ``order`` that is not an int from 1 up to ``cap``."""
     _check_ints(order=order)
     if order < 1:
-        raise ValueError("order must be at least 1")
+        raise ValueError(f"{kind} order must be at least 1")
     if order > cap:
         raise LimitsTooLarge(f"{kind} enumeration is capped at order {cap}")
+
+
+def _check_samples(seed: int, order: int = 1, count: int = 0) -> None:
+    """Refuse a sample-stream input out of bounds, named by its SweepConfig
+    field; the defaults pass, so ``_check_samples(seed)`` checks the seed
+    alone.  Seeds s and s + 2**64 would draw the same stream."""
+    _check_ints(sample_order=order, sample_count=count, seed=seed)
+    if order < 1:
+        raise ValueError("sample_order must be at least 1")
+    if count < 0:
+        raise ValueError("sample_count must be at least 0")
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in 0..{MASK64}")
 
 
 def enumerate_groupoids(order: int):
@@ -191,13 +207,7 @@ def random_groupoids(order: int, count: int, seed: int):
     the index range is split across workers.  Equal rows within one call
     are one shared tuple.
     """
-    _check_ints(order=order, count=count, seed=seed)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if count < 0:
-        raise ValueError("count must be at least 0")
-    if not 0 <= seed <= MASK64:
-        raise ValueError(f"seed must be in 0..{MASK64}")
+    _check_samples(seed, order, count)
     yield from _sample_tables(order, seed, range(count))
 
 
@@ -317,18 +327,6 @@ def _between(sl: MeetSemilattice, f: int, e: int) -> list[int]:
     ]
 
 
-def _check_family_limits(max_semilattice_order: int, max_group_order: int):
-    _check_ints(
-        max_semilattice_order=max_semilattice_order, max_group_order=max_group_order
-    )
-    if not 1 <= max_semilattice_order <= MAX_SEMILATTICE_ORDER:
-        raise LimitsTooLarge(
-            f"semilattice order limit must be 1..{MAX_SEMILATTICE_ORDER}"
-        )
-    if not 1 <= max_group_order <= MAX_GROUP_ORDER:
-        raise LimitsTooLarge(f"group order limit must be 1..{MAX_GROUP_ORDER}")
-
-
 def enumerate_specs(max_semilattice_order: int = 3, max_group_order: int = 4):
     """Yield every construction spec within the size limits, in a fixed
     deterministic order.
@@ -346,7 +344,11 @@ def enumerate_specs(max_semilattice_order: int = 3, max_group_order: int = 4):
     holds each distinct system of connecting maps once (935 for the 10,933
     specs of ``(3, 4)``); nothing is shared between calls.
     """
-    _check_family_limits(max_semilattice_order, max_group_order)
+    _check_ints(
+        max_semilattice_order=max_semilattice_order, max_group_order=max_group_order
+    )
+    _check_order("semilattice", max_semilattice_order, MAX_SEMILATTICE_ORDER)
+    _check_order("group", max_group_order, MAX_GROUP_ORDER)
     shared: dict[tuple, tuple] = {}
     choices: list[GroupSpec] = []
     for m in range(1, max_group_order + 1):
@@ -414,15 +416,11 @@ class SweepConfig:
             raise ValueError("suites must be a tuple of str")
         if self.max_exhaustive_order < 0:
             raise ValueError("max_exhaustive_order must be at least 0")
-        if self.sample_order < 1:
-            raise ValueError("sample_order must be at least 1")
-        if self.sample_count < 0:
-            raise ValueError("sample_count must be at least 0")
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError(f"seed must be in 0..{MASK64}")
+        _check_samples(self.seed, self.sample_order, self.sample_count)
         if self.max_exhaustive_order:
             _check_order("exhaustive", self.max_exhaustive_order, MAX_EXHAUSTIVE_ORDER)
-        _check_family_limits(self.max_semilattice_order, self.max_group_order)
+        _check_order("semilattice", self.max_semilattice_order, MAX_SEMILATTICE_ORDER)
+        _check_order("group", self.max_group_order, MAX_GROUP_ORDER)
         duplicates = sorted({s for s in self.suites if self.suites.count(s) > 1})
         if duplicates:
             raise ValueError(f"duplicate suites: {', '.join(duplicates)}")

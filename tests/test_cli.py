@@ -412,6 +412,30 @@ def test_sweep_passes(capsys):
     assert report["config"]["sample_count"] == 25
 
 
+def test_each_sweep_flag_lands_in_its_config_field(capsys):
+    # Every int flag set to a value other than its default, on the goldens
+    # suite alone (the fixtures): the report's config holds those values.
+    flags = {
+        "--max-order": ("max_exhaustive_order", 1),
+        "--sample-order": ("sample_order", 2),
+        "--samples": ("sample_count", 3),
+        "--seed": ("seed", 5),
+        "--max-semilattice-order": ("max_semilattice_order", 2),
+        "--max-group-order": ("max_group_order", 3),
+    }
+    argv = ["sweep", "--suites", "goldens", "--format", "json"]
+    for flag, (_, value) in flags.items():
+        argv += [flag, str(value)]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    expected = dict(flags.values())
+    assert {name: config[name] for name in expected} == expected
+    default = enumeration.SweepConfig()
+    assert all(getattr(default, name) != v for name, v in expected.items())
+    assert set(config) == {*expected, "rng", "suites"}
+
+
 def test_sweep_text_prints_an_empty_map(capsys):
     # A sweep that reads no instance tallies nothing; the text form keeps
     # the key, as the JSON form does.
@@ -503,6 +527,11 @@ def test_sweep_order_above_the_cap_is_refused(capsys):
     code, out, err = _run(capsys, ["sweep", "--max-order", "4", "--samples", "0"])
     assert (code, out) == (2, "")
     assert err == "error: exhaustive enumeration is capped at order 3\n"
+    # A family limit passes the same guard, which names its kind below 1.
+    argv = ["sweep", "--max-semilattice-order", "0", "--samples", "0"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: semilattice order must be at least 1\n"
 
 
 def test_sweep_has_no_override_of_the_cap(capsys):

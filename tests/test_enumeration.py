@@ -81,6 +81,13 @@ def test_stream_frozen_values():
     for args, name in [((True, 0), "seed"), ((1, 2.0), "index"), (("1", 0), "seed")]:
         with pytest.raises(ValueError, match=f"{name} must be an int"):
             stream_value(*args)
+    # The seed bound of random_groupoids and SweepConfig: seeds s and
+    # s + 2**64 would draw the same values.  No index below 0 is drawn.
+    for seed in (-1, MASK64 + 1):
+        with pytest.raises(ValueError, match=f"seed must be in 0..{MASK64}"):
+            stream_value(seed, 0)
+    with pytest.raises(ValueError, match="index must be at least 0"):
+        stream_value(1, -1)
 
 
 def test_stream_uniformity_chi_square():
@@ -419,10 +426,19 @@ def test_enumerate_specs_counts_against_combinatorial_oracle():
 
 
 def test_enumerate_specs_limits():
-    with pytest.raises(LimitsTooLarge):
-        next(enumerate_specs(4, 2))
-    with pytest.raises(LimitsTooLarge):
-        next(enumerate_specs(1, 7))
+    # The family limits pass through the generators' own guard: above a cap
+    # with its text, below 1 as a ValueError naming the kind.
+    for limits, generate, order in [((4, 2), enumerate_semilattices, 4),
+                                    ((1, 7), enumerate_group_tables, 7)]:
+        with pytest.raises(LimitsTooLarge) as own:
+            generate(order)
+        with pytest.raises(LimitsTooLarge) as family:
+            next(enumerate_specs(*limits))
+        assert str(family.value) == str(own.value)
+    with pytest.raises(ValueError, match="^semilattice order must be at least 1$"):
+        next(enumerate_specs(0, 4))
+    with pytest.raises(ValueError, match="^group order must be at least 1$"):
+        next(enumerate_specs(1, 0))
     with pytest.raises(ValueError, match="max_semilattice_order must be an int"):
         next(enumerate_specs(True, 2))
     with pytest.raises(ValueError, match="max_group_order must be an int"):
@@ -821,9 +837,9 @@ def test_instance_ids_are_formatted_only_on_failure(monkeypatch):
         ("sample_order", 0, ValueError),
         ("seed", -1, ValueError),
         ("seed", 1 + 2**64, ValueError),
-        ("max_semilattice_order", 0, LimitsTooLarge),
+        ("max_semilattice_order", 0, ValueError),
         ("max_semilattice_order", 4, LimitsTooLarge),
-        ("max_group_order", 0, LimitsTooLarge),
+        ("max_group_order", 0, ValueError),
         ("max_group_order", 7, LimitsTooLarge),
         ("suites", ("no_such_suite",), ValueError),
         # An int field takes exactly an int: a bool would write `true` into
