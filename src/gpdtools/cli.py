@@ -17,14 +17,13 @@ on failure; :func:`main` alone maps the errors to exit codes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .clifford import decompose, build_determined, parse_cspec, serialize_cspec
-from .determination import _report_json, decide, is_semilattice_of_groups
+from .determination import _json_leaf, _report_json, decide, is_semilattice_of_groups
 from .enumeration import SweepConfig, run_sweep
 from .errors import (
     GpdError,
@@ -79,7 +78,7 @@ def _render_text(data, prefix: str = "") -> list[str]:
             path = f"{prefix}.{key}" if prefix else str(key)
             lines.extend(_render_text(data[key], path))
     else:
-        lines.append(f"{prefix}: {json.dumps(data, sort_keys=True)}")
+        lines.append(f"{prefix}: {_json_leaf(data)}")
     return lines
 
 

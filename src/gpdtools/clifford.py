@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import InvalidSpec, NotDetermined
-from .groupoid import Groupoid, _check_square, _ContentLines
+from .groupoid import Groupoid, _check_square, _ContentLines, _decimals
 from .inverses import _inverse_images, _not_inverse
 from .mappings import Mapping, is_homomorphism, is_involution
 
@@ -493,12 +493,14 @@ def serialize_cspec(spec: ConstructionSpec) -> str:
     """
     sl = spec.semilattice
     out = [f"semilattice {sl.order}"]
-    out.extend(" ".join(map(str, row)) for row in sl.meet)
+    out.extend(" ".join(_decimals(row)) for row in sl.meet)
     for e, group in enumerate(spec.groups):
         out.append(f"group {e} {group.order}")
-        out.extend(" ".join(map(str, row)) for row in group.rows)
+        out.extend(" ".join(_decimals(row)) for row in group.rows)
         out.append(f"alpha {e}")
-        out.append(" ".join(map(str, group.involution)))
+        out.append(" ".join(_decimals(group.involution)))
+    # A spec does not check its connecting maps when it is made, so their
+    # images are written by ``str``, whatever they hold.
     for (f, e), images in spec.homs:
         out.append(f"hom {f} {e}")
         out.append(" ".join(map(str, images)))

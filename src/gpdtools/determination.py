@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import NotInvolution, PreconditionViolated, TheoremViolation
 from .groupoid import (
@@ -20,6 +21,7 @@ from .groupoid import (
     Groupoid,
     _checker,
     _compositions,
+    _decimals,
     in_semigroup_class,
     satisfies_variety,
     square_subgroupoid,
@@ -502,22 +504,39 @@ def _report_json(value, indent: str = "\n") -> str:
     Every report (decision, check and sweep) is written here.  The
     standard encoder steps through each element in Python when ``indent``
     is set; a list or tuple of plain ints, such as a row of a witness
-    table, is written in one join instead.  Dict keys must be ``str``.
+    table, is written in one join instead, and keys and other leaves by
+    :func:`_json_leaf`.  Dict keys must be ``str``.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = (
-            f"{json.dumps(key)}: {_report_json(value[key], inner)}"
+            f"{encode_basestring_ascii(key)}: {_report_json(value[key], inner)}"
             for key in sorted(value)
         )
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {int}:  # not bools: str(True) is not JSON
-            items = map(str, value)
+            items = _decimals(value)
         else:
             items = (_report_json(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return json.dumps(value)
+    return _json_leaf(value)
+
+
+def _json_leaf(value) -> str:
+    """``json.dumps(value, sort_keys=True)``, the same bytes; a ``str``,
+    ``None``, ``bool`` or ``int`` is written without the encoder."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value, sort_keys=True)
 
 
 @dataclass(frozen=True)

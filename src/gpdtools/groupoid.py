@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import starmap
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import MalformedInput
 
@@ -310,6 +310,27 @@ def in_semigroup_class(g: Groupoid, variety: str) -> bool:
     return g.is_associative() and checker(g)
 
 
+#: The decimal spellings of 0..255, and the value of each spelling.  The
+#: text formats read and write entries through these instead of calling
+#: ``int`` or ``str`` on each one; other entries take the slow way.
+_SPELLINGS = tuple(map(str, range(256)))
+_VALUES = {s: v for v, s in enumerate(_SPELLINGS)}
+
+
+def _decimals(values) -> Iterable[str]:
+    """``map(str, values)`` for a sequence of ints (not bools), read from
+    :data:`_SPELLINGS` by one ``itemgetter`` call when there are two or
+    more values, all in 0..255."""
+    # A negative int would index the spellings from the end, and a
+    # one-index itemgetter returns a bare item.
+    if len(values) > 1 and min(values) >= 0:
+        try:
+            return itemgetter(*values)(_SPELLINGS)
+        except IndexError:
+            pass
+    return map(str, values)
+
+
 def parse_groupoid(text: str) -> Groupoid:
     """Parse the ``.gpd`` format: order on the first line, then the rows.
 
@@ -327,7 +348,7 @@ def parse_groupoid(text: str) -> Groupoid:
 def serialize_groupoid(g: Groupoid) -> str:
     """Render a table in the ``.gpd`` format (newline-terminated)."""
     out = [str(g.order)]
-    out.extend(" ".join(map(str, row)) for row in g.rows)
+    out.extend(" ".join(_decimals(row)) for row in g.rows)
     return "\n".join(out) + "\n"
 
 
@@ -355,13 +376,22 @@ class _ContentLines:
         return self._lines[self._pos - 1]
 
     def ints(self, count: int, bound: int, what: str) -> tuple[int, ...]:
-        """One line of ``count`` integers in ``0..bound-1``."""
+        """One line of ``count`` integers in ``0..bound-1``, each entry read
+        as ``int`` reads it."""
         lineno, line = self._take(what)
         parts = line.split()
         if len(parts) != count:
             raise MalformedInput(
                 f"expected {count} entries in {what}, got {len(parts)}", lineno
             )
+        try:  # a one-index itemgetter would return a bare item
+            values = itemgetter(*parts)(_VALUES) if count > 1 else (_VALUES[parts[0]],)
+        except KeyError:  # such as 007, +1 or 256: ``int`` decides below
+            pass
+        else:
+            if max(values) < bound:
+                return values
+        # The only path that raises, so it names the first bad entry.
         values = []
         for part in parts:
             try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .groupoid import Groupoid, _ContentLines, _compositions, _homomorphic
+from .groupoid import Groupoid, _ContentLines, _compositions, _decimals, _homomorphic
 
 __all__ = [
     "absorption_law",
@@ -349,4 +349,4 @@ def serialize_mapping(f: Mapping) -> str:
     (newline-terminated); raise ``ValueError`` for any other."""
     if not f or any(type(v) is not int or not 0 <= v < len(f) for v in f):
         raise ValueError(f"not a mapping of 0..n-1 with n >= 1: {f!r}")
-    return str(len(f)) + "\n" + " ".join(map(str, f)) + "\n"
+    return str(len(f)) + "\n" + " ".join(_decimals(f)) + "\n"

@@ -20,6 +20,7 @@ from gpdtools.fixtures import FIXTURES
 from gpdtools.groupoid import Groupoid
 
 from .test_clifford import NON_TRANSITIVE_CSPEC
+from .test_inverses import _cyclic_chain_cspec, _negation_twist
 
 # ---------------------------------------------------------------------------
 # Helpers.
@@ -719,6 +720,12 @@ _EDGE_VALUES = [
     "é \"quoted\" \\ \n\t  \U0001f600",
     {"b": 1, "a": 2, "B": 3, "é": 4, "a\"b": [None], "": 0},
     {"k": (True, None, "s", 1.5, [2, [3, []]])},
+    [255, 256],
+    [0, -1],
+    [1, True],
+    [True, 1],
+    {"k": -1},
+    {"k": 256},
 ]
 
 
@@ -728,6 +735,11 @@ def test_report_json_matches_the_standard_encoder(monkeypatch):
     reports = [
         decide(g).to_dict() for n in (1, 2) for g in gpdtools.enumerate_groupoids(n)
     ]
+    # Rows past order 40 and a chain whose witness mixes five block orders.
+    chain, _ = gpdtools.build_determined(
+        gpdtools.parse_cspec(_cyclic_chain_cspec((2, 4, 8, 16, 32)))
+    )
+    reports += [decide(_negation_twist(64)).to_dict(), decide(chain).to_dict()]
     for table, mapping, _ in FIXTURES.values():
         reports.append(decide(table).to_dict())
         reports.append(cli._check_report(table, None))
@@ -742,6 +754,6 @@ def test_report_json_matches_the_standard_encoder(monkeypatch):
     )
     reports.append(gpdtools.run_sweep(config).to_dict())
     assert len(reports[-1]["counterexamples"]) > 10
-    assert len(reports) == 1 + 16 + 3 * len(FIXTURES) + 1
+    assert len(reports) == 1 + 16 + 2 + 3 * len(FIXTURES) + 1
     for value in reports + _EDGE_VALUES:
         assert _report_json(value) == json.dumps(value, indent=2, sort_keys=True)

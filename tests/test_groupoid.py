@@ -13,7 +13,9 @@ from gpdtools import (
     enumerate_specs,
     in_semigroup_class,
     is_right_bol,
+    parse_cspec,
     parse_groupoid,
+    parse_mapping,
     random_groupoids,
     satisfies_variety,
     serialize_groupoid,
@@ -328,6 +330,11 @@ def test_parse_serialize_roundtrip():
     assert parse_groupoid(text) == BAND3
     for g in itertools.islice(random_groupoids(4, 50, seed=3), 50):
         assert parse_groupoid(serialize_groupoid(g)) == g
+    # Entries from 256 up are spelled and read without the spelling table.
+    z300 = Groupoid.from_rows([(x + y) % 300 for y in range(300)] for x in range(300))
+    text = serialize_groupoid(z300)
+    assert text.splitlines()[-1] == " ".join(map(str, z300.rows[-1]))
+    assert parse_groupoid(text) == z300
 
 
 def test_parse_comments_and_blanks():
@@ -346,6 +353,8 @@ def test_parse_comments_and_blanks():
         ("2\n0 2\n1 0\n", 2),  # entry out of range
         ("1\n0\nextra\n", 3),  # trailing content
         ("2\n0 9\n1 0\nextra\n", 2),  # first problem in reading order
+        ("2\n5 x\n0 0\n", 2),  # an entry out of range before a bad one
+        ("2\nx 5\n0 0\n", 2),  # a bad entry before one out of range
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -353,6 +362,29 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_groupoid(text)
     assert err.value.line == line
     assert f"line {line}:" in str(err.value)
+
+
+def test_parse_names_the_first_bad_entry_of_a_line():
+    with pytest.raises(MalformedInput, match="entry 5 outside 0..1 in row"):
+        parse_groupoid("2\n5 x\n0 0\n")
+    with pytest.raises(MalformedInput, match="bad entry 'x' in row"):
+        parse_groupoid("2\nx 5\n0 0\n")
+
+
+def test_parse_reads_each_entry_as_int_reads_it():
+    # Fields are split on any whitespace, and an entry is any spelling that
+    # int() reads: a sign, leading zeros, underscores, other decimal digits.
+    for text in (
+        "2\n0 +1\n001 0\n",
+        "2\n-0 1\n1 0_0\n",
+        "2\n0 \u0661\n1 \uff10\n",
+        "2\n0\t1\n1 \t 0\n",
+    ):
+        assert parse_groupoid(text).rows == ((0, 1), (1, 0))
+    assert parse_mapping("3\n+1 0_0 002\n") == (1, 0, 2)
+    z2 = "semilattice 1\n0\ngroup 0 2\n0 1\n1 0\nalpha 0\n0 1\n"
+    spelled = "semilattice 1\n-0\ngroup 0 2\n0\t+1\n01 0\nalpha 0\n0 \u0661\n"
+    assert parse_cspec(spelled) == parse_cspec(z2)
 
 
 def _validated_copy_equals(g):
